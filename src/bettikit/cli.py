@@ -18,7 +18,7 @@ from .bounds import (Assumptions, check_first_strand, check_Ndm, check_next_to_m
 from .decompose import (IterationLimitExceeded, NotInConeError, bs_decompose,
                         multiplicity_from_decomposition)
 from .fixtures import FIXTURES, run_fixture
-from .koszul import betti_table
+from .koszul import CoefficientError, betti_table
 from .polyring import IdealParseError, parse_ideal
 from .pure import hk_diagram
 from .selftest import run_all as run_sweeps
@@ -148,8 +148,19 @@ def cmd_betti(args) -> int:
             print(f"error: bad field {args.field!r}, expected 'rational' or 'gfP'",
                   file=sys.stderr)
             return EXIT_INPUT
-        ideal = replace(ideal, char_p=char_p)
-    table, complete = betti_table(ideal, args.qmax)
+        try:
+            ideal = replace(ideal, char_p=char_p)
+        except ValueError as exc:
+            print(f"error: --field {args.field}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+    if args.qmax < 1:
+        print(f"error: --qmax must be at least 1, got {args.qmax}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        table, complete = betti_table(ideal, args.qmax)
+    except CoefficientError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if args.out == "json":
         payload = table.to_json_dict()
         payload["field"] = ideal.field_label()

@@ -17,7 +17,7 @@ from importlib import resources
 from .bounds import Assumptions, check_first_strand, check_next_to_max, first_nontrivial_strand
 from .decompose import NotInConeError, bs_decompose, multiplicity_from_decomposition
 from .koszul import betti_table, hilbert_consistency
-from .polyring import parse_ideal
+from .polyring import DEFAULT_PRIME, parse_ideal
 from .tables import BettiTable
 
 ENV_DIR = "FIXTURES_DIR"
@@ -200,7 +200,7 @@ def run_fixture(entry: FixtureEntry) -> list[str]:
         if not hilbert_consistency(ideal, table, entry.qmax):
             problems.append("hilbert consistency failed")
         if entry.check_fields_agree:
-            other = replace(ideal, char_p=None if ideal.char_p else 32003)
+            other = replace(ideal, char_p=None if ideal.char_p else DEFAULT_PRIME)
             other_table, _ = betti_table(other, entry.qmax)
             if other_table != table:
                 problems.append(

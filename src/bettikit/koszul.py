@@ -19,11 +19,16 @@ anywhere.
 Wedge basis vectors are strictly increasing index tuples in lex order; the
 M_q basis is the standard monomials in descending graded-lex order.  This
 fixes every matrix reproducibly.
+
+`betti_table` first cuts the ring by variables it certifies to be regular
+through degree q_max + 2 (see `_cut_regular_variables`), so the differentials
+it builds live in fewer variables.  `graded_piece`, `koszul_differential` and
+`betti_number` never cut.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -72,12 +77,16 @@ class GradedPiece:
         return {m: v % char_p for m, v in out.items() if v % char_p != 0}
 
 
+class CoefficientError(ValueError):
+    """A rational coefficient with no image in GF(p): p divides its denominator."""
+
+
 def _to_field(value: Fraction, char_p: int | None) -> Fraction | int:
     if char_p is None:
         return value
     den = value.denominator % char_p
     if den == 0:
-        raise ValueError(
+        raise CoefficientError(
             f"coefficient {value} has denominator divisible by the characteristic {char_p}")
     return (value.numerator % char_p) * pow(den, char_p - 2, char_p) % char_p
 
@@ -185,12 +194,106 @@ def betti_number(ideal: Ideal, p: int, q: int,
         pieces[q] = graded_piece(ideal, q)
     domain_dim = comb(n, p) * pieces[q].dim
     kappa = domain_dim - rank_of(p, q) - rank_of(p + 1, q - 1)
-    assert kappa >= 0, f"negative cohomology dimension at (p={p}, q={q})"
+    if kappa < 0:
+        raise RuntimeError(f"negative cohomology dimension at (p={p}, q={q})")
     return kappa
+
+
+def _in_field(ideal: Ideal) -> Ideal:
+    """The ideal with every coefficient mapped into its field; vanishing generators dropped."""
+    if ideal.char_p is None:
+        return ideal
+    generators = []
+    for g in ideal.generators:
+        mapped = {}
+        for mono, coeff in g.items():
+            value = _to_field(coeff, ideal.char_p)
+            if value:
+                mapped[mono] = Fraction(value)
+        if mapped:
+            generators.append(mapped)
+    return replace(ideal, generators=tuple(generators))
+
+
+def _cut(ideal: Ideal, var: int) -> Ideal:
+    """I + (x_var) / (x_var), as an ideal of the ring without x_var."""
+    generators = []
+    for g in ideal.generators:
+        cut = {mono[:var] + mono[var + 1:]: coeff for mono, coeff in g.items() if not mono[var]}
+        if cut:
+            generators.append(cut)
+    return Ideal(ideal.num_vars - 1, tuple(generators), ideal.char_p)
+
+
+def _injective(ideal: Ideal, source: GradedPiece, target: GradedPiece, var: int) -> bool:
+    """Whether multiplication by x_var, M_{j-1} -> M_j, has full rank dim M_{j-1}."""
+    index = {mono: i for i, mono in enumerate(target.standard)}
+    rows = []
+    for mono in source.standard:
+        image = target.normal_form({mono_times_var(mono, var): Fraction(1)}, ideal.char_p)
+        rows.append({index[m]: value for m, value in image.items()})
+    return SparseMatrix(source.dim, target.dim, rows).rank(ideal.char_p) == source.dim
+
+
+def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, dict[int, GradedPiece]]:
+    """Cut by variables injective on M = S/I through degree q_max + 2, as long as any is.
+
+    Returns the cut ideal, whose rows q <= q_max of the betti table equal
+    those of `ideal`, with its graded pieces from degree 0 through at least
+    q_max + 1.  At least one variable always remains.
+
+    Why the rows agree.  Let l = x_v be injective M_{j-1} -> M_j for every
+    1 <= j <= D, let S' = S/(l), and M' = M/lM = S'/I', where I' is I with
+    x_v set to zero.  Let L = ker(l: M(-1) -> M), so L_j = 0 for j <= D.  The
+    Koszul complex K(l; M) = [M(-1) -> M] contains L[1] (L placed in
+    homological degree 1), and the quotient [M(-1)/L -> M] is injective with
+    cokernel M'.  This gives the truncation triangle L[1] -> K(l; M) -> M'.
+    Tensor it with the Koszul complex K' of S' on the other variables, which
+    is free.  The middle term K'(K(l; M)) = K(x; M) computes Tor^S(M, k), the
+    right one computes Tor^{S'}(M', k), and in internal degree p + q the long
+    exact sequence reads
+
+        H_{p-1}(K'(L))_{p+q} -> Tor^S_p(M)_{p+q} -> Tor^{S'}_p(M')_{p+q}
+                             -> H_{p-2}(K'(L))_{p+q}.
+
+    The outer terms are subquotients of wedge^{p-1} V' (x) L_{q+1} and
+    wedge^{p-2} V' (x) L_{q+2}, which vanish for q <= D - 2.  So kappa_{p,q}
+    is unchanged in every row q <= q_max when D = q_max + 2, and each further
+    cut is certified the same way on the ring already cut.  D = q_max + 1
+    does not suffice: for I = (x0^2, x1*x2^2 - x0*x1^2) at q_max = 2, x2 is
+    injective through degree 3, but cutting it adds kappa_{2,2} = 1.
+
+    Injectivity in degree j is an exact rank: the normal forms of x_v * m,
+    m a standard monomial of M_{j-1}, must have rank dim M_{j-1}.  Pieces
+    are built in increasing degree and a variable leaves the candidates at
+    its first failing degree; when dim M_{j-1} > dim M_j no form is
+    injective, so all of them leave at once.  Piece q_max + 2, which the
+    table itself never uses, is built only for surviving candidates.
+    """
+    top = q_max + 2
+    while True:
+        pieces = {0: graded_piece(ideal, 0)}
+        candidates = list(range(ideal.num_vars)) if ideal.num_vars > 1 else []
+        for j in range(1, top + 1):
+            if j == top and not candidates:
+                break
+            if j not in pieces:
+                pieces[j] = graded_piece(ideal, j)
+            source, target = pieces[j - 1], pieces[j]
+            candidates = [v for v in candidates if source.dim <= target.dim
+                          and _injective(ideal, source, target, v)]
+        if not candidates:
+            return ideal, pieces
+        ideal = _cut(ideal, candidates[0])
 
 
 def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:
     """All kappa_{p,q} for p <= num_vars, q <= q_max, plus a completeness flag.
+
+    Every coefficient is first mapped into the field, so a denominator the
+    characteristic divides raises ValueError whatever q_max is.  The table is
+    then computed on the ideal cut by certified regular variables (see
+    `_cut_regular_variables`), which has the same rows 0..q_max.
 
     The flag is advisory: it is True when rows q_max and q_max - 1 are both
     empty, a heuristic cutoff for having passed the regularity.  It never
@@ -198,7 +301,7 @@ def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:
     """
     if q_max < 1:
         raise ValueError(f"need q_max >= 1, got {q_max}")
-    pieces = {q: graded_piece(ideal, q) for q in range(q_max + 2)}
+    ideal, pieces = _cut_regular_variables(_in_field(ideal), q_max)
     rank_cache: dict[tuple[int, int], int] = {}
     entries = {}
     for q in range(q_max + 1):

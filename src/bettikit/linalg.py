@@ -33,7 +33,8 @@ class SparseMatrix:
     def __post_init__(self):
         if not self.rows:
             self.rows = [{} for _ in range(self.nrows)]
-        assert len(self.rows) == self.nrows
+        if len(self.rows) != self.nrows:
+            raise ValueError(f"{len(self.rows)} rows given for a matrix with {self.nrows}")
 
     def is_zero(self) -> bool:
         return all(not row for row in self.rows)

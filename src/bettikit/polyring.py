@@ -31,6 +31,11 @@ Poly = dict[Monomial, Fraction]
 
 DEFAULT_PRIME = 32003
 
+# Miller-Rabin with the first 12 primes as bases is exact for every n below
+# PRIME_LIMIT, the least strong pseudoprime to all of them (about 3.18e23).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 318665857834031151167461
+
 
 class IdealParseError(ValueError):
     """Malformed ideal text, with the position of the offending token."""
@@ -77,11 +82,38 @@ def is_homogeneous(poly: Poly) -> bool:
     return len(degrees) <= 1
 
 
+def is_prime(n: int) -> bool:
+    """Exact primality for 0 <= n < PRIME_LIMIT (deterministic Miller-Rabin)."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality of {n} is only decided below {PRIME_LIMIT}")
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Ideal:
     """Homogeneous ideal in k[x0, ..., x_{num_vars-1}].
 
-    char_p is None for exact rational arithmetic or an odd prime for GF(p).
+    char_p is None for exact rational arithmetic or a prime below
+    PRIME_LIMIT (about 3.18e23) for GF(p); anything else is rejected, since
+    elimination mod a composite need not terminate.
     Generators are kept with rational coefficients; reduction happens in the
     engine.  The ideal is used exactly as given: no saturation, no Groebner
     preprocessing.
@@ -94,8 +126,10 @@ class Ideal:
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("need at least one variable")
-        if self.char_p is not None and self.char_p < 2:
-            raise ValueError(f"characteristic must be a prime >= 2, got {self.char_p}")
+        if self.char_p is not None and not (self.char_p < PRIME_LIMIT
+                                            and is_prime(self.char_p)):
+            raise ValueError(
+                f"characteristic must be a prime below {PRIME_LIMIT}, got {self.char_p}")
         for g in self.generators:
             if not g:
                 raise ValueError("zero polynomial cannot generate")

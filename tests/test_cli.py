@@ -111,6 +111,37 @@ def test_betti_bad_field(capsys):
     assert "bad field" in err
 
 
+def test_betti_composite_field_in_file(tmp_path, capsys):
+    # elimination mod 9 never ends: 3 has no inverse
+    bad = tmp_path / "gf9.ideal"
+    bad.write_text("vars 2\nfield gf 9\n3*x0^2 + x1^2\nx0^2\n")
+    code, _, err = run(capsys, "betti", str(bad), "--qmax", "2")
+    assert code == 1
+    assert "gf9.ideal" in err and "prime" in err
+
+
+def test_betti_composite_field_flag(capsys):
+    code, _, err = run(capsys, "betti", fixture_path("twisted_cubic.ideal"),
+                       "--qmax", "2", "--field", "gf9")
+    assert code == 1
+    assert "prime" in err
+
+
+def test_betti_bad_qmax(capsys):
+    code, _, err = run(capsys, "betti", fixture_path("twisted_cubic.ideal"), "--qmax", "0")
+    assert code == 1
+    assert "--qmax" in err
+
+
+@pytest.mark.parametrize("qmax", ["1", "3"])
+def test_betti_denominator_divisible_by_characteristic(tmp_path, capsys, qmax):
+    bad = tmp_path / "den.ideal"
+    bad.write_text("vars 2\nfield gf 3\n1/3*x0^2\nx1^2\n")
+    code, _, err = run(capsys, "betti", str(bad), "--qmax", qmax)
+    assert code == 1
+    assert "denominator" in err
+
+
 def test_betti_parse_diagnostic(tmp_path, capsys):
     bad = tmp_path / "bad.ideal"
     bad.write_text("vars 2\nx0*x5\n")

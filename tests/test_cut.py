@@ -1,0 +1,121 @@
+"""betti_table's cut by certified regular variables against the uncut computation."""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bettikit.fixtures import FIXTURES, load_text
+from bettikit.koszul import (_cut, _cut_regular_variables, betti_number, betti_table,
+                             graded_piece)
+from bettikit.polyring import Ideal, monomials_of_degree, parse_ideal, parse_polynomial
+from bettikit.tables import BettiTable
+
+FIELDS = (None, 32003)
+
+
+def ideal_from(num_vars, lines, char_p=None):
+    gens = tuple(parse_polynomial(line, num_vars) for line in lines)
+    return Ideal(num_vars=num_vars, generators=gens, char_p=char_p)
+
+
+def uncut_table(ideal, q_max):
+    """The table from `betti_number`, which works in all of the ideal's variables."""
+    pieces, ranks, entries = {}, {}, {}
+    for q in range(q_max + 1):
+        for p in range(ideal.num_vars + 1):
+            kappa = betti_number(ideal, p, q, pieces, ranks)
+            if kappa:
+                entries[(p, q)] = Fraction(kappa)
+    return BettiTable(entries)
+
+
+def fixture_ideals():
+    return [(entry, parse_ideal(load_text(entry.filename)))
+            for entry in FIXTURES if entry.is_ideal()]
+
+
+# x2 is injective on S/I from degree 0 to 3 but not from 3 to 4.
+COUNTEREXAMPLE = ideal_from(3, ["x0^2", "x1*x2^2 - x0*x1^2"])
+
+
+def test_cut_needs_injectivity_through_qmax_plus_two():
+    # At q_max = 1 the range 0..q_max+2 ends at degree 3, so x2 is cut and
+    # rows 0..1 still agree.
+    cut, _ = _cut_regular_variables(COUNTEREXAMPLE, 1)
+    assert cut.num_vars == 2
+    assert betti_table(COUNTEREXAMPLE, 1)[0] == uncut_table(COUNTEREXAMPLE, 1)
+    # At q_max = 2, cutting x2 after checking only through q_max+1 = 3
+    # would add a wrong cell in row q_max.
+    expected = BettiTable({(0, 0): 1, (1, 1): 1, (1, 2): 1})
+    assert uncut_table(COUNTEREXAMPLE, 2) == expected
+    assert uncut_table(_cut(COUNTEREXAMPLE, 2), 2) == expected + BettiTable({(2, 2): 1})
+    cut, _ = _cut_regular_variables(COUNTEREXAMPLE, 2)
+    assert cut.num_vars == 3
+    assert betti_table(COUNTEREXAMPLE, 2)[0] == expected
+
+
+@pytest.mark.parametrize("char_p", FIELDS)
+def test_cut_matches_uncut_on_fixtures(char_p):
+    for entry, ideal in fixture_ideals():
+        ideal = replace(ideal, char_p=char_p)
+        assert betti_table(ideal, entry.qmax)[0] == uncut_table(ideal, entry.qmax), entry.name
+
+
+VARIABLES_AFTER_CUT = {
+    "twisted-cubic": (4, 2),
+    "veronese-p2": (6, 3),
+    "rnc-conic": (3, 1),
+    "rnc-quartic": (5, 3),
+    "rnc-quintic": (6, 4),
+    "rnc-sextic": (7, 5),
+    "ci-two-quadrics": (2, 2),
+    "ci-quadric-cubic": (2, 2),
+    "hypersurface-cubic": (3, 1),
+}
+
+
+@pytest.mark.parametrize("char_p", FIELDS)
+def test_variables_cut_per_fixture(char_p):
+    got = {}
+    for entry, ideal in fixture_ideals():
+        cut, pieces = _cut_regular_variables(replace(ideal, char_p=char_p), entry.qmax)
+        got[entry.name] = (ideal.num_vars, cut.num_vars)
+        assert all(pieces[q] == graded_piece(cut, q) for q in range(entry.qmax + 2))
+    assert got == VARIABLES_AFTER_CUT
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    num_vars = draw(st.integers(2, 5))
+    generators = []
+    if draw(st.booleans()):
+        # a power of every variable: the quotient is Artinian
+        for i in range(num_vars):
+            degree = draw(st.integers(1, 3))
+            generators.append({tuple(degree if k == i else 0 for k in range(num_vars)):
+                               Fraction(1)})
+    for _ in range(draw(st.integers(0, 3))):
+        monos = monomials_of_degree(num_vars, draw(st.integers(1, 3)))
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                               min_size=len(support), max_size=len(support)))
+        generators.append({m: Fraction(c) for m, c in zip(support, coeffs)})
+    char_p = draw(st.sampled_from((None, 32003, 5)))
+    return Ideal(num_vars=num_vars, generators=tuple(generators), char_p=char_p)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(ideal=homogeneous_ideals(), q_max=st.integers(1, 4))
+@example(ideal=ideal_from(3, ["x0^2", "x1^2", "x2^2"], char_p=5), q_max=3)     # Artinian
+@example(ideal=ideal_from(2, ["x0^2", "x0*x1"]), q_max=3)                      # depth 0
+@example(ideal=ideal_from(3, ["x0*x1", "x0*x2", "x1*x2"]), q_max=3)            # no regular variable
+@example(ideal=ideal_from(3, ["x0*x1"], char_p=32003), q_max=2)                # cuts x2, then stops
+@example(ideal=COUNTEREXAMPLE, q_max=2)                                         # stops at q_max+2
+def test_cut_matches_uncut_on_random_ideals(ideal, q_max):
+    table, _ = betti_table(ideal, q_max)
+    assert table == uncut_table(ideal, q_max)
+    cut, pieces = _cut_regular_variables(ideal, q_max)
+    assert all(pieces[q] == graded_piece(cut, q) for q in range(q_max + 2))

@@ -185,6 +185,25 @@ def test_gf_denominator_collision():
         graded_piece(ideal, 2)
 
 
+def test_gf_denominator_collision_raises_at_any_qmax():
+    # the generator's degree exceeds every graded piece built at q_max = 1
+    ideal = ideal_from(2, ["1/7*x0^5", "x1^2"], char_p=7)
+    for q_max in (1, 6):
+        with pytest.raises(ValueError, match="denominator"):
+            betti_table(ideal, q_max)
+
+
+def test_coefficients_vanishing_mod_p_drop_their_terms():
+    ideal = ideal_from(2, ["7*x0^2 + x1^2", "14*x0*x1"], char_p=7)
+    assert betti_table(ideal, 3)[0] == betti_table(ideal_from(2, ["x1^2"], char_p=7), 3)[0]
+
+
+def test_negative_kappa_raises():
+    # a rank larger than the domain can only come from a corrupted cache
+    with pytest.raises(RuntimeError, match="negative"):
+        betti_number(TWISTED_CUBIC, 1, 1, rank_cache={(1, 1): 100})
+
+
 def test_ideal_validation():
     with pytest.raises(ValueError):
         ideal_from(2, ["x0 + x1^2"])   # inhomogeneous

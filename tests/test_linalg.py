@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from bettikit.linalg import SparseMatrix, rref
 
 
@@ -110,3 +112,8 @@ def test_compose_and_zero():
     cancel = SparseMatrix(1, 2, [{0: 1, 1: 1}]).compose(
         SparseMatrix(2, 1, [{0: 1}, {0: -1}]))
     assert cancel.is_zero()
+
+
+def test_row_count_mismatch_raises():
+    with pytest.raises(ValueError):
+        SparseMatrix(2, 2, [{}])

@@ -5,9 +5,9 @@ import pytest
 
 from bettikit.koszul import betti_table, graded_piece
 from bettikit.linalg import SparseMatrix
-from bettikit.polyring import (IdealParseError, ideal_to_str, mono_times_var,
-                               monomials_of_degree, parse_ideal, parse_polynomial,
-                               poly_to_str)
+from bettikit.polyring import (PRIME_LIMIT, Ideal, IdealParseError, ideal_to_str,
+                               is_prime, mono_times_var, monomials_of_degree,
+                               parse_ideal, parse_polynomial, poly_to_str)
 from bettikit.selftest import random_ideal
 
 
@@ -61,6 +61,36 @@ def test_parse_ideal_errors():
     with pytest.raises(IdealParseError) as info:
         parse_ideal("vars 2\nx0 - x0\n")           # zero generator
     assert info.value.line == 2
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(5000) if is_prime(n)] == [n for n in range(5000) if trial(n)]
+    # strong pseudoprimes to the smallest bases, and the largest prime below 2^64
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**64 - 59)
+    assert is_prime(2**64 + 13)
+    # the limit is itself a strong pseudoprime to all twelve bases
+    with pytest.raises(ValueError, match="only decided below"):
+        is_prime(PRIME_LIMIT)
+
+
+# 2**89 - 1 is a prime above the limit, PRIME_LIMIT = 399165290221 * 798330580441
+@pytest.mark.parametrize("char_p", [0, 1, 4, 9, 32001, PRIME_LIMIT, 2**89 - 1])
+def test_ideal_rejects_non_prime_characteristic(char_p):
+    with pytest.raises(ValueError, match="prime"):
+        Ideal(num_vars=2, generators=(), char_p=char_p)
+    with pytest.raises(ValueError, match="prime"):
+        parse_ideal(f"vars 2\nfield gf {char_p}\nx0^2\n")
+
+
+def test_ideal_accepts_prime_above_two_to_the_64():
+    ideal = parse_ideal(f"vars 2\nfield gf {2**64 + 13}\nx0^2\nx1^2\n")
+    assert ideal.char_p == 2**64 + 13
+    table, _ = betti_table(ideal, 2)
+    assert dict(table.entries) == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
 
 
 def test_poly_to_str_canonical():
