@@ -215,6 +215,6 @@ def _degree_from_table(table: BettiTable, e: int) -> Fraction | None:
     """Multiplicity of the length-e part of the decomposition, if it exists."""
     try:
         decomposition = bs_decompose(table)
-    except (NotInConeError, ValueError, RuntimeError):
+    except NotInConeError:
         return None
     return multiplicity_from_decomposition(decomposition, e)

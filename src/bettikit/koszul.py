@@ -10,11 +10,13 @@ with the differential
     delta(e_{i_1} ^ ... ^ e_{i_p} (x) f)
         = sum_j (-1)^{j+1} e_{i_1} ^ ... e-hat_{i_j} ... ^ e_{i_p} (x) (x_{i_j} * f mod I).
 
-Each graded piece M_q is realized concretely: take all monomials of degree q,
-row-reduce the span of {m * g : g a generator, deg(m g) = q}, and keep the
-non-pivot ("standard") monomials as a basis.  Everything is exact; the field
-is the rationals or GF(p) as recorded on the ideal, and no float appears
-anywhere.
+Each graded piece M_q is realized concretely: the monomials of degree q,
+the fully reduced row echelon of I_q among them, and the non-pivot
+("standard") monomials as a basis of M_q.  Pieces are built in increasing
+degree, each from the one below it: I_{q+1} is spanned by x_v times the pivot
+rows of I_q and the generators of degree q + 1 (see `_next_piece`).
+Everything is exact; the field is the rationals or GF(p) as recorded on the
+ideal, and no float appears anywhere.
 
 Wedge basis vectors are strictly increasing index tuples in lex order; the
 M_q basis is the standard monomials in descending graded-lex order.  This
@@ -34,8 +36,7 @@ from itertools import combinations
 from math import comb
 
 from .linalg import SparseMatrix, rref
-from .polyring import (Ideal, Monomial, Poly, mono_mul, mono_times_var,
-                       monomials_of_degree, poly_degree)
+from .polyring import Ideal, Monomial, Poly, mono_times_var, monomials_of_degree, poly_degree
 from .tables import BettiTable
 
 
@@ -91,23 +92,39 @@ def _to_field(value: Fraction, char_p: int | None) -> Fraction | int:
     return (value.numerator % char_p) * pow(den, char_p - 2, char_p) % char_p
 
 
-def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
-    """Row-reduce I_q inside S_q and package the quotient basis."""
-    if q < 0:
-        raise ValueError(f"degree must be nonnegative, got {q}")
+# S_{-1} = 0: the piece every fold starts from.
+_PIECE_BELOW_ZERO = GradedPiece(q=-1, basis=(), standard=(), rewrite={})
+
+
+def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
+    """The piece of degree q + 1, given the piece `below` of degree q.
+
+    Its rows are x_v * (lead - sum(rule)) for every rewrite rule of `below`
+    and every variable x_v, and the generators of degree exactly q + 1.  They
+    span I_{q+1}, because I_{q+1} = S_1 * I_q + k * {generators of degree
+    q + 1}: for deg g <= q, S_{q+1-deg g} * g = S_1 * S_{q-deg g} * g lies in
+    S_1 * I_q, and the pivot rows of the reduced echelon of I_q are a basis
+    of I_q.  The fully reduced echelon of a fixed span in a fixed column
+    order is unique, so `basis`, `standard` and `rewrite` are the same, value
+    for value, as from row-reducing every m * g of degree q + 1.  The rows
+    are also short: each has at most 1 + dim M_q terms, and above the socle
+    every row is a single monomial.
+    """
+    q = below.q + 1
+    char_p = ideal.char_p
     basis = monomials_of_degree(ideal.num_vars, q)
     index = {mono: i for i, mono in enumerate(basis)}
     rows = []
-    for g in ideal.generators:
-        dg = poly_degree(g)
-        if dg > q:
-            continue
-        for multiplier in monomials_of_degree(ideal.num_vars, q - dg):
-            row = {}
-            for mono, coeff in g.items():
-                row[index[mono_mul(multiplier, mono)]] = _to_field(coeff, ideal.char_p)
+    for lead, rule in below.rewrite.items():
+        for var in range(ideal.num_vars):
+            row = {index[mono_times_var(lead, var)]: 1}
+            for mono, value in rule.items():
+                row[index[mono_times_var(mono, var)]] = -value
             rows.append(row)
-    pivots = rref(rows, ideal.char_p)
+    for g in ideal.generators:
+        if poly_degree(g) == q:
+            rows.append({index[mono]: _to_field(coeff, char_p) for mono, coeff in g.items()})
+    pivots = rref(rows, char_p)
     standard = tuple(m for i, m in enumerate(basis) if i not in pivots)
     rewrite: dict[Monomial, dict[Monomial, Fraction | int]] = {}
     for lead, row in pivots.items():
@@ -115,9 +132,31 @@ def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
         for col, value in row.items():
             if col == lead:
                 continue
-            rule[basis[col]] = (-value) if ideal.char_p is None else (-value) % ideal.char_p
+            rule[basis[col]] = (-value) if char_p is None else (-value) % char_p
         rewrite[basis[lead]] = rule
     return GradedPiece(q=q, basis=basis, standard=standard, rewrite=rewrite)
+
+
+def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
+    """Row-reduce I_q inside S_q and package the quotient basis.
+
+    A fold of `_next_piece` from S_{-1} = 0, so a generator of degree 0 gives
+    I_0 = S_0 like any other.
+    """
+    if q < 0:
+        raise ValueError(f"degree must be nonnegative, got {q}")
+    piece = _PIECE_BELOW_ZERO
+    for _ in range(q + 1):
+        piece = _next_piece(ideal, piece)
+    return piece
+
+
+def _held_piece(ideal: Ideal, pieces: dict[int, GradedPiece], q: int) -> GradedPiece:
+    """pieces[q], stepped up from pieces[q - 1] when that is held, stored in `pieces`."""
+    if q not in pieces:
+        below = pieces.get(q - 1)
+        pieces[q] = graded_piece(ideal, q) if below is None else _next_piece(ideal, below)
+    return pieces[q]
 
 
 def _wedge_basis(num_vars: int, p: int) -> list[tuple[int, ...]]:
@@ -132,10 +171,7 @@ def koszul_differential(ideal: Ideal, p: int, q: int,
     n = ideal.num_vars
     if pieces is None:
         pieces = {}
-    for degree in (q, q + 1):
-        if degree not in pieces:
-            pieces[degree] = graded_piece(ideal, degree)
-    source, target = pieces[q], pieces[q + 1]
+    source, target = _held_piece(ideal, pieces, q), _held_piece(ideal, pieces, q + 1)
     domain_wedges = _wedge_basis(n, p)
     codomain_wedges = _wedge_basis(n, p - 1) if p >= 1 else []
     nrows = len(domain_wedges) * source.dim
@@ -190,9 +226,7 @@ def betti_number(ideal: Ideal, p: int, q: int,
             rank_cache[(pp, qq)] = value
         return value
 
-    if q not in pieces:
-        pieces[q] = graded_piece(ideal, q)
-    domain_dim = comb(n, p) * pieces[q].dim
+    domain_dim = comb(n, p) * _held_piece(ideal, pieces, q).dim
     kappa = domain_dim - rank_of(p, q) - rank_of(p + 1, q - 1)
     if kappa < 0:
         raise RuntimeError(f"negative cohomology dimension at (p={p}, q={q})")
@@ -272,14 +306,13 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, dict[int, G
     """
     top = q_max + 2
     while True:
-        pieces = {0: graded_piece(ideal, 0)}
+        pieces = {0: _next_piece(ideal, _PIECE_BELOW_ZERO)}
         candidates = list(range(ideal.num_vars)) if ideal.num_vars > 1 else []
         for j in range(1, top + 1):
             if j == top and not candidates:
                 break
-            if j not in pieces:
-                pieces[j] = graded_piece(ideal, j)
-            source, target = pieces[j - 1], pieces[j]
+            source = pieces[j - 1]
+            target = pieces[j] = _next_piece(ideal, source)
             candidates = [v for v in candidates if source.dim <= target.dim
                           and _injective(ideal, source, target, v)]
         if not candidates:
@@ -327,7 +360,10 @@ def hilbert_consistency(ideal: Ideal, table: BettiTable, q_max: int) -> bool:
             if value.denominator != 1:
                 raise ValueError(f"non-integer entry {value} at (p={p}, q={q})")
             lhs[p + q] += (-1 if p % 2 else 1) * value.numerator
-    dims = [graded_piece(ideal, q).dim for q in range(q_max + 1)]
+    dims, piece = [], _PIECE_BELOW_ZERO
+    for _ in range(q_max + 1):
+        piece = _next_piece(ideal, piece)
+        dims.append(piece.dim)
     n = ideal.num_vars
     rhs = []
     for j in range(q_max + 1):

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from bettikit import bounds
 from bettikit.bounds import (Assumptions, check_first_strand, check_Ndm,
                              check_next_to_max, degree_bounds, first_nontrivial_strand)
+from bettikit.decompose import NotInConeError, bs_decompose
 from bettikit.pure import family_deq, hk_diagram
 from bettikit.selftest import random_chain_table
 from bettikit.tables import BettiTable, DegreeSequence
@@ -162,3 +164,24 @@ def test_no_mixed_verdict_inside_cone():
 def test_assumptions_validation():
     with pytest.raises(ValueError):
         Assumptions(codim_e=0)
+
+
+def test_check_next_to_max_outside_cone_has_no_degree_note():
+    # column 2 is empty, so the table has no decomposition into pure diagrams
+    table = BettiTable({(0, 0): 1, (1, 1): 6, (3, 1): 1})
+    with pytest.raises(NotInConeError):
+        bs_decompose(table)
+    report = check_next_to_max(table, Assumptions(codim_e=3, lgp=True))
+    assert report.verdict == "Violation"
+    assert not any("decomposition gives degree" in note for note in report.notes)
+    assert any("bound exceeded" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("fault", (RuntimeError, ValueError))
+def test_check_next_to_max_propagates_decomposition_faults(monkeypatch, fault):
+    def broken(table):
+        raise fault("internal fault")
+
+    monkeypatch.setattr(bounds, "bs_decompose", broken)
+    with pytest.raises(fault, match="internal fault"):
+        check_next_to_max(TWISTED_CUBIC, Assumptions(codim_e=2))
