@@ -169,7 +169,7 @@ def cmd_betti(args) -> int:
         print(json.dumps(payload))
     else:
         print(f"field: {ideal.field_label()}")
-        print(f"complete: {'true' if complete else 'false'}")
+        print(f"complete: {'true' if complete else 'false'} (heuristic)")
         sys.stdout.write(table.to_text())
     return EXIT_OK
 

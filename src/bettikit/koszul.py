@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .linalg import SparseMatrix, rref
+from .linalg import SparseMatrix, integer_row, rref
 from .polyring import Ideal, Monomial, Poly, mono_times_var, monomials_of_degree, poly_degree
 from .tables import BettiTable
 
@@ -109,6 +109,10 @@ def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
     for value, as from row-reducing every m * g of degree q + 1.  The rows
     are also short: each has at most 1 + dim M_q terms, and above the socle
     every row is a single monomial.
+
+    Over the rationals each rule and each generator is scaled to a primitive
+    integer vector once, before it is shifted by the variables, so `rref`
+    receives integer rows spanning the same lines.
     """
     q = below.q + 1
     char_p = ideal.char_p
@@ -116,14 +120,19 @@ def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
     index = {mono: i for i, mono in enumerate(basis)}
     rows = []
     for lead, rule in below.rewrite.items():
+        terms = {lead: 1}
+        for mono, value in rule.items():
+            terms[mono] = -value
+        if char_p is None:
+            terms = integer_row(terms)
         for var in range(ideal.num_vars):
-            row = {index[mono_times_var(lead, var)]: 1}
-            for mono, value in rule.items():
-                row[index[mono_times_var(mono, var)]] = -value
-            rows.append(row)
+            rows.append({index[mono_times_var(mono, var)]: value
+                         for mono, value in terms.items()})
     for g in ideal.generators:
         if poly_degree(g) == q:
-            rows.append({index[mono]: _to_field(coeff, char_p) for mono, coeff in g.items()})
+            terms = integer_row(g) if char_p is None else {
+                mono: _to_field(coeff, char_p) for mono, coeff in g.items()}
+            rows.append({index[mono]: value for mono, value in terms.items()})
     pivots = rref(rows, char_p)
     standard = tuple(m for i, m in enumerate(basis) if i not in pivots)
     rewrite: dict[Monomial, dict[Monomial, Fraction | int]] = {}

@@ -4,11 +4,14 @@ Matrices are stored row-sparse: a list of {column: coefficient} dicts plus an
 explicit column count.  Coefficients are Fractions when the characteristic is
 None and plain integers in [0, p) when working mod a prime p.
 
-Rank over the rationals is computed fraction-free: rows are scaled to integer
-vectors, eliminated by cross-multiplication, and renormalized by their gcd, so
-no Fraction ever appears mid-elimination.  Rank mod p uses ordinary modular
-elimination.  Both build the echelon incrementally, reducing each new row
-against the pivot rows found so far.
+One forward elimination (`_echelon`) serves both `SparseMatrix.rank`, which
+is the number of echelon rows, and `rref`, which back-substitutes the echelon.
+It builds the echelon incrementally, reducing each new row against the pivot
+rows found so far; the leading column of a row is its smallest column index.
+Over the rationals it is fraction-free: every row is a primitive integer
+vector, eliminated by cross-multiplication and divided by its gcd content, so
+no Fraction appears until `rref` normalizes its output.  Mod p, pivot rows
+are kept monic and eliminated by ordinary modular arithmetic.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ class SparseMatrix:
 
     def compose(self, other: "SparseMatrix", char_p: int | None = None) -> "SparseMatrix":
         """Matrix of `self` followed by `other` (rows map domain -> codomain)."""
-        assert self.ncols == other.nrows, "inner dimensions must agree"
+        if self.ncols != other.nrows:
+            raise ValueError(f"inner dimensions differ: {self.ncols} columns "
+                             f"against {other.nrows} rows")
         out: list[Row] = []
         for row in self.rows:
             acc: Row = {}
@@ -56,68 +61,80 @@ class SparseMatrix:
         return SparseMatrix(self.nrows, other.ncols, out)
 
     def rank(self, char_p: int | None = None) -> int:
-        if char_p is None:
-            return _rank_fraction_free(self.rows)
-        return _rank_mod_p(self.rows, char_p)
+        return len(_echelon(self.rows, char_p))
 
 
-def _integer_row(row: Row) -> dict[int, int]:
-    """Scale a rational row to integers and divide out the content."""
-    row = {j: v for j, v in row.items() if v != 0}
-    if not row:
-        return {}
-    scale = lcm(*(Fraction(v).denominator for v in row.values()))
-    ints = {j: int(v * scale) if isinstance(v, Fraction) else v * scale
-            for j, v in row.items()}
+def integer_row(row: dict) -> dict:
+    """A rational row scaled by the lcm of its denominators, divided by its content.
+
+    The result is the primitive integer vector spanning the same line; zero
+    entries are dropped.  Keys are kept, whatever they are.
+    """
+    scale = lcm(*[v.denominator for v in row.values()])
+    ints = {j: v.numerator * (scale // v.denominator) for j, v in row.items() if v}
     content = gcd(*ints.values())
     if content > 1:
         ints = {j: v // content for j, v in ints.items()}
     return ints
 
 
-def _rank_fraction_free(rows: list[Row]) -> int:
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int,
+               char_p: int | None) -> dict[int, int]:
+    """`row` with its entry in column `col` cleared by `pivot`.
+
+    Over the rationals both are primitive integer vectors and the result is
+    the primitive multiple of pivot[col] * row - row[col] * pivot.  Mod p the
+    pivot is monic and the result is row - row[col] * pivot.
+    """
+    if char_p is None:
+        g = gcd(pivot[col], row[col])
+        ra, rb = pivot[col] // g, row[col] // g
+        out = {j: ra * v for j, v in row.items()} if ra != 1 else dict(row)
+        for j, v in pivot.items():
+            w = out.get(j, 0) - rb * v
+            if w:
+                out[j] = w
+            else:
+                del out[j]
+        content = gcd(*out.values())
+        if content > 1:
+            out = {j: v // content for j, v in out.items()}
+        return out
+    factor = row[col]
+    out = dict(row)
+    for j, v in pivot.items():
+        w = (out.get(j, 0) - factor * v) % char_p
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return out
+
+
+def _echelon(rows: list[Row], char_p: int | None) -> dict[int, dict[int, int]]:
+    """Forward elimination: {leading column: its row}, one row per pivot.
+
+    Rows are integer vectors, primitive over the rationals and monic mod p.
+    """
     pivots: dict[int, dict[int, int]] = {}
     for original in rows:
-        row = _integer_row(original)
+        if char_p is None:
+            row = integer_row(original)
+        else:
+            row = {j: v % char_p for j, v in original.items() if v % char_p}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
-            if pivot is None:
+            if pivot is not None:
+                row = _eliminate(row, pivot, lead, char_p)
+            elif char_p is None:
                 pivots[lead] = row
                 break
-            a, b = pivot[lead], row[lead]
-            g = gcd(a, b)
-            ra, rb = a // g, b // g
-            merged: dict[int, int] = {}
-            for j, v in row.items():
-                merged[j] = ra * v
-            for j, v in pivot.items():
-                merged[j] = merged.get(j, 0) - rb * v
-            row = {j: v for j, v in merged.items() if v != 0}
-            if row:
-                content = gcd(*row.values())
-                if content > 1:
-                    row = {j: v // content for j, v in row.items()}
-    return len(pivots)
-
-
-def _rank_mod_p(rows: list[Row], p: int) -> int:
-    pivots: dict[int, dict[int, int]] = {}
-    for original in rows:
-        row = {j: v % p for j, v in original.items() if v % p != 0}
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(row[lead], p - 2, p)
-                pivots[lead] = {j: (v * inv) % p for j, v in row.items()}
+            else:
+                inv = pow(row[lead], char_p - 2, char_p)
+                pivots[lead] = {j: v * inv % char_p for j, v in row.items()}
                 break
-            factor = row[lead]
-            merged = dict(row)
-            for j, v in pivot.items():
-                merged[j] = (merged.get(j, 0) - factor * v) % p
-            row = {j: v for j, v in merged.items() if v != 0}
-    return len(pivots)
+    return pivots
 
 
 def rref(rows: list[Row], char_p: int | None = None) -> dict[int, Row]:
@@ -128,64 +145,15 @@ def rref(rows: list[Row], char_p: int | None = None) -> dict[int, Row]:
     any vector to normal form.  The leading column of a row is its smallest
     column index.
     """
-    if char_p is None:
-        def normalize(row: Row, lead: int) -> Row:
-            inv = Fraction(1) / Fraction(row[lead])
-            return {j: Fraction(v) * inv for j, v in row.items()}
-
-        def eliminate(row: Row, pivot: Row, lead: int) -> Row:
-            factor = Fraction(row[lead])
-            out = dict(row)
-            for j, v in pivot.items():
-                w = out.get(j, Fraction(0)) - factor * v
-                if w == 0:
-                    out.pop(j, None)
-                else:
-                    out[j] = w
-            return out
-    else:
-        def normalize(row: Row, lead: int) -> Row:
-            inv = pow(row[lead] % char_p, char_p - 2, char_p)
-            return {j: (v * inv) % char_p for j, v in row.items() if v % char_p != 0}
-
-        def eliminate(row: Row, pivot: Row, lead: int) -> Row:
-            factor = row[lead]
-            out = dict(row)
-            for j, v in pivot.items():
-                w = (out.get(j, 0) - factor * v) % char_p
-                if w == 0:
-                    out.pop(j, None)
-                else:
-                    out[j] = w
-            return out
-
-    pivots: dict[int, Row] = {}
-    for original in rows:
-        if char_p is not None:
-            row: Row = {j: v % char_p for j, v in original.items() if v % char_p != 0}
-        else:
-            row = {j: Fraction(v) for j, v in original.items() if v != 0}
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = normalize(row, lead)
-                break
-            row = eliminate(row, pivot, lead)
-
-    # Back-substitute so every tail is supported on non-pivot columns only.
+    pivots = _echelon(rows, char_p)
+    # Back-substitute, highest pivot first, so every tail is supported on
+    # non-pivot columns only; a pivot row already reduced brings in none.
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         for col in [j for j in row if j != lead and j in pivots]:
-            factor = row.pop(col)
-            for j, v in pivots[col].items():
-                if j == col:
-                    continue
-                w = row.get(j, 0) - factor * v
-                if char_p is not None:
-                    w %= char_p
-                if w == 0:
-                    row.pop(j, None)
-                else:
-                    row[j] = w
-    return pivots
+            row = _eliminate(row, pivots[col], col, char_p)
+        pivots[lead] = row
+    if char_p is not None:
+        return pivots
+    return {lead: {j: Fraction(v, row[lead]) for j, v in row.items()}
+            for lead, row in pivots.items()}

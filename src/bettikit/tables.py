@@ -117,9 +117,6 @@ class BettiTable:
             out[cell] = out.get(cell, Fraction(0)) + value
         return BettiTable(out)
 
-    def add(self, other: "BettiTable") -> "BettiTable":
-        return self + other
-
     def scale(self, factor: RationalLike) -> "BettiTable":
         c = _coerce(factor)
         if c < 0:

@@ -93,6 +93,20 @@ def test_betti_text(capsys):
     assert "1: . 3 2" in out
 
 
+def test_betti_complete_flag_is_labelled_heuristic(tmp_path, capsys):
+    # rows 2 and 3 are empty, yet rows 4 and 5 are not
+    gap = tmp_path / "gap.ideal"
+    gap.write_text("vars 2\nx0^2\nx1^5\n")
+    code, out, _ = run(capsys, "betti", str(gap), "--qmax", "3")
+    assert code == 0
+    assert "complete: true (heuristic)" in out
+    assert "4:" not in out
+    code, out, _ = run(capsys, "betti", str(gap), "--qmax", "6")
+    assert code == 0
+    assert "complete: false (heuristic)" in out
+    assert "4: . 1" in out and "5: . . 1" in out
+
+
 def test_betti_rational_json(capsys):
     code, out, _ = run(capsys, "betti", fixture_path("twisted_cubic.ideal"),
                        "--qmax", "3", "--field", "rational", "--out", "json")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bettikit.linalg import SparseMatrix, rref
 
@@ -31,6 +33,90 @@ def dense_rank(rows, ncols):
         pivot_row += 1
         rank += 1
     return rank
+
+
+def dense_rref(rows, ncols, char_p):
+    # dense Gauss-Jordan elimination, Fractions over QQ and residues mod p:
+    # the oracle for rref, as {pivot column: its row}
+    if char_p is None:
+        matrix = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    else:
+        matrix = [[row.get(j, 0) % char_p for j in range(ncols)] for row in rows]
+    leads = []
+    for col in range(ncols):
+        top = len(leads)
+        found = next((i for i in range(top, len(matrix)) if matrix[i][col]), None)
+        if found is None:
+            continue
+        matrix[top], matrix[found] = matrix[found], matrix[top]
+        if char_p is None:
+            inv = 1 / matrix[top][col]
+            matrix[top] = [v * inv for v in matrix[top]]
+        else:
+            inv = pow(matrix[top][col], -1, char_p)
+            matrix[top] = [v * inv % char_p for v in matrix[top]]
+        for i, row in enumerate(matrix):
+            factor = row[col]
+            if i != top and factor:
+                matrix[i] = [a - factor * b for a, b in zip(row, matrix[top])]
+                if char_p is not None:
+                    matrix[i] = [v % char_p for v in matrix[i]]
+        leads.append(col)
+    return {col: {j: v for j, v in enumerate(matrix[k]) if v} for k, col in enumerate(leads)}
+
+
+@st.composite
+def sparse_matrices(draw):
+    # rational entries over QQ, integers up to 10^12 mod p; then scaled
+    # copies of drawn rows, so duplicate and zero rows (explicit zeros too)
+    char_p = draw(st.sampled_from((None, 32003, 5)))
+    ncols = draw(st.integers(1, 7))
+    if char_p is None:
+        entry = (st.fractions(min_value=-40, max_value=40, max_denominator=12)
+                 | st.integers(-10**12, 10**12))
+    else:
+        entry = st.integers(-40, 40) | st.integers(-10**12, 10**12)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols),
+                         max_size=7))
+    if rows:
+        for i, factor in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                                 st.integers(-3, 3)), max_size=3)):
+            rows.append({j: factor * v for j, v in rows[i].items()})
+    return char_p, ncols, rows
+
+
+# Hilbert and Vandermonde matrices: entries that grow under elimination
+HILBERT = [{j: Fraction(1, i + j + 1) for j in range(6)} for i in range(6)]
+VANDERMONDE = [{j: (i + 2) ** j for j in range(7)} for i in range(7)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrix=sparse_matrices())
+@example(matrix=(None, 6, HILBERT))
+@example(matrix=(None, 7, VANDERMONDE))
+@example(matrix=(32003, 7, VANDERMONDE))
+@example(matrix=(5, 7, VANDERMONDE))
+@example(matrix=(None, 3, [{}, {0: 0, 2: Fraction(0)}, {}]))
+@example(matrix=(5, 3, [{0: 5, 1: 10}, {0: 1, 2: 2}, {0: 6, 2: 12}]))
+def test_rref_matches_dense_oracle(matrix):
+    char_p, ncols, rows = matrix
+    got = rref([dict(row) for row in rows], char_p)
+    expected = dense_rref(rows, ncols, char_p)
+    assert got == expected
+    if char_p is None:
+        assert all(isinstance(v, Fraction) for row in got.values() for v in row.values())
+    else:
+        assert all(type(v) is int and 0 < v < char_p for row in got.values() for v in row.values())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrix=sparse_matrices())
+@example(matrix=(None, 6, HILBERT))
+@example(matrix=(5, 7, VANDERMONDE))
+def test_rank_matches_dense_oracle(matrix):
+    char_p, ncols, rows = matrix
+    got = SparseMatrix(len(rows), ncols, [dict(row) for row in rows]).rank(char_p)
+    assert got == len(dense_rref(rows, ncols, char_p))
 
 
 def random_rows(rng, nrows, ncols, rational=False):
@@ -112,6 +198,12 @@ def test_compose_and_zero():
     cancel = SparseMatrix(1, 2, [{0: 1, 1: 1}]).compose(
         SparseMatrix(2, 1, [{0: 1}, {0: -1}]))
     assert cancel.is_zero()
+
+
+def test_compose_inner_dimension_mismatch_raises():
+    # a real check, kept under python -O
+    with pytest.raises(ValueError, match="inner dimensions"):
+        SparseMatrix(2, 3).compose(SparseMatrix(2, 2))
 
 
 def test_row_count_mismatch_raises():
