@@ -9,9 +9,9 @@ arithmetic; there is no floating point anywhere.
 
 from .bounds import (Assumptions, ColumnComparison, StrandReport, check_first_strand,
                      check_Ndm, check_next_to_max, degree_bounds, first_nontrivial_strand)
-from .decompose import (Decomposition, IterationLimitExceeded, NoColumnError,
-                        NotInConeError, StrandNotIncreasingError, bs_decompose,
-                        chain_check, multiplicity_from_decomposition, top_strand)
+from .decompose import (Decomposition, NoColumnError, NotInConeError,
+                        StrandNotIncreasingError, bs_decompose, chain_check,
+                        multiplicity_from_decomposition, top_strand)
 from .koszul import (GradedPiece, betti_number, betti_table, graded_piece,
                      hilbert_consistency, koszul_differential)
 from .polyring import Ideal, IdealParseError, parse_ideal, parse_polynomial
@@ -23,9 +23,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assumptions", "BettiTable", "ColumnComparison", "Decomposition", "DegreeSequence",
-    "GradedPiece", "Ideal", "IdealParseError", "IterationLimitExceeded",
-    "NegativeEntryError", "NoColumnError", "NotInConeError", "PureDiagram",
-    "StrandNotIncreasingError", "StrandReport", "TableParseError",
+    "GradedPiece", "Ideal", "IdealParseError", "NegativeEntryError", "NoColumnError",
+    "NotInConeError", "PureDiagram", "StrandNotIncreasingError", "StrandReport",
+    "TableParseError",
     "betti_number", "betti_table", "bs_decompose", "chain_check", "check_Ndm",
     "check_first_strand", "check_next_to_max", "degree_bounds", "family_deq",
     "family_tilde", "first_nontrivial_strand", "graded_piece", "hilbert_consistency",

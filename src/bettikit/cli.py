@@ -15,8 +15,7 @@ from dataclasses import replace
 
 from .bounds import (Assumptions, check_first_strand, check_Ndm, check_next_to_max,
                      degree_bounds, first_nontrivial_strand)
-from .decompose import (IterationLimitExceeded, NotInConeError, bs_decompose,
-                        multiplicity_from_decomposition)
+from .decompose import NotInConeError, bs_decompose, multiplicity_from_decomposition
 from .fixtures import FIXTURES, run_fixture
 from .koszul import CoefficientError, betti_table
 from .polyring import IdealParseError, parse_ideal
@@ -107,7 +106,7 @@ def cmd_decompose(args) -> int:
         return EXIT_INPUT
     try:
         decomposition = bs_decompose(table)
-    except (NotInConeError, IterationLimitExceeded, ValueError) as exc:
+    except (NotInConeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     terms = decomposition.sorted_terms()

@@ -4,22 +4,23 @@ Every table in the cone spanned by pure diagrams is a unique positive
 rational combination of diagrams along a chain of degree sequences.  The
 peeling loop below recovers it: read off the top strand (the minimal degree
 sequence d with d_p = p + min row of column p), subtract the largest multiple
-of pi(d) that keeps all cells nonnegative, repeat.  The subtracted multiple
-is exactly the minimum over the strand cells of table / diagram, so each pass
-zeroes at least one cell and the loop terminates.
+of pi(d) that keeps all cells nonnegative, repeat.  pi(d) lives on exactly
+the strand cells, and the subtracted multiple is the minimum over those cells
+of table / diagram, so each pass zeroes at least one cell and creates none:
+a table with n nonzero cells is peeled in at most n passes.
 
-Tables outside the cone surface as NotInConeError: either a column gap or a
-non-increasing strand while reading the top strand, or a cell driven negative
-during subtraction.
+Tables outside the cone surface as NotInConeError, in one of two ways while
+reading the top strand: a column gap or a non-increasing strand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .pure import hk_diagram, multiplicity
-from .tables import BettiTable, DegreeSequence, NegativeEntryError
+from .pure import multiplicity, pure_cells
+from .tables import BettiTable, Cell, DegreeSequence
 
 
 class NoColumnError(ValueError):
@@ -40,10 +41,6 @@ class StrandNotIncreasingError(ValueError):
 
 class NotInConeError(ValueError):
     """The table is not a positive rational combination of pure diagrams."""
-
-
-class IterationLimitExceeded(RuntimeError):
-    """Defensive cap on peeling passes was hit."""
 
 
 @dataclass(frozen=True)
@@ -72,65 +69,65 @@ class Decomposition:
         return sorted(self.terms, key=lambda term: (term[1].length, term[1].degrees))
 
     def reconstruct(self) -> BettiTable:
-        total = BettiTable()
+        total: dict[Cell, Fraction] = {}
         for coefficient, d in self.terms:
-            total = total + hk_diagram(d).table.scale(coefficient)
-        return total
+            for cell, value in pure_cells(d.degrees).items():
+                total[cell] = total.get(cell, 0) + coefficient * value
+        return BettiTable(total)
 
 
-def top_strand(table: BettiTable) -> DegreeSequence:
-    """Minimal degree sequence of a table: d_p = p + min{q : (p, q) nonzero}."""
-    if table.is_zero():
-        raise ValueError("top strand of an empty table is undefined")
-    width = table.projective_dimension()
+def _strand_degrees(cells: Iterable[Cell]) -> tuple[int, ...]:
+    """d_p = p + min{q : (p, q) in cells} for every column up to the last one."""
     min_row: dict[int, int] = {}
-    for p, q in table.entries:
-        if p not in min_row or q < min_row[p]:
+    for p, q in cells:
+        row = min_row.get(p)
+        if row is None or q < row:
             min_row[p] = q
     degrees = []
-    for p in range(width + 1):
+    for p in range(max(min_row) + 1):
         if p not in min_row:
             raise NoColumnError(p)
         degrees.append(p + min_row[p])
     for p in range(1, len(degrees)):
         if degrees[p] <= degrees[p - 1]:
             raise StrandNotIncreasingError(p)
-    return DegreeSequence(tuple(degrees))
+    return tuple(degrees)
 
 
-def bs_decompose(table: BettiTable, max_iterations: int | None = None) -> Decomposition:
+def top_strand(table: BettiTable) -> DegreeSequence:
+    """Minimal degree sequence of a table: d_p = p + min{q : (p, q) nonzero}."""
+    if table.is_zero():
+        raise ValueError("top strand of an empty table is undefined")
+    return DegreeSequence(_strand_degrees(table.entries))
+
+
+def bs_decompose(table: BettiTable) -> Decomposition:
     """Peel a table into its positive combination of pure diagrams.
 
-    Raises NotInConeError when the table leaves the cone (gap in a column,
-    non-increasing strand, or a negative cell during subtraction), and
-    IterationLimitExceeded if the defensive pass cap is hit.
+    Each pass subtracts c * pi(d) from a dict of the remaining cells, on the
+    l+1 strand cells only, with c the minimal ratio cell / pi(d)[cell]: no
+    cell goes negative, the argmin cell reaches zero and is deleted, and none
+    is created, so there are at most nnz(table) passes.  Raises NotInConeError
+    when the table leaves the cone (a gap in a column or a non-increasing strand).
     """
     if table.is_zero():
         raise ValueError("cannot decompose an empty table")
-    if max_iterations is None:
-        max_iterations = 10 * (table.projective_dimension() + 1) * (table.regularity() + 1)
-        max_iterations = max(max_iterations, 1)
+    work = dict(table.entries)
     terms: list[tuple[Fraction, DegreeSequence]] = []
-    work = table
-    passes = 0
-    while not work.is_zero():
-        passes += 1
-        if passes > max_iterations:
-            raise IterationLimitExceeded(
-                f"peeling did not terminate within {max_iterations} passes")
+    while work:
         try:
-            d = top_strand(work)
+            degrees = _strand_degrees(work)
         except (NoColumnError, StrandNotIncreasingError) as exc:
             raise NotInConeError(f"table is outside the cone: {exc}") from exc
-        diagram = hk_diagram(d)
-        coefficient = min(
-            work.entry(p, d[p] - p) / diagram.table.entry(p, d[p] - p)
-            for p in range(len(d)))
-        try:
-            work = work.subtract_checked(diagram.table.scale(coefficient))
-        except NegativeEntryError as exc:
-            raise NotInConeError(f"table left the cone while peeling {d}: {exc}") from exc
-        terms.append((coefficient, d))
+        diagram = pure_cells(degrees)
+        coefficient = min(work[cell] / value for cell, value in diagram.items())
+        for cell, value in diagram.items():
+            rest = work[cell] - coefficient * value
+            if rest:
+                work[cell] = rest
+            else:
+                del work[cell]
+        terms.append((coefficient, DegreeSequence(degrees)))
     return Decomposition(tuple(terms))
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .tables import BettiTable, DegreeSequence
+from .tables import BettiTable, Cell, DegreeSequence
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,20 @@ class PureDiagram:
 
 def multiplicity(d: DegreeSequence) -> Fraction:
     """e(d) = (1/l!) * prod(d_k - d_0) over k >= 1."""
-    product = 1
-    for k in range(1, len(d)):
-        product *= d[k] - d[0]
-    return Fraction(product, factorial(d.length))
+    return Fraction(prod(dk - d[0] for dk in d.degrees[1:]), factorial(d.length))
+
+
+def pure_cells(degrees: tuple[int, ...]) -> dict[Cell, Fraction]:
+    """Cells {(p, d_p - p): kappa_p} of pi(d); d strictly increasing, d_0 >= 0, unchecked."""
+    d0 = degrees[0]
+    span = prod(dk - d0 for dk in degrees[1:])
+    cells = {(0, d0): Fraction(1)}
+    for p in range(1, len(degrees)):
+        dp = degrees[p]
+        denominator = (prod(dp - dk for dk in degrees[1:p])
+                       * prod(dk - dp for dk in degrees[p + 1:]))
+        cells[(p, dp - p)] = Fraction(span // (dp - d0), denominator)
+    return cells
 
 
 def hk_diagram(d: DegreeSequence | tuple[int, ...]) -> PureDiagram:
@@ -51,17 +61,8 @@ def hk_diagram(d: DegreeSequence | tuple[int, ...]) -> PureDiagram:
     if d[0] < 0:
         raise ValueError(
             f"degree sequence {d} would place column 0 in negative row {d[0]}")
-    entries = {(0, d[0]): Fraction(1)}
-    for p in range(1, len(d)):
-        numerator = 1
-        denominator = 1
-        for k in range(1, len(d)):
-            if k == p:
-                continue
-            numerator *= d[k] - d[0]
-            denominator *= abs(d[k] - d[p])
-        entries[(p, d[p] - p)] = Fraction(numerator, denominator)
-    return PureDiagram(d=d, table=BettiTable(entries), multiplicity=multiplicity(d))
+    return PureDiagram(d=d, table=BettiTable(pure_cells(d.degrees)),
+                       multiplicity=multiplicity(d))
 
 
 def family_deq(e: int, q: int) -> DegreeSequence:

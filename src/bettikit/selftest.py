@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .decompose import bs_decompose
+from .decompose import Decomposition, bs_decompose
 from .koszul import koszul_differential
 from .polyring import Ideal, monomials_of_degree
 from .pure import family_deq, family_tilde, hk_diagram, kappa_max, kappa_next_max, multiplicity
@@ -242,10 +242,7 @@ def random_chain_table(rng: random.Random, max_terms: int = 4, max_length: int =
                 if bumped[i] <= bumped[i - 1]:
                     bumped[i] = bumped[i - 1] + 1
             current = bumped
-    total = BettiTable()
-    for coefficient, d in terms:
-        total = total + hk_diagram(d).table.scale(coefficient)
-    return total, terms
+    return Decomposition(tuple(terms)).reconstruct(), terms
 
 
 def sweep_cone_round_trip(trials: int = 50, seed: int = 77) -> Sweep:

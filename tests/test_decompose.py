@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bettikit.decompose import (Decomposition, IterationLimitExceeded, NoColumnError,
-                                NotInConeError, StrandNotIncreasingError, bs_decompose,
-                                chain_check, multiplicity_from_decomposition, top_strand)
+from bettikit.decompose import (Decomposition, NoColumnError, NotInConeError,
+                                StrandNotIncreasingError, bs_decompose, chain_check,
+                                multiplicity_from_decomposition, top_strand)
 from bettikit.pure import hk_diagram
 from bettikit.selftest import random_chain_table, sweep_cone_round_trip
-from bettikit.tables import BettiTable, DegreeSequence
+from bettikit.tables import BettiTable, DegreeSequence, NegativeEntryError
 
 PROJECTED_VERONESE = BettiTable(
     {(0, 0): 1, (1, 2): 7, (2, 2): 10, (3, 2): 5, (4, 2): 1})
@@ -104,11 +106,6 @@ def test_not_in_cone_decreasing_strand():
         bs_decompose(bad)
 
 
-def test_iteration_limit():
-    with pytest.raises(IterationLimitExceeded):
-        bs_decompose(PROJECTED_VERONESE, max_iterations=1)
-
-
 def test_decomposition_validation():
     with pytest.raises(ValueError):
         Decomposition(((Fraction(0), DegreeSequence((0, 1))),))
@@ -171,3 +168,83 @@ def test_random_chains_pass_chain_check():
     for _ in range(40):
         table, _ = random_chain_table(rng)
         assert chain_check(bs_decompose(table))
+
+
+def peel_oracle(table):
+    """Reference peeling: rebuild and re-check whole BettiTables in every pass."""
+    terms = []
+    work = table
+    while not work.is_zero():
+        min_row = {}
+        for p, q in work.entries:
+            min_row[p] = min(q, min_row.get(p, q))
+        if sorted(min_row) != list(range(len(min_row))):
+            raise NotInConeError("column gap")
+        d = [p + min_row[p] for p in range(len(min_row))]
+        if any(a >= b for a, b in zip(d, d[1:])):
+            raise NotInConeError("top strand not strictly increasing")
+        d = DegreeSequence(tuple(d))
+        diagram = hk_diagram(d)
+        coefficient = min(
+            work.entry(p, d[p] - p) / diagram.table.entry(p, d[p] - p)
+            for p in range(len(d)))
+        try:
+            work = work.subtract_checked(diagram.table.scale(coefficient))
+        except NegativeEntryError as exc:
+            raise NotInConeError(f"left the cone while peeling {d}") from exc
+        terms.append((coefficient, d))
+    return Decomposition(tuple(terms))
+
+
+def peel_outcome(peel, table):
+    try:
+        return [(c, d.degrees) for c, d in peel(table).terms]
+    except NotInConeError:
+        return NotInConeError
+
+
+positive_entries = st.fractions(min_value=Fraction(1, 12), max_value=30, max_denominator=12)
+
+
+@st.composite
+def sparse_tables(draw):
+    """Chain tables as drawn, chain tables with one cell rescaled or added, and
+    arbitrary cells in a 6 x 4 box; the last two mostly fall outside the cone."""
+    kind = draw(st.sampled_from(("chain", "perturbed", "arbitrary")))
+    if kind == "arbitrary":
+        cells = st.tuples(st.integers(0, 5), st.integers(0, 3))
+        return BettiTable(draw(st.dictionaries(cells, positive_entries, min_size=1, max_size=10)))
+    table, _ = random_chain_table(random.Random(draw(st.integers(0, 2**32 - 1))))
+    if kind == "chain":
+        return table
+    entries = dict(table.entries)
+    cell = draw(st.sampled_from(sorted(entries)) | st.tuples(st.integers(0, 6), st.integers(0, 6)))
+    entries[cell] = entries.get(cell, 1) * draw(positive_entries)
+    return BettiTable(entries)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(table=sparse_tables())
+@example(table=PROJECTED_VERONESE)
+@example(table=CUBIC_CONIC)
+@example(table=BettiTable({(0, 0): 3, (1, 0): 1, (2, 0): 3}))
+@example(table=BettiTable({(0, 0): 1, (2, 1): 4}))
+@example(table=BettiTable({(0, 0): 1, (1, 2): 1, (2, 0): 1}))
+def test_peeling_matches_table_oracle(table):
+    expected = peel_outcome(peel_oracle, table)
+    assert peel_outcome(bs_decompose, table) == expected
+    if expected is not NotInConeError:
+        assert len(expected) <= len(table.entries)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), max_terms=st.integers(1, 16),
+       max_length=st.integers(1, 10))
+def test_chain_table_round_trip(seed, max_terms, max_length):
+    table, terms = random_chain_table(random.Random(seed), max_terms=max_terms,
+                                      max_length=max_length)
+    decomposition = bs_decompose(table)
+    assert decomposition.terms == tuple(terms)
+    assert decomposition.reconstruct() == table
+    # each pass zeroes at least one cell and creates none
+    assert len(decomposition) <= len(table.entries)

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bettikit.pure import (PureDiagram, family_deq, family_tilde, hk_diagram,
                            kappa_max, kappa_next_max, multiplicity)
@@ -149,3 +152,24 @@ def test_pure_diagram_is_frozen():
 def test_deq_multiplicity_closed_form_spot():
     for e, q in [(2, 2), (5, 3), (7, 1)]:
         assert hk_diagram(family_deq(e, q)).multiplicity == comb(e + q, q)
+
+
+def textbook_diagram(degrees):
+    """beta_p = prod over k != p of 1 / |d_k - d_p| at row d_p - p, scaled to beta_0 = 1."""
+    beta = []
+    for p, d_p in enumerate(degrees):
+        value = Fraction(1)
+        for k, d_k in enumerate(degrees):
+            if k != p:
+                value /= abs(d_k - d_p)
+        beta.append(value)
+    return BettiTable({(p, d_p - p): beta[p] / beta[0] for p, d_p in enumerate(degrees)})
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(start=st.integers(0, 8), gaps=st.lists(st.integers(1, 6), max_size=12))
+@example(start=0, gaps=[1] * 12)
+@example(start=5, gaps=[6, 1, 5, 2, 4, 3, 3, 4, 2, 5, 1, 6])
+def test_hk_diagram_matches_textbook_formula(start, gaps):
+    degrees = tuple(accumulate(gaps, initial=start))
+    assert hk_diagram(degrees).table == textbook_diagram(degrees)
