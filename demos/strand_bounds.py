@@ -40,6 +40,6 @@ show(check_next_to_max(union, Assumptions(codim_e=3)))
 print("=== vanishing patterns and degree bounds ===")
 print(f"projected Veronese satisfies N_(3,4): {check_Ndm(projected, 3, 4)}")
 print(f"union satisfies N_(2,3): {check_Ndm(union, 2, 3)}")
-lower, upper = degree_bounds(2, 2)
-print(f"for codimension 2, strand 2: degree >= {lower} under the vanishing "
-      f"hypothesis, <= {upper} under the N_(3,2) pattern")
+bound = degree_bounds(2, 2)
+print(f"for codimension 2, strand 2: degree >= {bound} under the vanishing "
+      f"hypothesis, <= {bound} under the N_(3,2) pattern")

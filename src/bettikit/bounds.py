@@ -149,14 +149,13 @@ def check_Ndm(table: BettiTable, d: int, m: int) -> bool:
     return not any(p <= m and q >= d for p, q in table.entries)
 
 
-def degree_bounds(e: int, q: int) -> tuple[int, int]:
-    """Both degree bounds equal C(e+q, q); which direction applies depends on
-    whether the caller asserts the vanishing hypothesis (lower) or the
-    N_{q+1,e} vanishing pattern (upper)."""
+def degree_bounds(e: int, q: int) -> int:
+    """The degree bound C(e+q, q).  It is a lower bound when the caller asserts
+    the vanishing hypothesis and an upper bound under the N_{q+1,e} vanishing
+    pattern."""
     if e < 1 or q < 1:
         raise ValueError(f"need e >= 1 and q >= 1, got e={e}, q={q}")
-    value = comb(e + q, q)
-    return value, value
+    return comb(e + q, q)
 
 
 def check_next_to_max(table: BettiTable, assumptions: Assumptions) -> StrandReport:

@@ -224,14 +224,14 @@ def cmd_check(args) -> int:
             lines.append(f"note: {note}")
         payload["report"] = report.to_json_dict()
     if q is not None:
-        lower, upper = degree_bounds(args.codim, q)
+        bound = degree_bounds(args.codim, q)
         if args.assert_nd:
-            lines.append(f"degree >= {lower} (asserted vanishing hypothesis)")
-            payload["degree_lower"] = lower
+            lines.append(f"degree >= {bound} (asserted vanishing hypothesis)")
+            payload["degree_lower"] = bound
         if check_Ndm(table, q + 1, args.codim):
-            lines.append(f"degree <= {upper} (table satisfies the N_{{{q + 1},{args.codim}}} "
+            lines.append(f"degree <= {bound} (table satisfies the N_{{{q + 1},{args.codim}}} "
                          "vanishing pattern)")
-            payload["degree_upper"] = upper
+            payload["degree_upper"] = bound
     if args.ndm is not None:
         d, m = args.ndm
         holds = check_Ndm(table, d, m)

@@ -14,7 +14,10 @@ Each graded piece M_q is realized concretely: the monomials of degree q,
 the fully reduced row echelon of I_q among them, and the non-pivot
 ("standard") monomials as a basis of M_q.  Pieces are built in increasing
 degree, each from the one below it: I_{q+1} is spanned by x_v times the pivot
-rows of I_q and the generators of degree q + 1 (see `_next_piece`).
+rows of I_q and the generators of degree q + 1 (see `_next_piece`).  A
+product x_v * r_m is skipped when m / x_w is a lead of I_{q-1} for some
+w < v: it is then x_w * r_{x_v m / x_w} plus products with smaller leads, so
+the rows kept span the same I_{q+1}.
 Everything is exact; the field is the rationals or GF(p) as recorded on the
 ideal, and no float appears anywhere.
 
@@ -30,7 +33,7 @@ it builds live in fewer variables.  `graded_piece`, `koszul_differential` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -47,12 +50,16 @@ class GradedPiece:
     `basis` is every monomial of S_q, `standard` the non-pivot ones that give
     a basis of M_q, and `rewrite` sends each pivot monomial to its normal form
     (a combination of standard monomials).  dim M_q = dim S_q - rank I_q.
+    `leads_below` is in(I_{q-1}), the pivot monomials of the piece below,
+    which `_next_piece` reads to skip products; it is not compared, and an
+    empty or partial set only makes `_next_piece` keep more rows.
     """
 
     q: int
     basis: tuple[Monomial, ...]
     standard: tuple[Monomial, ...]
     rewrite: dict[Monomial, dict[Monomial, Fraction | int]]
+    leads_below: frozenset[Monomial] = field(default=frozenset(), compare=False)
 
     @property
     def dim(self) -> int:
@@ -99,15 +106,38 @@ _PIECE_BELOW_ZERO = GradedPiece(q=-1, basis=(), standard=(), rewrite={})
 def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
     """The piece of degree q + 1, given the piece `below` of degree q.
 
-    Its rows are x_v * (lead - sum(rule)) for every rewrite rule of `below`
-    and every variable x_v, and the generators of degree exactly q + 1.  They
-    span I_{q+1}, because I_{q+1} = S_1 * I_q + k * {generators of degree
-    q + 1}: for deg g <= q, S_{q+1-deg g} * g = S_1 * S_{q-deg g} * g lies in
-    S_1 * I_q, and the pivot rows of the reduced echelon of I_q are a basis
-    of I_q.  The fully reduced echelon of a fixed span in a fixed column
-    order is unique, so `basis`, `standard` and `rewrite` are the same, value
-    for value, as from row-reducing every m * g of degree q + 1.  The rows
-    are also short: each has at most 1 + dim M_q terms, and above the socle
+    Its rows are the generators of degree exactly q + 1 and the products
+    x_v * r_m, where r_m = m - sum(rule) is a rewrite rule of `below` with
+    lead m, for v <= w(m): the smallest w with x_w | m and m / x_w in
+    in(I_{q-1}) (`below.leads_below`), or n - 1 when there is none.
+
+    All products x_v * r_m and the generators of degree q + 1 span I_{q+1},
+    because I_{q+1} = S_1 * I_q + k * {generators of degree q + 1}: for
+    deg g <= q, S_{q+1-deg g} * g = S_1 * S_{q-deg g} * g lies in S_1 * I_q,
+    and the rules of `below` are a basis of I_q.  The skipped products add
+    nothing.  The column order is lex, so lead(x_v * f) = x_v * lead(f), and
+    an element of I_q whose lead lies below m is a combination of rules with
+    leads below m.  Let W be the span of the kept rows, and show x_v * r_m in
+    W by induction on the pair (t, v), t = x_v * m, first on t in column
+    order, then on v.  A kept product is in W.  Otherwise w = w(m) < v and
+    u = m / x_w lies in in(I_{q-1}), so x_v * u lies in in(I_q), and
+
+        x_w * r_u = r_m + (rules of I_q with leads below m),
+        x_v * r_u = r_{x_v u} + (rules of I_q with leads below x_v * u).
+
+    Multiplying the first by x_v and the second by x_w, x_v * r_m equals
+    x_w * r_{x_v u} plus products whose leads lie below t, which are in W by
+    induction on t; and x_w * r_{x_v u} has lead t and w < v, so it is in W
+    by induction on v.  This is the product criterion of Gebauer and Moller
+    (J. Symb. Comput. 6, 1988) read degree by degree, the trivial-syzygy rule
+    of Faugere's F5.  An empty or partial `leads_below` only raises w(m), so
+    pieces built elsewhere (`_PIECE_BELOW_ZERO`, a Macaulay-matrix piece)
+    stay correct.
+
+    The fully reduced echelon of a fixed span in a fixed column order is
+    unique, so `basis`, `standard` and `rewrite` are the same, value for
+    value, as from row-reducing every m * g of degree q + 1.  The rows are
+    also short: each has at most 1 + dim M_q terms, and above the socle
     every row is a single monomial.
 
     Over the rationals each rule and each generator is scaled to a primitive
@@ -115,9 +145,11 @@ def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
     receives integer rows spanning the same lines.
     """
     q = below.q + 1
+    n = ideal.num_vars
     char_p = ideal.char_p
-    basis = monomials_of_degree(ideal.num_vars, q)
+    basis = monomials_of_degree(n, q)
     index = {mono: i for i, mono in enumerate(basis)}
+    leads_below = below.leads_below
     rows = []
     for lead, rule in below.rewrite.items():
         terms = {lead: 1}
@@ -125,7 +157,9 @@ def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
             terms[mono] = -value
         if char_p is None:
             terms = integer_row(terms)
-        for var in range(ideal.num_vars):
+        last = next((w for w in range(n) if lead[w]
+                     and lead[:w] + (lead[w] - 1,) + lead[w + 1:] in leads_below), n - 1)
+        for var in range(last + 1):
             rows.append({index[mono_times_var(mono, var)]: value
                          for mono, value in terms.items()})
     for g in ideal.generators:
@@ -143,7 +177,8 @@ def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
                 continue
             rule[basis[col]] = (-value) if char_p is None else (-value) % char_p
         rewrite[basis[lead]] = rule
-    return GradedPiece(q=q, basis=basis, standard=standard, rewrite=rewrite)
+    return GradedPiece(q=q, basis=basis, standard=standard, rewrite=rewrite,
+                       leads_below=frozenset(below.rewrite))
 
 
 def graded_piece(ideal: Ideal, q: int) -> GradedPiece:

@@ -226,7 +226,10 @@ def parse_polynomial(text: str, num_vars: int, line: int = 1) -> Poly:
         if term_open:
             raise IdealParseError(
                 f"coefficient {token!r} must precede variables", line, column)
-        coeff = Fraction(token)
+        try:
+            coeff = Fraction(token)
+        except ZeroDivisionError:
+            raise IdealParseError(f"zero denominator in {token!r}", line, column) from None
         term_open = True
         pending_sign = False
 

@@ -213,7 +213,11 @@ class BettiTable:
                     continue
                 if not _ENTRY_RE.match(token):
                     raise TableParseError(f"bad entry token {token!r}", lineno, column)
-                value = Fraction(token)
+                try:
+                    value = Fraction(token)
+                except ZeroDivisionError:
+                    raise TableParseError(f"zero denominator in {token!r}",
+                                          lineno, column) from None
                 if value < 0:
                     raise NegativeEntryError(p, q, value, line=lineno, column=column)
                 if (p, q) in entries:
@@ -242,7 +246,10 @@ class BettiTable:
         entries: dict[Cell, Fraction] = {}
         for item in payload["entries"]:
             p, q = int(item["p"]), int(item["q"])
-            value = Fraction(int(item["num"]), int(item["den"]))
+            num, den = int(item["num"]), int(item["den"])
+            if den == 0:
+                raise ValueError(f"zero denominator at cell (p={p}, q={q}) in JSON table")
+            value = Fraction(num, den)
             if (p, q) in entries:
                 raise ValueError(f"duplicate cell (p={p}, q={q}) in JSON table")
             if value < 0:

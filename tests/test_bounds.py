@@ -80,7 +80,7 @@ def test_check_first_strand_on_pure_family():
             table = hk_diagram(family_deq(e, q)).table.scale(1)
             report = check_first_strand(table, Assumptions(codim_e=e), q)
             assert report.verdict == "AllMax"
-            assert report.degree_predicted == degree_bounds(e, q)[0]
+            assert report.degree_predicted == degree_bounds(e, q)
             assert report.shape_ok is True
 
 
@@ -93,9 +93,9 @@ def test_check_ndm_examples():
 
 
 def test_degree_bounds():
-    assert degree_bounds(2, 2) == (6, 6)
-    assert degree_bounds(3, 1) == (4, 4)
-    assert degree_bounds(1, 5) == (6, 6)
+    assert degree_bounds(2, 2) == 6
+    assert degree_bounds(3, 1) == 4
+    assert degree_bounds(1, 5) == 6
 
 
 def test_check_next_to_max_cubic_conic():

@@ -165,6 +165,26 @@ def test_betti_parse_diagnostic(tmp_path, capsys):
     assert "x5" in err
 
 
+def test_betti_zero_denominator(tmp_path, capsys):
+    bad = tmp_path / "bad.ideal"
+    bad.write_text("vars 2\nfield rational\nx0*x1 + 1/0*x0^2\n")
+    code, _, err = run(capsys, "betti", str(bad), "--qmax", "2")
+    assert code == 1
+    assert err.splitlines() == [f"{bad}:3:9: zero denominator in '1/0'"]
+
+
+@pytest.mark.parametrize("text", ["0: 1\n1: . 1/0\n",
+                                  '{"entries": [{"p": 1, "q": 1, "num": "1", "den": "0"}]}'],
+                         ids=["text", "json"])
+def test_decompose_zero_denominator(tmp_path, capsys, text):
+    bad = tmp_path / "bad.table"
+    bad.write_text(text)
+    code, _, err = run(capsys, "decompose", str(bad))
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert "zero denominator" in err
+
+
 def test_check_violation_exit_code(capsys):
     code, out, _ = run(capsys, "check", fixture_path("veronese_projection.table"),
                        "--codim", "2", "--assert-nd")

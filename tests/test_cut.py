@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bettikit.fixtures import FIXTURES, load_text
 from bettikit.koszul import (_cut, _cut_regular_variables, betti_number, betti_table,
-                             graded_piece)
+                             graded_piece, hilbert_consistency)
 from bettikit.polyring import Ideal, monomials_of_degree, parse_ideal, parse_polynomial
 from bettikit.tables import BettiTable
 
@@ -117,5 +117,6 @@ def homogeneous_ideals(draw):
 def test_cut_matches_uncut_on_random_ideals(ideal, q_max):
     table, _ = betti_table(ideal, q_max)
     assert table == uncut_table(ideal, q_max)
+    assert hilbert_consistency(ideal, table, q_max)
     cut, pieces = _cut_regular_variables(ideal, q_max)
     assert all(pieces[q] == graded_piece(cut, q) for q in range(q_max + 2))

@@ -1,15 +1,18 @@
 """Graded pieces built degree by degree against the Macaulay-matrix construction."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bettikit import koszul
+from bettikit.fixtures import FIXTURES, load_text
 from bettikit.koszul import GradedPiece, _next_piece, _to_field, graded_piece
 from bettikit.linalg import rref
-from bettikit.polyring import (Ideal, mono_mul, monomials_of_degree, parse_polynomial,
-                               poly_degree)
+from bettikit.polyring import (Ideal, mono_mul, monomials_of_degree, parse_ideal,
+                               parse_polynomial, poly_degree)
 
 FIELDS = (None, 32003)
 
@@ -80,7 +83,28 @@ def homogeneous_ideals(draw):
 @example(ideal=ideal_from(3, ["5*x0^2 - 10*x1^2", "x2^3"], char_p=5), q=3)       # one vanishes
 @example(ideal=ideal_from(1, ["x0^3"], char_p=5), q=6)
 def test_graded_piece_matches_macaulay_matrix(ideal, q):
-    assert graded_piece(ideal, q) == macaulay_piece(ideal, q)
+    oracle = macaulay_piece(ideal, q)
+    assert graded_piece(ideal, q) == oracle
+    # the oracle records no leads below it, so this step keeps every product
+    assert _next_piece(ideal, oracle) == graded_piece(ideal, q + 1)
+
+
+@pytest.mark.parametrize("char_p", FIELDS)
+def test_next_piece_skips_products_explained_below(char_p, monkeypatch):
+    entry = next(e for e in FIXTURES if e.name == "rnc-quintic")
+    ideal = replace(parse_ideal(load_text(entry.filename)), char_p=char_p)
+    q = entry.qmax + 1
+    below = graded_piece(ideal, q)
+    given = []
+
+    def counting_rref(rows, *rest):
+        given.append(len(rows))
+        return rref(rows, *rest)
+
+    monkeypatch.setattr(koszul, "rref", counting_rref)
+    piece = _next_piece(ideal, below)
+    assert given[0] < ideal.num_vars * below.ideal_dim
+    assert piece == macaulay_piece(ideal, q + 1)
 
 
 def power(poly, exponent):

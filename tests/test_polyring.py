@@ -41,6 +41,13 @@ def test_parse_polynomial_bad_tokens():
             parse_polynomial(text, 2)
 
 
+def test_parse_polynomial_zero_denominator():
+    with pytest.raises(IdealParseError) as info:
+        parse_polynomial("x0*x1 + 1/0*x0^2", 2, line=3)
+    assert (info.value.line, info.value.column) == (3, 9)
+    assert "zero denominator" in info.value.message
+
+
 def test_parse_ideal_header_and_field():
     ideal = parse_ideal("vars 2\nfield gf 101\nx0^2\n")
     assert ideal.num_vars == 2

@@ -141,6 +141,13 @@ def test_text_parse_errors():
         BettiTable.from_text("-1: 3")
 
 
+def test_text_zero_denominator():
+    with pytest.raises(TableParseError) as info:
+        BettiTable.from_text("0: 1\n1: . 1/0")
+    assert (info.value.line, info.value.column) == (2, 6)
+    assert "zero denominator" in info.value.message
+
+
 def test_text_duplicate_cell():
     with pytest.raises(TableParseError) as info:
         BettiTable.from_text("0: 1\n0: 2")
@@ -161,6 +168,12 @@ def test_json_duplicate_cell_rejected():
     payload = '{"entries": [{"p": 0, "q": 0, "num": "1", "den": "1"},' \
               ' {"p": 0, "q": 0, "num": "2", "den": "1"}]}'
     with pytest.raises(ValueError):
+        BettiTable.from_json(payload)
+
+
+def test_json_zero_denominator_rejected():
+    payload = '{"entries": [{"p": 1, "q": 1, "num": "1", "den": "0"}]}'
+    with pytest.raises(ValueError, match="zero denominator"):
         BettiTable.from_json(payload)
 
 
