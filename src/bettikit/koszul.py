@@ -27,8 +27,10 @@ fixes every matrix reproducibly.
 
 `betti_table` first cuts the ring by variables it certifies to be regular
 through degree q_max + 2 (see `_cut_regular_variables`), so the differentials
-it builds live in fewer variables.  `graded_piece`, `koszul_differential` and
-`betti_number` never cut.
+it builds live in fewer variables.  The certificate is the Hilbert function
+of the cut ring, dim M'_j = dim M_j - dim M_{j-1}, not a rank, so a rejected
+variable costs only its pieces up to the degree where the identity fails.
+`graded_piece`, `koszul_differential` and `betti_number` never cut.
 """
 
 from __future__ import annotations
@@ -303,16 +305,6 @@ def _cut(ideal: Ideal, var: int) -> Ideal:
     return Ideal(ideal.num_vars - 1, tuple(generators), ideal.char_p)
 
 
-def _injective(ideal: Ideal, source: GradedPiece, target: GradedPiece, var: int) -> bool:
-    """Whether multiplication by x_var, M_{j-1} -> M_j, has full rank dim M_{j-1}."""
-    index = {mono: i for i, mono in enumerate(target.standard)}
-    rows = []
-    for mono in source.standard:
-        image = target.normal_form({mono_times_var(mono, var): Fraction(1)}, ideal.char_p)
-        rows.append({index[m]: value for m, value in image.items()})
-    return SparseMatrix(source.dim, target.dim, rows).rank(ideal.char_p) == source.dim
-
-
 def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, dict[int, GradedPiece]]:
     """Cut by variables injective on M = S/I through degree q_max + 2, as long as any is.
 
@@ -341,27 +333,42 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, dict[int, G
     does not suffice: for I = (x0^2, x1*x2^2 - x0*x1^2) at q_max = 2, x2 is
     injective through degree 3, but cutting it adds kappa_{2,2} = 1.
 
-    Injectivity in degree j is an exact rank: the normal forms of x_v * m,
-    m a standard monomial of M_{j-1}, must have rank dim M_{j-1}.  Pieces
-    are built in increasing degree and a variable leaves the candidates at
-    its first failing degree; when dim M_{j-1} > dim M_j no form is
-    injective, so all of them leave at once.  Piece q_max + 2, which the
-    table itself never uses, is built only for surviving candidates.
+    Injectivity in degree j is a dimension count.  The sequence
+
+        M_{j-1} --x_v--> M_j --> M'_j --> 0
+
+    is exact, so dim M'_j = dim M_j - rank(x_v), and x_v is injective in
+    degree j exactly when dim M'_j = dim M_j - dim M_{j-1}.  Each variable is
+    tried in index order: the pieces of I' are stepped up from degree 0 and
+    the trial stops at the first degree where the count fails, so a rejected
+    variable costs only its pieces up to there.  The first variable that
+    passes through q_max + 2 is cut, and its pieces are the next round's.
+    When dim M_{j-1} > dim M_j for some j <= q_max + 1 no variable can pass,
+    and no trial is made.  Piece q_max + 2 of M, which the table itself never
+    uses, is built only when a trial reaches it.
     """
     top = q_max + 2
-    while True:
-        pieces = {0: _next_piece(ideal, _PIECE_BELOW_ZERO)}
-        candidates = list(range(ideal.num_vars)) if ideal.num_vars > 1 else []
-        for j in range(1, top + 1):
-            if j == top and not candidates:
+    pieces = {-1: _PIECE_BELOW_ZERO}
+    for j in range(top):
+        pieces[j] = _next_piece(ideal, pieces[j - 1])
+    while ideal.num_vars > 1 and all(pieces[j - 1].dim <= pieces[j].dim
+                                     for j in range(1, top)):
+        for var in range(ideal.num_vars):
+            cut = _cut(ideal, var)
+            cut_pieces = {-1: _PIECE_BELOW_ZERO}
+            for j in range(top + 1):
+                if j not in pieces:
+                    pieces[j] = _next_piece(ideal, pieces[j - 1])
+                cut_pieces[j] = _next_piece(cut, cut_pieces[j - 1])
+                if cut_pieces[j].dim != pieces[j].dim - pieces[j - 1].dim:
+                    break
+            else:
+                ideal, pieces = cut, cut_pieces
                 break
-            source = pieces[j - 1]
-            target = pieces[j] = _next_piece(ideal, source)
-            candidates = [v for v in candidates if source.dim <= target.dim
-                          and _injective(ideal, source, target, v)]
-        if not candidates:
-            return ideal, pieces
-        ideal = _cut(ideal, candidates[0])
+        else:
+            break
+    del pieces[-1]
+    return ideal, pieces
 
 
 def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:

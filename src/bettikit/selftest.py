@@ -10,12 +10,13 @@ the identity on its range or names a concrete counterexample.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .decompose import Decomposition, bs_decompose
-from .koszul import koszul_differential
+from .koszul import betti_number, betti_table, koszul_differential
 from .polyring import Ideal, monomials_of_degree
 from .pure import family_deq, family_tilde, hk_diagram, kappa_max, kappa_next_max, multiplicity
 from .tables import BettiTable, DegreeSequence
@@ -203,6 +204,34 @@ def sweep_square_zero(trials: int = 10, seed: int = 20240, q_max: int = 4) -> Sw
     return cases, failures
 
 
+def uncut_table(ideal: Ideal, q_max: int) -> BettiTable:
+    """Rows 0..q_max from `betti_number`, which works in all of the ideal's variables."""
+    pieces, ranks, entries = {}, {}, {}
+    for q in range(q_max + 1):
+        for p in range(ideal.num_vars + 1):
+            kappa = betti_number(ideal, p, q, pieces, ranks)
+            if kappa:
+                entries[(p, q)] = Fraction(kappa)
+    return BettiTable(entries)
+
+
+def sweep_cut_agrees_with_uncut(trials: int = 100, seed: int = 31, q_max: int = 3) -> Sweep:
+    """betti_table, which cuts certified regular variables, against the uncut table."""
+    rng = random.Random(seed)
+    cases = 0
+    failures = []
+    for _ in range(trials):
+        ideal = random_ideal(rng)
+        for char_p in (None, 32003):
+            cases += 1
+            field_ideal = replace(ideal, char_p=char_p)
+            table, _ = betti_table(field_ideal, q_max)
+            expected = uncut_table(field_ideal, q_max)
+            if table != expected:
+                failures.append(f"{field_ideal}: cut table {table} != uncut {expected}")
+    return cases, failures
+
+
 def random_chain_table(rng: random.Random, max_terms: int = 4, max_length: int = 5,
                        max_entry: int = 20, max_denominator: int = 30,
                        ) -> tuple[BettiTable, list[tuple[Fraction, DegreeSequence]]]:
@@ -271,6 +300,7 @@ ALL_SWEEPS = [
     ("bound comparison", sweep_bound_comparison),
     ("hilbert numerator divisibility", sweep_hilbert_divisibility),
     ("koszul differential squares to zero", sweep_square_zero),
+    ("certified cut agrees with the uncut table", sweep_cut_agrees_with_uncut),
     ("cone decomposition round trip", sweep_cone_round_trip),
 ]
 

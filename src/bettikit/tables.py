@@ -65,6 +65,21 @@ def _coerce(value: RationalLike) -> Fraction:
     raise TypeError(f"table entries must be rational, got {type(value).__name__}")
 
 
+def _json_int(item: dict, key: str, index: int) -> int:
+    """The int at item[key]: a JSON integer, or a string of one as `to_json_dict` writes."""
+    if key not in item:
+        raise ValueError(f"entry {index} of the JSON table has no {key!r}")
+    value = item[key]
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"entry {index} of the JSON table: {key!r} is {value!r}, not an integer")
+
+
 class BettiTable:
     """Immutable sparse table of nonnegative rationals indexed by (p, q)."""
 
@@ -241,12 +256,13 @@ class BettiTable:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "BettiTable":
-        if not isinstance(payload, dict) or "entries" not in payload:
+        if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
             raise ValueError("table JSON must be an object with an 'entries' list")
         entries: dict[Cell, Fraction] = {}
-        for item in payload["entries"]:
-            p, q = int(item["p"]), int(item["q"])
-            num, den = int(item["num"]), int(item["den"])
+        for index, item in enumerate(payload["entries"]):
+            if not isinstance(item, dict):
+                raise ValueError(f"entry {index} of the JSON table is not an object")
+            p, q, num, den = (_json_int(item, key, index) for key in ("p", "q", "num", "den"))
             if den == 0:
                 raise ValueError(f"zero denominator at cell (p={p}, q={q}) in JSON table")
             value = Fraction(num, den)

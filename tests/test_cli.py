@@ -185,6 +185,22 @@ def test_decompose_zero_denominator(tmp_path, capsys, text):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize("command", [["decompose"], ["check", "--codim", "2"]],
+                         ids=["decompose", "check"])
+@pytest.mark.parametrize("text", ['{"entries": [{"p": 0, "q": 0}]}', '{"entries": [1]}',
+                                  '{"entries": 5}',
+                                  '{"entries": [{"p": 1.5, "q": 0, "num": "1", "den": "1"}]}'],
+                         ids=["missing-key", "entry-not-object", "entries-not-list",
+                              "float-index"])
+def test_malformed_json_table_exits_cleanly(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, _, err = run(capsys, command[0], str(bad), *command[1:])
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"{bad}: ")
+
+
 def test_check_violation_exit_code(capsys):
     code, out, _ = run(capsys, "check", fixture_path("veronese_projection.table"),
                        "--codim", "2", "--assert-nd")

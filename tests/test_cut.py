@@ -8,9 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import (_cut, _cut_regular_variables, betti_number, betti_table,
+from bettikit.koszul import (_cut, _cut_regular_variables, _in_field, betti_table,
                              graded_piece, hilbert_consistency)
-from bettikit.polyring import Ideal, monomials_of_degree, parse_ideal, parse_polynomial
+from bettikit.linalg import SparseMatrix
+from bettikit.polyring import (Ideal, mono_times_var, monomials_of_degree, parse_ideal,
+                               parse_polynomial)
+from bettikit.selftest import sweep_cut_agrees_with_uncut, uncut_table
 from bettikit.tables import BettiTable
 
 FIELDS = (None, 32003)
@@ -21,15 +24,28 @@ def ideal_from(num_vars, lines, char_p=None):
     return Ideal(num_vars=num_vars, generators=gens, char_p=char_p)
 
 
-def uncut_table(ideal, q_max):
-    """The table from `betti_number`, which works in all of the ideal's variables."""
-    pieces, ranks, entries = {}, {}, {}
-    for q in range(q_max + 1):
-        for p in range(ideal.num_vars + 1):
-            kappa = betti_number(ideal, p, q, pieces, ranks)
-            if kappa:
-                entries[(p, q)] = Fraction(kappa)
-    return BettiTable(entries)
+def multiplication_has_full_rank(ideal, source, target, var):
+    """Whether multiplication by x_var, M_{j-1} -> M_j, has full rank dim M_{j-1}."""
+    index = {mono: i for i, mono in enumerate(target.standard)}
+    rows = []
+    for mono in source.standard:
+        image = target.normal_form({mono_times_var(mono, var): Fraction(1)}, ideal.char_p)
+        rows.append({index[m]: value for m, value in image.items()})
+    return SparseMatrix(source.dim, target.dim, rows).rank(ideal.char_p) == source.dim
+
+
+def rank_certified_cut(ideal, q_max):
+    """Cut, round by round, the first variable of full rank in every degree 1..q_max+2."""
+    top = q_max + 2
+    while ideal.num_vars > 1:
+        pieces = [graded_piece(ideal, j) for j in range(top + 1)]
+        regular = [v for v in range(ideal.num_vars)
+                   if all(multiplication_has_full_rank(ideal, pieces[j - 1], pieces[j], v)
+                          for j in range(1, top + 1))]
+        if not regular:
+            break
+        ideal = _cut(ideal, regular[0])
+    return ideal
 
 
 def fixture_ideals():
@@ -87,6 +103,22 @@ def test_variables_cut_per_fixture(char_p):
     assert got == VARIABLES_AFTER_CUT
 
 
+@pytest.mark.parametrize("char_p", FIELDS)
+def test_cut_pieces_are_iterated_differences(char_p):
+    # Each cut variable is injective through q_max+2, so each cut takes one
+    # backward difference of the Hilbert function there: dim M'_j = Δ^k dim M_j.
+    for entry, ideal in fixture_ideals():
+        ideal = _in_field(replace(ideal, char_p=char_p))
+        top = entry.qmax + 2
+        cut, pieces = _cut_regular_variables(ideal, entry.qmax)
+        dims = [graded_piece(ideal, j).dim for j in range(top + 1)]
+        for _ in range(ideal.num_vars - cut.num_vars):
+            dims = [dim - (dims[j - 1] if j else 0) for j, dim in enumerate(dims)]
+        cut_dims = [(pieces[j] if j in pieces else graded_piece(cut, j)).dim
+                    for j in range(top + 1)]
+        assert cut_dims == dims, entry.name
+
+
 @st.composite
 def homogeneous_ideals(draw):
     num_vars = draw(st.integers(2, 5))
@@ -120,3 +152,27 @@ def test_cut_matches_uncut_on_random_ideals(ideal, q_max):
     assert hilbert_consistency(ideal, table, q_max)
     cut, pieces = _cut_regular_variables(ideal, q_max)
     assert all(pieces[q] == graded_piece(cut, q) for q in range(q_max + 2))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(ideal=homogeneous_ideals(), q_max=st.integers(1, 3))
+@example(ideal=ideal_from(2, ["x0^2", "x0*x1"]), q_max=2)                      # depth 0
+@example(ideal=ideal_from(3, ["x0*x1", "x0*x2", "x1*x2"]), q_max=2)            # no regular variable
+@example(ideal=ideal_from(3, ["x0*x1"], char_p=5), q_max=2)                    # cuts x2 only
+@example(ideal=COUNTEREXAMPLE, q_max=2)                                         # fails at q_max+2
+def test_dimension_certificate_matches_rank_oracle(ideal, q_max):
+    ideal = _in_field(ideal)
+    top = q_max + 2
+    pieces = [graded_piece(ideal, j) for j in range(top + 1)]
+    for var in range(ideal.num_vars):
+        cut = _cut(ideal, var)
+        for j in range(1, top + 1):
+            identity = graded_piece(cut, j).dim == pieces[j].dim - pieces[j - 1].dim
+            assert identity == multiplication_has_full_rank(ideal, pieces[j - 1], pieces[j], var)
+    assert _cut_regular_variables(ideal, q_max)[0] == rank_certified_cut(ideal, q_max)
+
+
+def test_cut_sweep():
+    cases, failures = sweep_cut_agrees_with_uncut(trials=6, seed=11)
+    assert cases == 12
+    assert failures == []

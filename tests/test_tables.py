@@ -177,6 +177,35 @@ def test_json_zero_denominator_rejected():
         BettiTable.from_json(payload)
 
 
+MALFORMED_JSON = {
+    "missing-key": ('{"entries": [{"p": 0, "q": 0}]}', "entry 0 .* no 'num'"),
+    "entry-not-object": ('{"entries": [1]}', "entry 0 .* not an object"),
+    "entries-not-list": ('{"entries": 5}', "'entries' list"),
+    "payload-not-object": ('[1, 2]', "'entries' list"),
+    "float-index": ('{"entries": [{"p": 1.5, "q": 0, "num": "1", "den": "1"}]}',
+                    "'p' is 1.5, not an integer"),
+    "bool-index": ('{"entries": [{"p": 0, "q": true, "num": "1", "den": "1"}]}',
+                   "'q' is True, not an integer"),
+    "float-numerator": ('{"entries": [{"p": 0, "q": 0, "num": 2.0, "den": "1"}]}',
+                        "'num' is 2.0, not an integer"),
+    "word-denominator": ('{"entries": [{"p": 0, "q": 0, "num": "1", "den": "two"}]}',
+                         "'den' is 'two', not an integer"),
+    "second-entry": ('{"entries": [{"p": 0, "q": 0, "num": "1", "den": "1"}, {"p": 1}]}',
+                     "entry 1 .* no 'q'"),
+}
+
+
+@pytest.mark.parametrize("payload, message", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+def test_json_malformed_entry_rejected(payload, message):
+    with pytest.raises(ValueError, match=message):
+        BettiTable.from_json(payload)
+
+
+def test_json_integers_as_numbers_or_strings():
+    payload = '{"entries": [{"p": "1", "q": 2, "num": 3, "den": "2"}]}'
+    assert BettiTable.from_json(payload) == table({(1, 2): Fraction(3, 2)})
+
+
 def test_cleared():
     t = table({(0, 0): 1, (1, 1): Fraction(10, 3), (3, 2): Fraction(8, 3)})
     cleared, scale = t.cleared()
