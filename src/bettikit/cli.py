@@ -17,7 +17,8 @@ from .bounds import (Assumptions, check_first_strand, check_Ndm, check_next_to_m
                      degree_bounds, first_nontrivial_strand)
 from .decompose import NotInConeError, bs_decompose, multiplicity_from_decomposition
 from .fixtures import FIXTURES, run_fixture
-from .koszul import CoefficientError, betti_table
+from .koszul import betti_table
+from .linalg import CoefficientError
 from .polyring import IdealParseError, parse_ideal
 from .pure import hk_diagram
 from .selftest import run_all as run_sweeps

@@ -31,16 +31,21 @@ it builds live in fewer variables.  The certificate is the Hilbert function
 of the cut ring, dim M'_j = dim M_j - dim M_{j-1}, not a rank, so a rejected
 variable costs only its pieces up to the degree where the identity fails.
 `graded_piece`, `koszul_differential` and `betti_number` never cut.
+
+All that differs between QQ and GF(p) is the field object `linalg.field`.
+Pieces and ranks are local values of the computation that needs them
+(`graded_pieces`, `_betti_entries`); no function writes into its arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
+from typing import Iterator
 
-from .linalg import SparseMatrix, integer_row, rref
+from .linalg import SparseMatrix, field, reduced_echelon
 from .polyring import Ideal, Monomial, Poly, mono_times_var, monomials_of_degree, poly_degree
 from .tables import BettiTable
 
@@ -61,7 +66,7 @@ class GradedPiece:
     basis: tuple[Monomial, ...]
     standard: tuple[Monomial, ...]
     rewrite: dict[Monomial, dict[Monomial, Fraction | int]]
-    leads_below: frozenset[Monomial] = field(default=frozenset(), compare=False)
+    leads_below: frozenset[Monomial] = dataclass_field(default=frozenset(), compare=False)
 
     @property
     def dim(self) -> int:
@@ -73,36 +78,13 @@ class GradedPiece:
 
     def normal_form(self, poly: Poly, char_p: int | None) -> dict[Monomial, Fraction | int]:
         """Reduce a degree-q polynomial modulo I_q, in standard-monomial coordinates."""
+        F = field(char_p)
         out: dict[Monomial, Fraction | int] = {}
         for mono, raw in poly.items():
-            coeff = _to_field(Fraction(raw), char_p) if char_p is not None else raw
-            rule = self.rewrite.get(mono)
-            if rule is None:
-                out[mono] = out.get(mono, 0) + coeff
-            else:
-                for target, factor in rule.items():
-                    out[target] = out.get(target, 0) + coeff * factor
-        if char_p is None:
-            return {m: v for m, v in out.items() if v != 0}
-        return {m: v % char_p for m, v in out.items() if v % char_p != 0}
-
-
-class CoefficientError(ValueError):
-    """A rational coefficient with no image in GF(p): p divides its denominator."""
-
-
-def _to_field(value: Fraction, char_p: int | None) -> Fraction | int:
-    if char_p is None:
-        return value
-    den = value.denominator % char_p
-    if den == 0:
-        raise CoefficientError(
-            f"coefficient {value} has denominator divisible by the characteristic {char_p}")
-    return (value.numerator % char_p) * pow(den, char_p - 2, char_p) % char_p
-
-
-# S_{-1} = 0: the piece every fold starts from.
-_PIECE_BELOW_ZERO = GradedPiece(q=-1, basis=(), standard=(), rewrite={})
+            coeff = F.coeff(Fraction(raw))
+            for target, factor in self.rewrite.get(mono, {mono: F.one}).items():
+                out[target] = out.get(target, 0) + coeff * factor
+        return {m: c for m, v in out.items() if (c := F.coeff(v))}
 
 
 def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
@@ -133,8 +115,8 @@ def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
     by induction on v.  This is the product criterion of Gebauer and Moller
     (J. Symb. Comput. 6, 1988) read degree by degree, the trivial-syzygy rule
     of Faugere's F5.  An empty or partial `leads_below` only raises w(m), so
-    pieces built elsewhere (`_PIECE_BELOW_ZERO`, a Macaulay-matrix piece)
-    stay correct.
+    pieces built elsewhere (the zero piece of degree -1, a Macaulay-matrix
+    piece) stay correct.
 
     The fully reduced echelon of a fixed span in a fixed column order is
     unique, so `basis`, `standard` and `rewrite` are the same, value for
@@ -142,23 +124,19 @@ def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
     also short: each has at most 1 + dim M_q terms, and above the socle
     every row is a single monomial.
 
-    Over the rationals each rule and each generator is scaled to a primitive
-    integer vector once, before it is shifted by the variables, so `rref`
-    receives integer rows spanning the same lines.
+    Each rule and each generator is normalized by the field once (over the
+    rationals, to a primitive integer vector) and then shifted by the
+    variables, so `reduced_echelon` takes the rows as they are.
     """
     q = below.q + 1
     n = ideal.num_vars
-    char_p = ideal.char_p
+    F = field(ideal.char_p)
     basis = monomials_of_degree(n, q)
     index = {mono: i for i, mono in enumerate(basis)}
     leads_below = below.leads_below
     rows = []
     for lead, rule in below.rewrite.items():
-        terms = {lead: 1}
-        for mono, value in rule.items():
-            terms[mono] = -value
-        if char_p is None:
-            terms = integer_row(terms)
+        terms = F.row({lead: F.one, **{mono: -value for mono, value in rule.items()}})
         last = next((w for w in range(n) if lead[w]
                      and lead[:w] + (lead[w] - 1,) + lead[w + 1:] in leads_below), n - 1)
         for var in range(last + 1):
@@ -166,130 +144,118 @@ def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
                          for mono, value in terms.items()})
     for g in ideal.generators:
         if poly_degree(g) == q:
-            terms = integer_row(g) if char_p is None else {
-                mono: _to_field(coeff, char_p) for mono, coeff in g.items()}
-            rows.append({index[mono]: value for mono, value in terms.items()})
-    pivots = rref(rows, char_p)
+            rows.append({index[mono]: value for mono, value in F.row(g).items()})
+    pivots = reduced_echelon(rows, F)
     standard = tuple(m for i, m in enumerate(basis) if i not in pivots)
-    rewrite: dict[Monomial, dict[Monomial, Fraction | int]] = {}
-    for lead, row in pivots.items():
-        rule = {}
-        for col, value in row.items():
-            if col == lead:
-                continue
-            rule[basis[col]] = (-value) if char_p is None else (-value) % char_p
-        rewrite[basis[lead]] = rule
+    rewrite = {basis[lead]: {basis[col]: F.coeff(-value)
+                             for col, value in row.items() if col != lead}
+               for lead, row in pivots.items()}
     return GradedPiece(q=q, basis=basis, standard=standard, rewrite=rewrite,
                        leads_below=frozenset(below.rewrite))
 
 
-def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
-    """Row-reduce I_q inside S_q and package the quotient basis.
+def graded_pieces(ideal: Ideal) -> Iterator[GradedPiece]:
+    """M_0, M_1, M_2, ... of S/I, each stepped up from the one below.
 
-    A fold of `_next_piece` from S_{-1} = 0, so a generator of degree 0 gives
+    The first step starts from S_{-1} = 0, so a generator of degree 0 gives
     I_0 = S_0 like any other.
     """
+    piece = GradedPiece(q=-1, basis=(), standard=(), rewrite={})
+    while True:
+        piece = _next_piece(ideal, piece)
+        yield piece
+
+
+def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
+    """Row-reduce I_q inside S_q and package the quotient basis."""
     if q < 0:
         raise ValueError(f"degree must be nonnegative, got {q}")
-    piece = _PIECE_BELOW_ZERO
-    for _ in range(q + 1):
-        piece = _next_piece(ideal, piece)
-    return piece
-
-
-def _held_piece(ideal: Ideal, pieces: dict[int, GradedPiece], q: int) -> GradedPiece:
-    """pieces[q], stepped up from pieces[q - 1] when that is held, stored in `pieces`."""
-    if q not in pieces:
-        below = pieces.get(q - 1)
-        pieces[q] = graded_piece(ideal, q) if below is None else _next_piece(ideal, below)
-    return pieces[q]
-
-
-def _wedge_basis(num_vars: int, p: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(num_vars), p))
+    return next(islice(graded_pieces(ideal), q, None))
 
 
 def koszul_differential(ideal: Ideal, p: int, q: int,
                         pieces: dict[int, GradedPiece] | None = None) -> SparseMatrix:
-    """Matrix of wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, rows = domain basis."""
+    """Matrix of wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, rows = domain basis.
+
+    Pieces q and q + 1 are read from `pieces` when it holds them and built
+    otherwise; `pieces` is never written.  The image of x_v * m for a
+    standard monomial m of M_q is its rewrite rule in M_{q+1}, or x_v * m
+    itself when that is standard.  For a fixed wedge the j-th terms land in
+    distinct codomain wedges, so no two terms of a row share a column and
+    nothing cancels.
+    """
     if p < 0 or q < 0:
         raise ValueError(f"need p >= 0 and q >= 0, got p={p}, q={q}")
     n = ideal.num_vars
-    if pieces is None:
-        pieces = {}
-    source, target = _held_piece(ideal, pieces, q), _held_piece(ideal, pieces, q + 1)
-    domain_wedges = _wedge_basis(n, p)
-    codomain_wedges = _wedge_basis(n, p - 1) if p >= 1 else []
+    pieces = pieces or {}
+    source = pieces.get(q) or graded_piece(ideal, q)
+    target = pieces.get(q + 1) or _next_piece(ideal, source)
+    domain_wedges = list(combinations(range(n), p))
+    codomain_wedges = list(combinations(range(n), p - 1)) if p >= 1 else []
     nrows = len(domain_wedges) * source.dim
     ncols = len(codomain_wedges) * target.dim
     if nrows == 0 or ncols == 0:
         return SparseMatrix(nrows, ncols)
+    F = field(ideal.char_p)
     wedge_index = {w: i for i, w in enumerate(codomain_wedges)}
     target_index = {m: i for i, m in enumerate(target.standard)}
-    # normal form of x_var * mono, shared across all wedges containing var
-    shifted: dict[tuple[int, Monomial], dict[Monomial, Fraction | int]] = {}
+    # images[sign][(var, mono)]: (column in M_{q+1}, +-coefficient) of x_var * mono
+    images: tuple[dict, dict] = ({}, {})
     for var in range(n):
         for mono in source.standard:
-            shifted[(var, mono)] = target.normal_form(
-                {mono_times_var(mono, var): Fraction(1)}, ideal.char_p)
+            product = mono_times_var(mono, var)
+            image = target.rewrite.get(product, {product: F.one})
+            images[0][var, mono] = [(target_index[m], v) for m, v in image.items()]
+            images[1][var, mono] = [(target_index[m], F.coeff(-v)) for m, v in image.items()]
     rows = []
     for wedge in domain_wedges:
+        bases = [wedge_index[wedge[:j] + wedge[j + 1:]] * target.dim for j in range(p)]
         for mono in source.standard:
             row: dict[int, Fraction | int] = {}
             for j, var in enumerate(wedge):
-                sign = 1 if j % 2 == 0 else -1
-                base = wedge_index[wedge[:j] + wedge[j + 1:]] * target.dim
-                for m2, value in shifted[(var, mono)].items():
-                    col = base + target_index[m2]
-                    row[col] = row.get(col, 0) + sign * value
-            if ideal.char_p is None:
-                row = {c: v for c, v in row.items() if v != 0}
-            else:
-                row = {c: v % ideal.char_p for c, v in row.items() if v % ideal.char_p != 0}
+                for col, value in images[j % 2][var, mono]:
+                    row[bases[j] + col] = value
             rows.append(row)
     return SparseMatrix(nrows, ncols, rows)
 
 
-def betti_number(ideal: Ideal, p: int, q: int,
-                 pieces: dict[int, GradedPiece] | None = None,
-                 rank_cache: dict[tuple[int, int], int] | None = None) -> int:
+def _betti_entries(ideal: Ideal, pieces: dict[int, GradedPiece],
+                   cells: list[tuple[int, int]]) -> dict[tuple[int, int], Fraction]:
+    """The nonzero kappa_{p,q} among `cells` (p <= num_vars), each rank built once.
+
+    `pieces` holds M_0 through M_{q+1} for every cell (p, q).
+    """
+    n = ideal.num_vars
+    needed = dict.fromkeys(cell for p, q in cells for cell in ((p, q), (p + 1, q - 1))
+                           if cell[0] <= n and cell[1] >= 0)
+    ranks = {(p, q): koszul_differential(ideal, p, q, pieces).rank(ideal.char_p)
+             for p, q in needed}
+    entries = {}
+    for p, q in cells:
+        kappa = comb(n, p) * pieces[q].dim - ranks[(p, q)] - ranks.get((p + 1, q - 1), 0)
+        if kappa < 0:
+            raise RuntimeError(f"negative cohomology dimension at (p={p}, q={q})")
+        if kappa:
+            entries[(p, q)] = Fraction(kappa)
+    return entries
+
+
+def betti_number(ideal: Ideal, p: int, q: int) -> int:
     """kappa_{p,q} = dim ker(delta_{p,q}) - rank(delta_{p+1,q-1})."""
     if p < 0 or q < 0:
         raise ValueError(f"need p >= 0 and q >= 0, got p={p}, q={q}")
-    n = ideal.num_vars
-    if p > n:
+    if p > ideal.num_vars:
         return 0
-    if pieces is None:
-        pieces = {}
-
-    def rank_of(pp: int, qq: int) -> int:
-        if pp > n or qq < 0:
-            return 0
-        if rank_cache is not None and (pp, qq) in rank_cache:
-            return rank_cache[(pp, qq)]
-        value = koszul_differential(ideal, pp, qq, pieces).rank(ideal.char_p)
-        if rank_cache is not None:
-            rank_cache[(pp, qq)] = value
-        return value
-
-    domain_dim = comb(n, p) * _held_piece(ideal, pieces, q).dim
-    kappa = domain_dim - rank_of(p, q) - rank_of(p + 1, q - 1)
-    if kappa < 0:
-        raise RuntimeError(f"negative cohomology dimension at (p={p}, q={q})")
-    return kappa
+    pieces = dict(enumerate(islice(graded_pieces(ideal), q + 2)))
+    return int(_betti_entries(ideal, pieces, [(p, q)]).get((p, q), 0))
 
 
 def _in_field(ideal: Ideal) -> Ideal:
     """The ideal with every coefficient mapped into its field; vanishing generators dropped."""
-    if ideal.char_p is None:
-        return ideal
+    coeff = field(ideal.char_p).coeff
     generators = []
     for g in ideal.generators:
-        mapped = {}
-        for mono, coeff in g.items():
-            value = _to_field(coeff, ideal.char_p)
-            if value:
-                mapped[mono] = Fraction(value)
+        mapped = {mono: Fraction(c) for mono, value in g.items() if (c := coeff(value))}
         if mapped:
             generators.append(mapped)
     return replace(ideal, generators=tuple(generators))
@@ -348,27 +314,26 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, dict[int, G
     uses, is built only when a trial reaches it.
     """
     top = q_max + 2
-    pieces = {-1: _PIECE_BELOW_ZERO}
-    for j in range(top):
-        pieces[j] = _next_piece(ideal, pieces[j - 1])
+    chain = graded_pieces(ideal)
+    pieces = list(islice(chain, top))
     while ideal.num_vars > 1 and all(pieces[j - 1].dim <= pieces[j].dim
                                      for j in range(1, top)):
         for var in range(ideal.num_vars):
             cut = _cut(ideal, var)
-            cut_pieces = {-1: _PIECE_BELOW_ZERO}
+            cut_chain = graded_pieces(cut)
+            cut_pieces = []
             for j in range(top + 1):
-                if j not in pieces:
-                    pieces[j] = _next_piece(ideal, pieces[j - 1])
-                cut_pieces[j] = _next_piece(cut, cut_pieces[j - 1])
-                if cut_pieces[j].dim != pieces[j].dim - pieces[j - 1].dim:
+                if j == len(pieces):
+                    pieces.append(next(chain))
+                cut_pieces.append(next(cut_chain))
+                if cut_pieces[j].dim != pieces[j].dim - (pieces[j - 1].dim if j else 0):
                     break
             else:
-                ideal, pieces = cut, cut_pieces
+                ideal, pieces, chain = cut, cut_pieces, cut_chain
                 break
         else:
             break
-    del pieces[-1]
-    return ideal, pieces
+    return ideal, dict(enumerate(pieces))
 
 
 def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:
@@ -386,13 +351,8 @@ def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:
     if q_max < 1:
         raise ValueError(f"need q_max >= 1, got {q_max}")
     ideal, pieces = _cut_regular_variables(_in_field(ideal), q_max)
-    rank_cache: dict[tuple[int, int], int] = {}
-    entries = {}
-    for q in range(q_max + 1):
-        for p in range(ideal.num_vars + 1):
-            kappa = betti_number(ideal, p, q, pieces, rank_cache)
-            if kappa:
-                entries[(p, q)] = Fraction(kappa)
+    cells = [(p, q) for q in range(q_max + 1) for p in range(ideal.num_vars + 1)]
+    entries = _betti_entries(ideal, pieces, cells)
     table = BettiTable(entries)
     complete = not any(q in (q_max, q_max - 1) for _, q in entries)
     return table, complete
@@ -411,10 +371,7 @@ def hilbert_consistency(ideal: Ideal, table: BettiTable, q_max: int) -> bool:
             if value.denominator != 1:
                 raise ValueError(f"non-integer entry {value} at (p={p}, q={q})")
             lhs[p + q] += (-1 if p % 2 else 1) * value.numerator
-    dims, piece = [], _PIECE_BELOW_ZERO
-    for _ in range(q_max + 1):
-        piece = _next_piece(ideal, piece)
-        dims.append(piece.dim)
+    dims = [piece.dim for piece in islice(graded_pieces(ideal), q_max + 1)]
     n = ideal.num_vars
     rhs = []
     for j in range(q_max + 1):

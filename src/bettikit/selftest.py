@@ -12,11 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .decompose import Decomposition, bs_decompose
-from .koszul import betti_number, betti_table, koszul_differential
+from .koszul import _betti_entries, betti_table, graded_pieces, koszul_differential
 from .polyring import Ideal, monomials_of_degree
 from .pure import family_deq, family_tilde, hk_diagram, kappa_max, kappa_next_max, multiplicity
 from .tables import BettiTable, DegreeSequence
@@ -192,7 +192,7 @@ def sweep_square_zero(trials: int = 10, seed: int = 20240, q_max: int = 4) -> Sw
     failures = []
     for _ in range(trials):
         ideal = random_ideal(rng)
-        pieces = {}
+        pieces = dict(enumerate(islice(graded_pieces(ideal), q_max + 3)))
         for q in range(q_max + 1):
             for p in range(1, ideal.num_vars + 2):
                 cases += 1
@@ -205,14 +205,10 @@ def sweep_square_zero(trials: int = 10, seed: int = 20240, q_max: int = 4) -> Sw
 
 
 def uncut_table(ideal: Ideal, q_max: int) -> BettiTable:
-    """Rows 0..q_max from `betti_number`, which works in all of the ideal's variables."""
-    pieces, ranks, entries = {}, {}, {}
-    for q in range(q_max + 1):
-        for p in range(ideal.num_vars + 1):
-            kappa = betti_number(ideal, p, q, pieces, ranks)
-            if kappa:
-                entries[(p, q)] = Fraction(kappa)
-    return BettiTable(entries)
+    """Rows 0..q_max computed in all of the ideal's variables, with no cut."""
+    pieces = dict(enumerate(islice(graded_pieces(ideal), q_max + 2)))
+    cells = [(p, q) for q in range(q_max + 1) for p in range(ideal.num_vars + 1)]
+    return BettiTable(_betti_entries(ideal, pieces, cells))
 
 
 def sweep_cut_agrees_with_uncut(trials: int = 100, seed: int = 31, q_max: int = 3) -> Sweep:

@@ -17,3 +17,15 @@ def test_demo_runs(name):
     result = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
                             cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_output_survives_python_optimize():
+    # the invariant checks are real checks, not asserts that -O strips
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for command in ("selftest", "fixtures"):
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, "-m", "bettikit.cli", command], cwd=ROOT,
+                           env=env, capture_output=True, text=True, timeout=120)
+            for flags in ((), ("-O",)))
+        assert (plain.returncode, optimized.returncode) == (0, 0), optimized.stderr
+        assert optimized.stdout == plain.stdout

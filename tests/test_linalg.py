@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bettikit.linalg import SparseMatrix, rref
+from bettikit.linalg import CoefficientError, SparseMatrix, rref
 
 
 def dense_rank(rows, ncols):
@@ -209,3 +209,11 @@ def test_compose_inner_dimension_mismatch_raises():
 def test_row_count_mismatch_raises():
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, [{}])
+
+
+def test_rational_entries_are_mapped_into_gf():
+    # 1/2 = 3 mod 5, so the row 1/2*x0 + x1 is 3*x0 + x1, monic x0 + 2*x1
+    assert rref([{0: Fraction(1, 2), 1: 1}], 5) == {0: {0: 1, 1: 2}}
+    assert SparseMatrix(2, 2, [{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}]).rank(5) == 1
+    with pytest.raises(CoefficientError, match="denominator"):
+        rref([{0: Fraction(1, 5)}], 5)

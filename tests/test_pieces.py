@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import GradedPiece, _next_piece, _to_field, graded_piece
-from bettikit.linalg import rref
+from bettikit.koszul import GradedPiece, _next_piece, graded_piece
+from bettikit.linalg import field, reduced_echelon, rref
 from bettikit.polyring import (Ideal, mono_mul, monomials_of_degree, parse_ideal,
                                parse_polynomial, poly_degree)
 
@@ -38,14 +38,15 @@ def macaulay_piece(ideal, q):
     """Reference piece: row-reduce every m * g of degree q at once (the Macaulay matrix)."""
     basis = monomials_of_degree(ideal.num_vars, q)
     index = {mono: i for i, mono in enumerate(basis)}
+    coeff = field(ideal.char_p).coeff
     rows = []
     for g in ideal.generators:
         dg = poly_degree(g)
         if dg > q:
             continue
         for multiplier in monomials_of_degree(ideal.num_vars, q - dg):
-            rows.append({index[mono_mul(multiplier, mono)]: _to_field(coeff, ideal.char_p)
-                         for mono, coeff in g.items()})
+            rows.append({index[mono_mul(multiplier, mono)]: coeff(value)
+                         for mono, value in g.items()})
     pivots = rref(rows, ideal.char_p)
     standard = tuple(m for i, m in enumerate(basis) if i not in pivots)
     rewrite = {}
@@ -97,11 +98,11 @@ def test_next_piece_skips_products_explained_below(char_p, monkeypatch):
     below = graded_piece(ideal, q)
     given = []
 
-    def counting_rref(rows, *rest):
+    def counting_echelon(rows, *rest):
         given.append(len(rows))
-        return rref(rows, *rest)
+        return reduced_echelon(rows, *rest)
 
-    monkeypatch.setattr(koszul, "rref", counting_rref)
+    monkeypatch.setattr(koszul, "reduced_echelon", counting_echelon)
     piece = _next_piece(ideal, below)
     assert given[0] < ideal.num_vars * below.ideal_dim
     assert piece == macaulay_piece(ideal, q + 1)
