@@ -1,5 +1,14 @@
 """Verdicts on betti tables against the first-strand upper bounds.
 
+Each check reads its bound off one extremal pure diagram pi(d): d is
+`family_deq(e, q)` = (0, q+1, ..., q+e) for the Han-Kwak bound on row q, and
+`family_tilde(e, 1)` = (0, 2, ..., e, e+2) for the Ahn-Han-Kwak
+next-to-maximal bound on row 1.  Column p's bound is pi(d)'s entry at (p, q),
+0 where it has none; pi(d)'s cells in row q are the columns that must attain
+it; the predicted degree is e(d); and the pure resolution shape holds when
+the table equals pi(d) away from (0, 0).  `bettikit selftest` checks the
+closed forms `kappa_max` and `kappa_next_max` in `pure` against these diagrams.
+
 Geometric hypotheses (the vanishing-on-sections property behind the main
 bound, linearly general position behind the next-to-maximal bound, and the
 codimension itself) cannot be certified from a table; they enter as caller
@@ -11,13 +20,12 @@ a table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
 
 from .decompose import NotInConeError, bs_decompose, multiplicity_from_decomposition
-from .pure import kappa_max, kappa_next_max
-from .tables import BettiTable
+from .pure import family_deq, family_tilde, multiplicity, pure_cells
+from .tables import BettiTable, DegreeSequence
 
 VERDICT_ALL_MAX = "AllMax"
 VERDICT_NONE_MAX = "NoneMax"
@@ -87,20 +95,34 @@ def first_nontrivial_strand(table: BettiTable) -> int | None:
     return min(rows) if rows else None
 
 
-def _verdict(per_p: tuple[ColumnComparison, ...], attain_range: range) -> tuple[str, int | None]:
-    for c in per_p:
-        if c.observed > c.bound:
-            return VERDICT_VIOLATION, c.p
-    attained = [c.p for c in per_p if c.p in attain_range and c.attains_max]
-    if len(attained) == len(attain_range):
-        return VERDICT_ALL_MAX, None
-    if not attained:
-        return VERDICT_NONE_MAX, None
-    return VERDICT_MIXED, attained[0]
+def _against_diagram(table: BettiTable, q: int, d: DegreeSequence) -> StrandReport:
+    """Row q of the table against pi(d), read as the module docstring says; no notes."""
+    diagram = pure_cells(d.degrees)
+    del diagram[(0, 0)]
+    per_p = []
+    for p in range(1, max(d.length, table.projective_dimension()) + 1):
+        observed, bound = table.entry(p, q), diagram.get((p, q))
+        per_p.append(ColumnComparison(p=p, observed=observed, bound=int(bound or 0),
+                                      attains_max=observed == bound))
+    exceeded = [c.p for c in per_p if c.observed > c.bound]
+    attained = [c.p for c in per_p if c.attains_max]
+    verdict_p = degree_predicted = shape_ok = None
+    if exceeded:
+        verdict, verdict_p = VERDICT_VIOLATION, exceeded[0]
+    elif len(attained) == sum(row == q for _, row in diagram):
+        verdict = VERDICT_ALL_MAX
+        degree_predicted = multiplicity(d)
+        shape_ok = {cell: v for cell, v in table.entries.items() if cell != (0, 0)} == diagram
+    elif attained:
+        verdict, verdict_p = VERDICT_MIXED, attained[0]
+    else:
+        verdict = VERDICT_NONE_MAX
+    return StrandReport(q_strand=q, per_p=tuple(per_p), verdict=verdict, verdict_p=verdict_p,
+                        degree_predicted=degree_predicted, shape_ok=shape_ok, notes=())
 
 
 def check_first_strand(table: BettiTable, assumptions: Assumptions, q: int) -> StrandReport:
-    """Compare row q against the bound C(p+q-1, q) * C(e+q, p+q).
+    """Compare row q against pi(family_deq(e, q)): the bound C(p+q-1, q) * C(e+q, p+q).
 
     Columns beyond the codimension must vanish; when every column attains the
     bound, the predicted degree C(e+q, q) and the pure-resolution shape test
@@ -109,37 +131,20 @@ def check_first_strand(table: BettiTable, assumptions: Assumptions, q: int) -> S
     e = assumptions.codim_e
     if q < 1:
         raise ValueError(f"strand index must be >= 1, got {q}")
-    width = max(e, table.projective_dimension())
-    per_p = tuple(
-        ColumnComparison(
-            p=p,
-            observed=table.entry(p, q),
-            bound=kappa_max(p, q, e),
-            attains_max=(1 <= p <= e and table.entry(p, q) == kappa_max(p, q, e)),
-        )
-        for p in range(1, width + 1))
-    verdict, verdict_p = _verdict(per_p, range(1, e + 1))
+    report = _against_diagram(table, q, family_deq(e, q))
     notes = []
-    degree_predicted = None
-    shape_ok = None
-    if verdict == VERDICT_ALL_MAX:
-        degree_predicted = Fraction(comb(e + q, q))
-        shape_ok = all(cell == (0, 0) or (1 <= cell[0] <= e and cell[1] == q)
-                       for cell in table.entries)
-        if not shape_ok:
-            notes.append("entries outside rows 0 and q prevent the pure resolution shape")
-    if verdict == VERDICT_VIOLATION and assumptions.nd_q:
+    if report.shape_ok is False:
+        notes.append("entries outside rows 0 and q prevent the pure resolution shape")
+    if report.verdict == VERDICT_VIOLATION and assumptions.nd_q:
         notes.append("bound exceeded although the vanishing hypothesis was asserted; "
                      "the assertion is false for this table")
-    if verdict == VERDICT_MIXED and assumptions.nd_q:
+    if report.verdict == VERDICT_MIXED and assumptions.nd_q:
         notes.append("some but not all columns attain the maximum, which cannot "
                      "happen under the asserted hypothesis")
     if table.projective_dimension() != e:
         notes.append(f"table width {table.projective_dimension()} differs from asserted "
                      f"codimension {e} (width is the unverified suggestion for ACM input)")
-    return StrandReport(q_strand=q, per_p=per_p, verdict=verdict, verdict_p=verdict_p,
-                        degree_predicted=degree_predicted, shape_ok=shape_ok,
-                        notes=tuple(notes))
+    return replace(report, notes=tuple(notes))
 
 
 def check_Ndm(table: BettiTable, d: int, m: int) -> bool:
@@ -153,13 +158,11 @@ def degree_bounds(e: int, q: int) -> int:
     """The degree bound C(e+q, q).  It is a lower bound when the caller asserts
     the vanishing hypothesis and an upper bound under the N_{q+1,e} vanishing
     pattern."""
-    if e < 1 or q < 1:
-        raise ValueError(f"need e >= 1 and q >= 1, got e={e}, q={q}")
-    return comb(e + q, q)
+    return int(multiplicity(family_deq(e, q)))
 
 
 def check_next_to_max(table: BettiTable, assumptions: Assumptions) -> StrandReport:
-    """Compare row 1 against the next-to-maximal bound p*C(e+1, p+1) - C(e, p-1).
+    """Compare row 1 against pi(family_tilde(e, 1)): the bound p*C(e+1, p+1) - C(e, p-1).
 
     Applies to tables whose first nontrivial strand is q = 1, with asserted
     codimension e >= 2; columns from e on must vanish in row 1.  When every
@@ -172,42 +175,25 @@ def check_next_to_max(table: BettiTable, assumptions: Assumptions) -> StrandRepo
     strand = first_nontrivial_strand(table)
     if strand != 1:
         raise ValueError(f"first nontrivial strand is {strand}, the bound needs q = 1")
-    width = max(e, table.projective_dimension())
-    per_p = tuple(
-        ColumnComparison(
-            p=p,
-            observed=table.entry(p, 1),
-            bound=kappa_next_max(p, e),
-            attains_max=(1 <= p <= e - 1 and table.entry(p, 1) == kappa_next_max(p, e)),
-        )
-        for p in range(1, width + 1))
-    verdict, verdict_p = _verdict(per_p, range(1, e))
+    d = family_tilde(e, 1)
+    report = _against_diagram(table, 1, d)
     notes = []
-    degree_predicted = None
-    shape_ok = None
-    if verdict == VERDICT_ALL_MAX:
-        degree_predicted = Fraction(e + 2)
-        shape_ok = (table.entry(e, 2) == 1
-                    and all(cell == (0, 0) or cell == (e, 2)
-                            or (1 <= cell[0] <= e - 1 and cell[1] == 1)
-                            for cell in table.entries))
-        if not shape_ok:
-            notes.append("shape with a single extra generator at (e, 2) does not hold")
+    if report.shape_ok is False:
+        notes.append("shape with a single extra generator at (e, 2) does not hold")
     if not assumptions.lgp:
         notes.append("linearly-general-position was not asserted; "
                      "the bound need not apply to this table")
+    almost_minimal = multiplicity(d)
     observed_degree = _degree_from_table(table, e)
     if observed_degree is not None:
-        if observed_degree < e + 2:
-            notes.append(f"decomposition gives degree {observed_degree} < {e + 2}, "
+        if observed_degree < almost_minimal:
+            notes.append(f"decomposition gives degree {observed_degree} < {almost_minimal}, "
                          "so the almost-minimal-degree hypothesis fails")
-    if verdict == VERDICT_VIOLATION and assumptions.lgp and (
-            observed_degree is None or observed_degree >= e + 2):
+    if report.verdict == VERDICT_VIOLATION and assumptions.lgp and (
+            observed_degree is None or observed_degree >= almost_minimal):
         notes.append("bound exceeded although linearly-general-position was asserted; "
                      "the assertion is false for this table")
-    return StrandReport(q_strand=1, per_p=per_p, verdict=verdict, verdict_p=verdict_p,
-                        degree_predicted=degree_predicted, shape_ok=shape_ok,
-                        notes=tuple(notes))
+    return replace(report, notes=tuple(notes))
 
 
 def _degree_from_table(table: BettiTable, e: int) -> Fraction | None:

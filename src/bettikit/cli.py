@@ -107,17 +107,17 @@ def cmd_decompose(args) -> int:
         return EXIT_INPUT
     try:
         decomposition = bs_decompose(table)
+        multiplicity = (None if args.codim is None
+                        else multiplicity_from_decomposition(decomposition, args.codim))
     except (NotInConeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     terms = decomposition.sorted_terms()
-    multiplicity = None
     if args.codim is not None:
         short = [d for _, d in terms if d.length < args.codim]
         if short:
             print(f"warning: {len(short)} term(s) shorter than codimension {args.codim}",
                   file=sys.stderr)
-        multiplicity = multiplicity_from_decomposition(decomposition, args.codim)
     if args.format == "json":
         payload = {"terms": [{"coefficient": str(c), "degrees": list(d.degrees)}
                              for c, d in terms]}
@@ -184,6 +184,7 @@ def cmd_check(args) -> int:
         assumptions = Assumptions(codim_e=args.codim, nd_q=args.assert_nd,
                                   lgp=args.assert_lgp)
         strand = first_nontrivial_strand(table)
+        ndm_holds = None if args.ndm is None else check_Ndm(table, *args.ndm)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -235,9 +236,8 @@ def cmd_check(args) -> int:
             payload["degree_upper"] = bound
     if args.ndm is not None:
         d, m = args.ndm
-        holds = check_Ndm(table, d, m)
-        lines.append(f"property N_{{{d},{m}}}: {'holds' if holds else 'fails'}")
-        payload[f"ndm_{d}_{m}"] = holds
+        lines.append(f"property N_{{{d},{m}}}: {'holds' if ndm_holds else 'fails'}")
+        payload[f"ndm_{d}_{m}"] = ndm_holds
     if args.out == "json":
         print(json.dumps(payload))
     else:

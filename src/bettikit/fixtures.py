@@ -37,7 +37,6 @@ class FixtureEntry:
     expected_multiplicity: Fraction | None = None
     expected_verdict: str | None = None
     next_to_max: bool = False
-    check_fields_agree: bool = False
     notes: str = ""
 
     def is_ideal(self) -> bool:
@@ -92,7 +91,6 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         expected_complete=True,
         codim=2,
         expected_verdict="AllMax",
-        check_fields_agree=True,
     ),
     FixtureEntry(
         name="veronese-p2",
@@ -102,7 +100,6 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         expected_complete=True,
         codim=3,
         expected_verdict="AllMax",
-        check_fields_agree=True,
     ),
     FixtureEntry(
         name="rnc-conic",
@@ -112,7 +109,6 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         expected_complete=True,
         codim=1,
         expected_verdict="AllMax",
-        check_fields_agree=True,
     ),
     FixtureEntry(
         name="rnc-quartic",
@@ -122,7 +118,6 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         expected_complete=True,
         codim=3,
         expected_verdict="AllMax",
-        check_fields_agree=True,
     ),
     FixtureEntry(
         name="rnc-quintic",
@@ -132,7 +127,6 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         expected_complete=True,
         codim=4,
         expected_verdict="AllMax",
-        check_fields_agree=True,
     ),
     FixtureEntry(
         name="rnc-sextic",
@@ -142,7 +136,6 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         expected_complete=True,
         codim=5,
         expected_verdict="AllMax",
-        check_fields_agree=True,
     ),
     FixtureEntry(
         name="ci-two-quadrics",
@@ -151,7 +144,6 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         expected_table=_table({(0, 0): 1, (1, 1): 2, (2, 2): 1}),
         expected_complete=True,
         codim=2,
-        check_fields_agree=True,
     ),
     FixtureEntry(
         name="ci-quadric-cubic",
@@ -160,7 +152,6 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         expected_table=_table({(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 3): 1}),
         expected_complete=True,
         codim=2,
-        check_fields_agree=True,
     ),
     FixtureEntry(
         name="hypersurface-cubic",
@@ -169,7 +160,6 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         expected_table=_table({(0, 0): 1, (1, 2): 1}),
         expected_complete=True,
         codim=1,
-        check_fields_agree=True,
     ),
 )
 
@@ -199,13 +189,12 @@ def run_fixture(entry: FixtureEntry) -> list[str]:
             problems.append(f"completeness flag {complete}, expected {entry.expected_complete}")
         if not hilbert_consistency(ideal, table, entry.qmax):
             problems.append("hilbert consistency failed")
-        if entry.check_fields_agree:
-            other = replace(ideal, char_p=None if ideal.char_p else DEFAULT_PRIME)
-            other_table, _ = betti_table(other, entry.qmax)
-            if other_table != table:
-                problems.append(
-                    f"field disagreement: {ideal.field_label()} gives {table!r}, "
-                    f"{other.field_label()} gives {other_table!r}")
+        other = replace(ideal, char_p=None if ideal.char_p else DEFAULT_PRIME)
+        other_table, _ = betti_table(other, entry.qmax)
+        if other_table != table:
+            problems.append(
+                f"field disagreement: {ideal.field_label()} gives {table!r}, "
+                f"{other.field_label()} gives {other_table!r}")
     else:
         table = BettiTable.from_text(load_text(entry.filename))
     try:

@@ -365,12 +365,9 @@ def hilbert_consistency(ideal: Ideal, table: BettiTable, q_max: int) -> bool:
     (1 - t)^{num_vars} * sum_q dim M_q t^q, coefficient by coefficient through
     degree q_max.
     """
-    lhs = [0] * (q_max + 1)
-    for (p, q), value in table.entries.items():
-        if p + q <= q_max:
-            if value.denominator != 1:
-                raise ValueError(f"non-integer entry {value} at (p={p}, q={q})")
-            lhs[p + q] += (-1 if p % 2 else 1) * value.numerator
+    lhs = BettiTable({(p, q): value for (p, q), value in table.entries.items()
+                      if p + q <= q_max}).hilbert_numerator()
+    lhs += [0] * (q_max + 1 - len(lhs))
     dims = [piece.dim for piece in islice(graded_pieces(ideal), q_max + 1)]
     n = ideal.num_vars
     rhs = []

@@ -201,6 +201,17 @@ def test_malformed_json_table_exits_cleanly(tmp_path, capsys, command, text):
     assert err.startswith(f"{bad}: ")
 
 
+@pytest.mark.parametrize("argv", [["check", "--codim", "2", "--ndm", "0,0"],
+                                  ["check", "--codim", "2", "--ndm", "1,-1"],
+                                  ["decompose", "--codim", "-1"]],
+                         ids=["ndm-d-zero", "ndm-m-negative", "decompose-negative-codim"])
+def test_out_of_range_numeric_flag_exits_cleanly(capsys, argv):
+    code, out, err = run(capsys, argv[0], fixture_path("veronese_projection.table"), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_check_violation_exit_code(capsys):
     code, out, _ = run(capsys, "check", fixture_path("veronese_projection.table"),
                        "--codim", "2", "--assert-nd")

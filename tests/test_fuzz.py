@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bettikit.cli import main
-from bettikit.fixtures import FIXTURES, load_text
+from bettikit.fixtures import FIXTURES, fixture_path, load_text
 from bettikit.polyring import IdealParseError, parse_ideal
 from bettikit.tables import BettiTable
 
-TABLE_TEXTS = [load_text(entry.filename) for entry in FIXTURES if not entry.is_ideal()]
+TABLE_FILES = [entry.filename for entry in FIXTURES if not entry.is_ideal()]
+TABLE_TEXTS = [load_text(filename) for filename in TABLE_FILES]
 TABLE_TEXTS.append(BettiTable.from_text(TABLE_TEXTS[0]).to_json())
 IDEAL_TEXTS = [load_text(entry.filename) for entry in FIXTURES if entry.is_ideal()]
 
@@ -57,3 +58,38 @@ def test_fuzzed_ideal_parses_or_raises_value_error(text):
         parse_ideal(text)
     except (IdealParseError, ValueError):
         pass
+
+
+NUMBERS = st.integers(-2, 3).map(str)
+OPTIONAL = st.none() | NUMBERS
+
+
+@st.composite
+def numeric_flag_argv(draw):
+    """A `check`, `decompose` or `betti` command line with numeric flags from -2 to 3."""
+    command = draw(st.sampled_from(("check", "decompose", "betti")))
+    if command == "betti":
+        return ["betti", fixture_path("twisted_cubic.ideal"), "--qmax", draw(NUMBERS)]
+    argv = [command, fixture_path(draw(st.sampled_from(TABLE_FILES)))]
+    if command == "decompose":
+        codim = draw(OPTIONAL)
+        return argv + ([] if codim is None else ["--codim", codim])
+    argv += ["--codim", draw(NUMBERS)]
+    q = draw(OPTIONAL)
+    if q is not None:
+        argv += ["--q", q]
+    if draw(st.booleans()):
+        argv += ["--ndm", f"{draw(NUMBERS)},{draw(NUMBERS)}"]
+    if draw(st.booleans()):
+        argv.append("--next-to-max")
+    return argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(argv=numeric_flag_argv())
+def test_cli_numeric_flags_exit_cleanly(argv):
+    try:
+        code = run_quietly(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2, 64)

@@ -221,6 +221,14 @@ def test_hilbert_consistency_detects_corruption():
     assert not hilbert_consistency(TWISTED_CUBIC, corrupted, 3)
 
 
+def test_hilbert_consistency_needs_integers_only_through_q_max():
+    table, _ = betti_table(TWISTED_CUBIC, 3)
+    # (2, 2) lies in degree 4 > q_max, so its entry is never read
+    assert hilbert_consistency(TWISTED_CUBIC, table + BettiTable({(2, 2): Fraction(1, 2)}), 3)
+    with pytest.raises(ValueError, match=r"non-integer entry 1/2 at \(p=1, q=2\)"):
+        hilbert_consistency(TWISTED_CUBIC, table + BettiTable({(1, 2): Fraction(1, 2)}), 3)
+
+
 def test_field_independence_on_fixtures():
     for ideal in (TWISTED_CUBIC, TWO_QUADRICS):
         rational, _ = betti_table(ideal, 3)
