@@ -22,7 +22,7 @@ ideal = parse_ideal(TWISTED_CUBIC)
 print("=== twisted cubic in P^3 ===")
 for q in range(4):
     piece = graded_piece(ideal, q)
-    print(f"dim M_{q} = {piece.dim}  (ambient {len(piece.basis)}, ideal rank {piece.ideal_dim})")
+    print(f"dim M_{q} = {piece.dim}  (ambient {piece.dim + piece.ideal_dim}, ideal rank {piece.ideal_dim})")
 
 table, complete = betti_table(ideal, 3)
 print("betti table (field:", ideal.field_label() + "):")

@@ -19,7 +19,7 @@ print("=== rational entries are the rule, not the exception ===")
 diagram = hk_diagram(DegreeSequence((0, 2, 4, 5)))
 print(diagram.table.to_text(), end="")
 print(f"multiplicity: {diagram.multiplicity}")
-cleared, scale = diagram.integer_cleared()
+cleared, scale = diagram.table.cleared()
 print(f"after clearing denominators (times {scale}):")
 print(cleared.to_text())
 

@@ -83,7 +83,7 @@ def cmd_pure(args) -> int:
     table = diagram.table
     scale = None
     if args.clear_denominators:
-        table, scale = diagram.integer_cleared()
+        table, scale = table.cleared()
     if args.out == "json":
         payload = table.to_json_dict()
         payload["degrees"] = list(d.degrees)
@@ -188,11 +188,12 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.q is not None and strand is not None and args.q != strand:
-        print(f"error: --q {args.q} does not match the first nontrivial strand {strand}",
-              file=sys.stderr)
+    if args.q is not None and args.q != strand:
+        problem = ("given, but the table has no nontrivial strand" if strand is None
+                   else f"does not match the first nontrivial strand {strand}")
+        print(f"error: --q {args.q} {problem}", file=sys.stderr)
         return EXIT_INPUT
-    q = args.q if args.q is not None else strand
+    q = strand
     lines = []
     payload: dict = {"codim": args.codim, "nd_q": args.assert_nd, "lgp": args.assert_lgp}
     report = None

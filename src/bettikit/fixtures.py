@@ -31,13 +31,11 @@ class FixtureEntry:
     filename: str
     qmax: int | None = None
     expected_table: tuple[tuple[tuple[int, int], Fraction], ...] | None = None
-    expected_complete: bool | None = None
     expected_terms: tuple[Term, ...] | None = None
     codim: int | None = None
     expected_multiplicity: Fraction | None = None
     expected_verdict: str | None = None
     next_to_max: bool = False
-    notes: str = ""
 
     def is_ideal(self) -> bool:
         return self.filename.endswith(".ideal")
@@ -47,7 +45,7 @@ def _table(cells: dict[tuple[int, int], int | Fraction]) -> tuple:
     return tuple(sorted((cell, Fraction(v)) for cell, v in cells.items()))
 
 
-def _pure_first_strand(e: int, kappas: dict[int, int]) -> dict[tuple[int, int], int]:
+def _pure_first_strand(kappas: dict[int, int]) -> dict[tuple[int, int], int]:
     cells = {(0, 0): 1}
     for p, v in kappas.items():
         cells[(p, 1)] = v
@@ -55,6 +53,7 @@ def _pure_first_strand(e: int, kappas: dict[int, int]) -> dict[tuple[int, int], 
 
 
 FIXTURES: tuple[FixtureEntry, ...] = (
+    # the second row exceeds the strand bound at every column
     FixtureEntry(
         name="veronese-projection",
         filename="veronese_projection.table",
@@ -66,8 +65,8 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         codim=2,
         expected_multiplicity=Fraction(4),
         expected_verdict="Violation",
-        notes="second row exceeds the strand bound at every column",
     ),
+    # the next-to-maximal bound fails at p = 2 without general position
     FixtureEntry(
         name="cubic-conic-union",
         filename="cubic_conic_union.table",
@@ -81,14 +80,12 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         expected_multiplicity=Fraction(5),
         expected_verdict="Violation",
         next_to_max=True,
-        notes="next-to-maximal bound fails at p = 2 without general position",
     ),
     FixtureEntry(
         name="twisted-cubic",
         filename="twisted_cubic.ideal",
         qmax=3,
-        expected_table=_table(_pure_first_strand(2, {1: 3, 2: 2})),
-        expected_complete=True,
+        expected_table=_table(_pure_first_strand({1: 3, 2: 2})),
         codim=2,
         expected_verdict="AllMax",
     ),
@@ -96,8 +93,7 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         name="veronese-p2",
         filename="veronese_p2.ideal",
         qmax=3,
-        expected_table=_table(_pure_first_strand(3, {1: 6, 2: 8, 3: 3})),
-        expected_complete=True,
+        expected_table=_table(_pure_first_strand({1: 6, 2: 8, 3: 3})),
         codim=3,
         expected_verdict="AllMax",
     ),
@@ -105,8 +101,7 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         name="rnc-conic",
         filename="rnc_e1.ideal",
         qmax=3,
-        expected_table=_table(_pure_first_strand(1, {1: 1})),
-        expected_complete=True,
+        expected_table=_table(_pure_first_strand({1: 1})),
         codim=1,
         expected_verdict="AllMax",
     ),
@@ -114,8 +109,7 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         name="rnc-quartic",
         filename="rnc_e3.ideal",
         qmax=3,
-        expected_table=_table(_pure_first_strand(3, {1: 6, 2: 8, 3: 3})),
-        expected_complete=True,
+        expected_table=_table(_pure_first_strand({1: 6, 2: 8, 3: 3})),
         codim=3,
         expected_verdict="AllMax",
     ),
@@ -123,8 +117,7 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         name="rnc-quintic",
         filename="rnc_e4.ideal",
         qmax=3,
-        expected_table=_table(_pure_first_strand(4, {1: 10, 2: 20, 3: 15, 4: 4})),
-        expected_complete=True,
+        expected_table=_table(_pure_first_strand({1: 10, 2: 20, 3: 15, 4: 4})),
         codim=4,
         expected_verdict="AllMax",
     ),
@@ -132,8 +125,7 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         name="rnc-sextic",
         filename="rnc_e5.ideal",
         qmax=3,
-        expected_table=_table(_pure_first_strand(5, {1: 15, 2: 40, 3: 45, 4: 24, 5: 5})),
-        expected_complete=True,
+        expected_table=_table(_pure_first_strand({1: 15, 2: 40, 3: 45, 4: 24, 5: 5})),
         codim=5,
         expected_verdict="AllMax",
     ),
@@ -142,7 +134,6 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         filename="ci_two_quadrics.ideal",
         qmax=4,
         expected_table=_table({(0, 0): 1, (1, 1): 2, (2, 2): 1}),
-        expected_complete=True,
         codim=2,
     ),
     FixtureEntry(
@@ -150,7 +141,6 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         filename="ci_quadric_cubic.ideal",
         qmax=5,
         expected_table=_table({(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 3): 1}),
-        expected_complete=True,
         codim=2,
     ),
     FixtureEntry(
@@ -158,7 +148,6 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         filename="hypersurface_cubic.ideal",
         qmax=4,
         expected_table=_table({(0, 0): 1, (1, 2): 1}),
-        expected_complete=True,
         codim=1,
     ),
 )
@@ -185,8 +174,8 @@ def run_fixture(entry: FixtureEntry) -> list[str]:
         expected = BettiTable(dict(entry.expected_table))
         if table != expected:
             problems.append(f"table mismatch: got {table!r}, expected {expected!r}")
-        if entry.expected_complete is not None and complete != entry.expected_complete:
-            problems.append(f"completeness flag {complete}, expected {entry.expected_complete}")
+        if not complete:
+            problems.append("completeness flag False, expected True")
         if not hilbert_consistency(ideal, table, entry.qmax):
             problems.append("hilbert consistency failed")
         other = replace(ideal, char_p=None if ideal.char_p else DEFAULT_PRIME)

@@ -33,17 +33,19 @@ variable costs only its pieces up to the degree where the identity fails.
 `graded_piece`, `koszul_differential` and `betti_number` never cut.
 
 All that differs between QQ and GF(p) is the field object `linalg.field`.
-Pieces and ranks are local values of the computation that needs them
-(`graded_pieces`, `_betti_entries`); no function writes into its arguments.
+A piece is a plain value: only the chain `graded_pieces` steps degrees, and
+it hands each step the leads of the piece two below.  Pieces and ranks are
+local values of the computation that needs them (`graded_pieces`,
+`_betti_entries`); `koszul_differential` reads the two pieces it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 from .linalg import SparseMatrix, field, reduced_echelon
 from .polyring import Ideal, Monomial, Poly, mono_times_var, monomials_of_degree, poly_degree
@@ -54,19 +56,14 @@ from .tables import BettiTable
 class GradedPiece:
     """The degree-q slice M_q = S_q / I_q with a reduction rule into it.
 
-    `basis` is every monomial of S_q, `standard` the non-pivot ones that give
-    a basis of M_q, and `rewrite` sends each pivot monomial to its normal form
-    (a combination of standard monomials).  dim M_q = dim S_q - rank I_q.
-    `leads_below` is in(I_{q-1}), the pivot monomials of the piece below,
-    which `_next_piece` reads to skip products; it is not compared, and an
-    empty or partial set only makes `_next_piece` keep more rows.
+    `standard` is the non-pivot monomials of S_q, a basis of M_q, and
+    `rewrite` sends each pivot monomial, a lead of I_q, to its normal form (a
+    combination of standard monomials).  dim M_q = dim S_q - rank I_q.
     """
 
     q: int
-    basis: tuple[Monomial, ...]
     standard: tuple[Monomial, ...]
     rewrite: dict[Monomial, dict[Monomial, Fraction | int]]
-    leads_below: frozenset[Monomial] = dataclass_field(default=frozenset(), compare=False)
 
     @property
     def dim(self) -> int:
@@ -87,13 +84,14 @@ class GradedPiece:
         return {m: c for m, v in out.items() if (c := F.coeff(v))}
 
 
-def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
+def _next_piece(ideal: Ideal, below: GradedPiece,
+                leads_below: frozenset[Monomial]) -> GradedPiece:
     """The piece of degree q + 1, given the piece `below` of degree q.
 
     Its rows are the generators of degree exactly q + 1 and the products
     x_v * r_m, where r_m = m - sum(rule) is a rewrite rule of `below` with
     lead m, for v <= w(m): the smallest w with x_w | m and m / x_w in
-    in(I_{q-1}) (`below.leads_below`), or n - 1 when there is none.
+    in(I_{q-1}) (`leads_below`), or n - 1 when there is none.
 
     All products x_v * r_m and the generators of degree q + 1 span I_{q+1},
     because I_{q+1} = S_1 * I_q + k * {generators of degree q + 1}: for
@@ -114,13 +112,12 @@ def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
     induction on t; and x_w * r_{x_v u} has lead t and w < v, so it is in W
     by induction on v.  This is the product criterion of Gebauer and Moller
     (J. Symb. Comput. 6, 1988) read degree by degree, the trivial-syzygy rule
-    of Faugere's F5.  An empty or partial `leads_below` only raises w(m), so
-    pieces built elsewhere (the zero piece of degree -1, a Macaulay-matrix
-    piece) stay correct.
+    of Faugere's F5.  A subset of in(I_{q-1}) only raises w(m), so the
+    piece is still correct, with more rows.
 
     The fully reduced echelon of a fixed span in a fixed column order is
-    unique, so `basis`, `standard` and `rewrite` are the same, value for
-    value, as from row-reducing every m * g of degree q + 1.  The rows are
+    unique, so `standard` and `rewrite` are the same, value for value, as
+    from row-reducing every m * g of degree q + 1.  The rows are
     also short: each has at most 1 + dim M_q terms, and above the socle
     every row is a single monomial.
 
@@ -133,7 +130,6 @@ def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
     F = field(ideal.char_p)
     basis = monomials_of_degree(n, q)
     index = {mono: i for i, mono in enumerate(basis)}
-    leads_below = below.leads_below
     rows = []
     for lead, rule in below.rewrite.items():
         terms = F.row({lead: F.one, **{mono: -value for mono, value in rule.items()}})
@@ -150,19 +146,19 @@ def _next_piece(ideal: Ideal, below: GradedPiece) -> GradedPiece:
     rewrite = {basis[lead]: {basis[col]: F.coeff(-value)
                              for col, value in row.items() if col != lead}
                for lead, row in pivots.items()}
-    return GradedPiece(q=q, basis=basis, standard=standard, rewrite=rewrite,
-                       leads_below=frozenset(below.rewrite))
+    return GradedPiece(q=q, standard=standard, rewrite=rewrite)
 
 
 def graded_pieces(ideal: Ideal) -> Iterator[GradedPiece]:
     """M_0, M_1, M_2, ... of S/I, each stepped up from the one below.
 
     The first step starts from S_{-1} = 0, so a generator of degree 0 gives
-    I_0 = S_0 like any other.
+    I_0 = S_0 like any other.  Each step is given the leads of the piece two
+    below, in(I_{q-1}), so every step applies the product criterion.
     """
-    piece = GradedPiece(q=-1, basis=(), standard=(), rewrite={})
+    piece, leads = GradedPiece(q=-1, standard=(), rewrite={}), frozenset()
     while True:
-        piece = _next_piece(ideal, piece)
+        piece, leads = _next_piece(ideal, piece, leads), frozenset(piece.rewrite)
         yield piece
 
 
@@ -174,11 +170,11 @@ def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
 
 
 def koszul_differential(ideal: Ideal, p: int, q: int,
-                        pieces: dict[int, GradedPiece] | None = None) -> SparseMatrix:
+                        pieces: Sequence[GradedPiece] | Mapping[int, GradedPiece]) -> SparseMatrix:
     """Matrix of wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, rows = domain basis.
 
-    Pieces q and q + 1 are read from `pieces` when it holds them and built
-    otherwise; `pieces` is never written.  The image of x_v * m for a
+    M_q and M_{q+1} are read as `pieces[q]` and `pieces[q + 1]`, from a list
+    or dict of the pieces of `ideal` by degree.  The image of x_v * m for a
     standard monomial m of M_q is its rewrite rule in M_{q+1}, or x_v * m
     itself when that is standard.  For a fixed wedge the j-th terms land in
     distinct codomain wedges, so no two terms of a row share a column and
@@ -187,9 +183,7 @@ def koszul_differential(ideal: Ideal, p: int, q: int,
     if p < 0 or q < 0:
         raise ValueError(f"need p >= 0 and q >= 0, got p={p}, q={q}")
     n = ideal.num_vars
-    pieces = pieces or {}
-    source = pieces.get(q) or graded_piece(ideal, q)
-    target = pieces.get(q + 1) or _next_piece(ideal, source)
+    source, target = pieces[q], pieces[q + 1]
     domain_wedges = list(combinations(range(n), p))
     codomain_wedges = list(combinations(range(n), p - 1)) if p >= 1 else []
     nrows = len(domain_wedges) * source.dim
@@ -219,7 +213,7 @@ def koszul_differential(ideal: Ideal, p: int, q: int,
     return SparseMatrix(nrows, ncols, rows)
 
 
-def _betti_entries(ideal: Ideal, pieces: dict[int, GradedPiece],
+def _betti_entries(ideal: Ideal, pieces: list[GradedPiece],
                    cells: list[tuple[int, int]]) -> dict[tuple[int, int], Fraction]:
     """The nonzero kappa_{p,q} among `cells` (p <= num_vars), each rank built once.
 
@@ -246,7 +240,7 @@ def betti_number(ideal: Ideal, p: int, q: int) -> int:
         raise ValueError(f"need p >= 0 and q >= 0, got p={p}, q={q}")
     if p > ideal.num_vars:
         return 0
-    pieces = dict(enumerate(islice(graded_pieces(ideal), q + 2)))
+    pieces = list(islice(graded_pieces(ideal), q + 2))
     return int(_betti_entries(ideal, pieces, [(p, q)]).get((p, q), 0))
 
 
@@ -271,7 +265,7 @@ def _cut(ideal: Ideal, var: int) -> Ideal:
     return Ideal(ideal.num_vars - 1, tuple(generators), ideal.char_p)
 
 
-def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, dict[int, GradedPiece]]:
+def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[GradedPiece]]:
     """Cut by variables injective on M = S/I through degree q_max + 2, as long as any is.
 
     Returns the cut ideal, whose rows q <= q_max of the betti table equal
@@ -333,7 +327,7 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, dict[int, G
                 break
         else:
             break
-    return ideal, dict(enumerate(pieces))
+    return ideal, pieces
 
 
 def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:

@@ -31,10 +31,6 @@ class PureDiagram:
     table: BettiTable
     multiplicity: Fraction
 
-    def integer_cleared(self) -> tuple[BettiTable, int]:
-        """The diagram scaled by the lcm of its denominators, with the scale."""
-        return self.table.cleared()
-
 
 def multiplicity(d: DegreeSequence) -> Fraction:
     """e(d) = (1/l!) * prod(d_k - d_0) over k >= 1."""

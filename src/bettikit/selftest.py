@@ -145,7 +145,7 @@ def sweep_hilbert_divisibility(e_max: int = 5, q_max: int = 3, slack: int = 2) -
         for q in range(1, q_max + 1):
             for d in _sequences(e, q + 1, q + e + slack):
                 cases += 1
-                cleared, _ = hk_diagram(d).integer_cleared()
+                cleared, _ = hk_diagram(d).table.cleared()
                 coeffs = cleared.hilbert_numerator()
                 for _ in range(d.length):
                     coeffs = _divide_by_one_minus_t(coeffs)
@@ -192,7 +192,7 @@ def sweep_square_zero(trials: int = 10, seed: int = 20240, q_max: int = 4) -> Sw
     failures = []
     for _ in range(trials):
         ideal = random_ideal(rng)
-        pieces = dict(enumerate(islice(graded_pieces(ideal), q_max + 3)))
+        pieces = list(islice(graded_pieces(ideal), q_max + 3))
         for q in range(q_max + 1):
             for p in range(1, ideal.num_vars + 2):
                 cases += 1
@@ -206,7 +206,7 @@ def sweep_square_zero(trials: int = 10, seed: int = 20240, q_max: int = 4) -> Sw
 
 def uncut_table(ideal: Ideal, q_max: int) -> BettiTable:
     """Rows 0..q_max computed in all of the ideal's variables, with no cut."""
-    pieces = dict(enumerate(islice(graded_pieces(ideal), q_max + 2)))
+    pieces = list(islice(graded_pieces(ideal), q_max + 2))
     cells = [(p, q) for q in range(q_max + 1) for p in range(ideal.num_vars + 1)]
     return BettiTable(_betti_entries(ideal, pieces, cells))
 

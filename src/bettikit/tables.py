@@ -105,9 +105,6 @@ class BettiTable:
     def entry(self, p: int, q: int) -> Fraction:
         return self._entries.get((p, q), Fraction(0))
 
-    def cells(self) -> list[Cell]:
-        return sorted(self._entries)
-
     def is_zero(self) -> bool:
         return not self._entries
 

@@ -269,6 +269,15 @@ def test_check_trivial_table(tmp_path, capsys):
     assert "nothing to check" in out
 
 
+def test_check_q_on_table_without_strand(tmp_path, capsys):
+    table = tmp_path / "free.table"
+    table.write_text("0: 1\n")
+    code, out, err = run(capsys, "check", str(table), "--codim", "2", "--q", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --q 2 given, but the table has no nontrivial strand\n"
+
+
 def test_fixtures_all_pass(capsys):
     code, out, _ = run(capsys, "fixtures")
     assert code == 0

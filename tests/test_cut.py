@@ -114,7 +114,7 @@ def test_cut_pieces_are_iterated_differences(char_p):
         dims = [graded_piece(ideal, j).dim for j in range(top + 1)]
         for _ in range(ideal.num_vars - cut.num_vars):
             dims = [dim - (dims[j - 1] if j else 0) for j, dim in enumerate(dims)]
-        cut_dims = [(pieces[j] if j in pieces else graded_piece(cut, j)).dim
+        cut_dims = [(pieces[j] if j < len(pieces) else graded_piece(cut, j)).dim
                     for j in range(top + 1)]
         assert cut_dims == dims, entry.name
 

@@ -1,5 +1,10 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs against the package in src/ and prints its recorded output.
 
+`demos_golden.json` holds the stdout each demo printed when it was recorded,
+so any change in what a demo prints shows here.
+"""
+
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("betti_from_ideal", "peeling_walkthrough", "pure_diagrams", "strand_bounds")
+GOLDEN = json.loads((ROOT / "tests" / "demos_golden.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", DEMOS)
@@ -17,6 +23,7 @@ def test_demo_runs(name):
     result = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
                             cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    assert result.stdout == GOLDEN[name]
 
 
 def test_cli_output_survives_python_optimize():

@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bettikit.decompose import bs_decompose
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import (betti_number, betti_table, graded_piece,
+from bettikit.koszul import (betti_number, betti_table, graded_piece, graded_pieces,
                              hilbert_consistency, koszul_differential)
 from bettikit.linalg import SparseMatrix
 from bettikit.polyring import Ideal, mono_times_var, parse_ideal, parse_polynomial
@@ -30,12 +30,13 @@ TWO_QUADRICS = ideal_from(2, ["x0^2", "x1^2"])
 def test_graded_piece_two_quadrics():
     assert graded_piece(TWO_QUADRICS, 2).dim == 1
     assert graded_piece(TWO_QUADRICS, 3).dim == 0
-    assert graded_piece(TWO_QUADRICS, 2).basis == ((2, 0), (1, 1), (0, 2))
+    assert graded_piece(TWO_QUADRICS, 2).standard == ((1, 1),)
+    assert set(graded_piece(TWO_QUADRICS, 2).rewrite) == {(2, 0), (0, 2)}
 
 
 def test_graded_piece_twisted_cubic():
     piece = graded_piece(TWISTED_CUBIC, 2)
-    assert len(piece.basis) == 10
+    assert piece.dim + piece.ideal_dim == 10
     assert piece.ideal_dim == 3
     assert piece.dim == 7
 
@@ -57,7 +58,7 @@ def test_normal_form_lands_on_standard_monomials():
 def test_differential_on_linear_forms():
     # with no linear forms in the ideal, V (x) M_0 -> M_1 is the inclusion of V
     no_linear = ideal_from(3, ["x0^2 + x1*x2"])
-    matrix = koszul_differential(no_linear, 1, 0)
+    matrix = koszul_differential(no_linear, 1, 0, list(islice(graded_pieces(no_linear), 2)))
     assert matrix.nrows == 3
     assert matrix.rank(None) == 3
 
@@ -71,7 +72,7 @@ def test_full_koszul_complex_exact():
 
 
 def test_square_zero_on_fixture():
-    pieces = {}
+    pieces = list(islice(graded_pieces(TWISTED_CUBIC), 5))
     for p in range(1, 5):
         for q in range(0, 3):
             outer = koszul_differential(TWISTED_CUBIC, p, q, pieces)
@@ -80,16 +81,16 @@ def test_square_zero_on_fixture():
 
 
 def test_koszul_differential_does_not_write_pieces():
-    full = {q: graded_piece(TWISTED_CUBIC, q) for q in range(3)}
+    chain = list(islice(graded_pieces(TWISTED_CUBIC), 3))
+    full = dict(enumerate(chain))
     expected = koszul_differential(TWISTED_CUBIC, 2, 1, full)
-    empty = {}
-    assert koszul_differential(TWISTED_CUBIC, 2, 1, empty) == expected
-    assert empty == {}
-    for held in ({1: full[1]}, {2: full[2]}):
-        before = dict(held)
+    for held in (full, chain):
+        keys = list(range(len(held)))
+        before = [held[q] for q in keys]
         assert koszul_differential(TWISTED_CUBIC, 2, 1, held) == expected
-        assert held.keys() == before.keys()
-        assert all(held[q] is before[q] for q in before)
+        assert len(held) == len(before)
+        assert all(held[q] is before[q] for q in keys)
+    assert full.keys() == {0, 1, 2}
 
 
 def oracle_differential(ideal, p, q, pieces):

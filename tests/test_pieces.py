@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import GradedPiece, _next_piece, graded_piece
+from bettikit.koszul import GradedPiece, _next_piece, graded_piece, graded_pieces
 from bettikit.linalg import field, reduced_echelon, rref
 from bettikit.polyring import (Ideal, mono_mul, monomials_of_degree, parse_ideal,
                                parse_polynomial, poly_degree)
@@ -54,7 +55,7 @@ def macaulay_piece(ideal, q):
         rewrite[basis[lead]] = {
             basis[col]: (-value) if ideal.char_p is None else (-value) % ideal.char_p
             for col, value in row.items() if col != lead}
-    return GradedPiece(q=q, basis=basis, standard=standard, rewrite=rewrite)
+    return GradedPiece(q=q, standard=standard, rewrite=rewrite)
 
 
 @st.composite
@@ -86,8 +87,8 @@ def homogeneous_ideals(draw):
 def test_graded_piece_matches_macaulay_matrix(ideal, q):
     oracle = macaulay_piece(ideal, q)
     assert graded_piece(ideal, q) == oracle
-    # the oracle records no leads below it, so this step keeps every product
-    assert _next_piece(ideal, oracle) == graded_piece(ideal, q + 1)
+    # with no leads below, this step keeps every product
+    assert _next_piece(ideal, oracle, frozenset()) == graded_piece(ideal, q + 1)
 
 
 @pytest.mark.parametrize("char_p", FIELDS)
@@ -96,6 +97,7 @@ def test_next_piece_skips_products_explained_below(char_p, monkeypatch):
     ideal = replace(parse_ideal(load_text(entry.filename)), char_p=char_p)
     q = entry.qmax + 1
     below = graded_piece(ideal, q)
+    leads_below = frozenset(graded_piece(ideal, q - 1).rewrite)
     given = []
 
     def counting_echelon(rows, *rest):
@@ -103,9 +105,27 @@ def test_next_piece_skips_products_explained_below(char_p, monkeypatch):
         return reduced_echelon(rows, *rest)
 
     monkeypatch.setattr(koszul, "reduced_echelon", counting_echelon)
-    piece = _next_piece(ideal, below)
+    piece = _next_piece(ideal, below, leads_below)
     assert given[0] < ideal.num_vars * below.ideal_dim
     assert piece == macaulay_piece(ideal, q + 1)
+
+
+@pytest.mark.parametrize("char_p", FIELDS)
+def test_graded_pieces_chain_skips_products_explained_below(char_p, monkeypatch):
+    # the chain itself hands each step the leads below, not only a direct call
+    entry = next(e for e in FIXTURES if e.name == "rnc-quintic")
+    ideal = replace(parse_ideal(load_text(entry.filename)), char_p=char_p)
+    given = []
+
+    def counting_echelon(rows, *rest):
+        given.append(len(rows))
+        return reduced_echelon(rows, *rest)
+
+    monkeypatch.setattr(koszul, "reduced_echelon", counting_echelon)
+    pieces = list(islice(graded_pieces(ideal), entry.qmax + 3))
+    assert len(given) == entry.qmax + 3
+    assert given[-1] < ideal.num_vars * pieces[-2].ideal_dim
+    assert pieces[-1] == macaulay_piece(ideal, entry.qmax + 2)
 
 
 def power(poly, exponent):
@@ -129,13 +149,11 @@ def test_complete_intersection_345_pieces(char_p):
     # powers of the rows of a unimodular matrix: a complete intersection in every field
     ideal = Ideal(num_vars=3, char_p=char_p, generators=(
         power(linear(1, 1, 1), 3), power(linear(1, 2, 2), 4), power(linear(1, 2, 3), 5)))
-    pieces = [graded_piece(ideal, 0)]
-    for _ in range(13):
-        pieces.append(_next_piece(ideal, pieces[-1]))
+    pieces = list(islice(graded_pieces(ideal), 14))
     assert [piece.q for piece in pieces] == list(range(14))
     assert [piece.dim for piece in pieces[:10]] == [1, 3, 6, 9, 11, 11, 9, 6, 3, 1]
     for piece in pieces[10:]:
         assert piece.standard == ()
-        assert set(piece.rewrite) == set(piece.basis)
+        assert set(piece.rewrite) == set(monomials_of_degree(3, piece.q))
         assert all(rule == {} for rule in piece.rewrite.values())
     assert pieces[13] == graded_piece(ideal, 13) == macaulay_piece(ideal, 13)

@@ -63,7 +63,7 @@ def test_one_entry_per_column():
 
 
 def test_integer_cleared():
-    table, scale = hk_diagram(DegreeSequence((0, 2, 4, 5))).integer_cleared()
+    table, scale = hk_diagram(DegreeSequence((0, 2, 4, 5))).table.cleared()
     assert scale == 3
     assert table == BettiTable({(0, 0): 3, (1, 1): 10, (2, 2): 15, (3, 2): 8})
 
