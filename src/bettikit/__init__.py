@@ -10,10 +10,10 @@ arithmetic; there is no floating point anywhere.
 from .bounds import (Assumptions, ColumnComparison, StrandReport, check_first_strand,
                      check_Ndm, check_next_to_max, degree_bounds, first_nontrivial_strand)
 from .decompose import (Decomposition, NoColumnError, NotInConeError,
-                        StrandNotIncreasingError, bs_decompose, chain_check,
+                        StrandNotIncreasingError, bs_decompose,
                         multiplicity_from_decomposition, top_strand)
-from .koszul import (GradedPiece, betti_number, betti_table, graded_piece,
-                     hilbert_consistency, koszul_differential)
+from .koszul import (GradedPiece, betti_table, graded_piece, hilbert_consistency,
+                     koszul_differential)
 from .polyring import Ideal, IdealParseError, parse_ideal, parse_polynomial
 from .pure import (PureDiagram, family_deq, family_tilde, hk_diagram, kappa_max,
                    kappa_next_max, multiplicity)
@@ -26,7 +26,7 @@ __all__ = [
     "GradedPiece", "Ideal", "IdealParseError", "NegativeEntryError", "NoColumnError",
     "NotInConeError", "PureDiagram", "StrandNotIncreasingError", "StrandReport",
     "TableParseError",
-    "betti_number", "betti_table", "bs_decompose", "chain_check", "check_Ndm",
+    "betti_table", "bs_decompose", "check_Ndm",
     "check_first_strand", "check_next_to_max", "degree_bounds", "family_deq",
     "family_tilde", "first_nontrivial_strand", "graded_piece", "hilbert_consistency",
     "hk_diagram", "kappa_max", "kappa_next_max", "koszul_differential",

@@ -188,20 +188,14 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.q is not None and args.q != strand:
-        problem = ("given, but the table has no nontrivial strand" if strand is None
-                   else f"does not match the first nontrivial strand {strand}")
-        print(f"error: --q {args.q} {problem}", file=sys.stderr)
-        return EXIT_INPUT
-    q = strand
     lines = []
     payload: dict = {"codim": args.codim, "nd_q": args.assert_nd, "lgp": args.assert_lgp}
     report = None
     try:
         if args.next_to_max:
             report = check_next_to_max(table, assumptions)
-        elif q is not None:
-            report = check_first_strand(table, assumptions, q)
+        elif strand is not None:
+            report = check_first_strand(table, assumptions, strand)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -226,13 +220,13 @@ def cmd_check(args) -> int:
         for note in report.notes:
             lines.append(f"note: {note}")
         payload["report"] = report.to_json_dict()
-    if q is not None:
-        bound = degree_bounds(args.codim, q)
+    if strand is not None:
+        bound = degree_bounds(args.codim, strand)
         if args.assert_nd:
             lines.append(f"degree >= {bound} (asserted vanishing hypothesis)")
             payload["degree_lower"] = bound
-        if check_Ndm(table, q + 1, args.codim):
-            lines.append(f"degree <= {bound} (table satisfies the N_{{{q + 1},{args.codim}}} "
+        if check_Ndm(table, strand + 1, args.codim):
+            lines.append(f"degree <= {bound} (table satisfies the N_{{{strand + 1},{args.codim}}} "
                          "vanishing pattern)")
             payload["degree_upper"] = bound
     if args.ndm is not None:
@@ -314,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="check a table against the strand bounds")
     p_check.add_argument("table_file")
     p_check.add_argument("--codim", type=int, required=True)
-    p_check.add_argument("--q", type=int, default=None)
     p_check.add_argument("--assert-nd", action="store_true",
                          help="assert the vanishing-on-sections hypothesis")
     p_check.add_argument("--assert-lgp", action="store_true",

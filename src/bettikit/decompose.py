@@ -58,9 +58,6 @@ class Decomposition:
                 raise ValueError(f"duplicate degree sequence {d}")
             seen.add(d.degrees)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def __iter__(self):
         return iter(self.terms)
 
@@ -145,13 +142,3 @@ def multiplicity_from_decomposition(decomposition: Decomposition, codim_length: 
             total += coefficient * multiplicity(d)
     return total
 
-
-def chain_check(decomposition: Decomposition) -> bool:
-    """True iff consecutive terms have non-increasing length and compare termwise."""
-    terms = decomposition.terms
-    for (_, a), (_, b) in zip(terms, terms[1:]):
-        if a.length < b.length:
-            return False
-        if any(a[k] > b[k] for k in range(len(b))):
-            return False
-    return True

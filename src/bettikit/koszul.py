@@ -30,7 +30,7 @@ through degree q_max + 2 (see `_cut_regular_variables`), so the differentials
 it builds live in fewer variables.  The certificate is the Hilbert function
 of the cut ring, dim M'_j = dim M_j - dim M_{j-1}, not a rank, so a rejected
 variable costs only its pieces up to the degree where the identity fails.
-`graded_piece`, `koszul_differential` and `betti_number` never cut.
+`graded_piece`, `koszul_differential` and `selftest.uncut_table` never cut.
 
 All that differs between QQ and GF(p) is the field object `linalg.field`.
 A piece is a plain value: only the chain `graded_pieces` steps degrees, and
@@ -48,7 +48,7 @@ from math import comb
 from typing import Iterator, Mapping, Sequence
 
 from .linalg import SparseMatrix, field, reduced_echelon
-from .polyring import Ideal, Monomial, Poly, mono_times_var, monomials_of_degree, poly_degree
+from .polyring import Ideal, Monomial, mono_times_var, monomials_of_degree, poly_degree
 from .tables import BettiTable
 
 
@@ -72,16 +72,6 @@ class GradedPiece:
     @property
     def ideal_dim(self) -> int:
         return len(self.rewrite)
-
-    def normal_form(self, poly: Poly, char_p: int | None) -> dict[Monomial, Fraction | int]:
-        """Reduce a degree-q polynomial modulo I_q, in standard-monomial coordinates."""
-        F = field(char_p)
-        out: dict[Monomial, Fraction | int] = {}
-        for mono, raw in poly.items():
-            coeff = F.coeff(Fraction(raw))
-            for target, factor in self.rewrite.get(mono, {mono: F.one}).items():
-                out[target] = out.get(target, 0) + coeff * factor
-        return {m: c for m, v in out.items() if (c := F.coeff(v))}
 
 
 def _next_piece(ideal: Ideal, below: GradedPiece,
@@ -213,35 +203,24 @@ def koszul_differential(ideal: Ideal, p: int, q: int,
     return SparseMatrix(nrows, ncols, rows)
 
 
-def _betti_entries(ideal: Ideal, pieces: list[GradedPiece],
-                   cells: list[tuple[int, int]]) -> dict[tuple[int, int], Fraction]:
-    """The nonzero kappa_{p,q} among `cells` (p <= num_vars), each rank built once.
+def _betti_entries(ideal: Ideal, pieces: list[GradedPiece], q_max: int) -> BettiTable:
+    """Rows 0..q_max of the betti table of `ideal` in all its variables.
 
-    `pieces` holds M_0 through M_{q+1} for every cell (p, q).
+    `pieces` holds M_0 through M_{q_max+1}.  Each of the (n+1)(q_max+1)
+    differentials is built once: a cell (p, q) also needs the rank at
+    (p+1, q-1), which lies in the grid or is zero.
     """
     n = ideal.num_vars
-    needed = dict.fromkeys(cell for p, q in cells for cell in ((p, q), (p + 1, q - 1))
-                           if cell[0] <= n and cell[1] >= 0)
     ranks = {(p, q): koszul_differential(ideal, p, q, pieces).rank(ideal.char_p)
-             for p, q in needed}
+             for q in range(q_max + 1) for p in range(n + 1)}
     entries = {}
-    for p, q in cells:
-        kappa = comb(n, p) * pieces[q].dim - ranks[(p, q)] - ranks.get((p + 1, q - 1), 0)
+    for (p, q), rank in ranks.items():
+        kappa = comb(n, p) * pieces[q].dim - rank - ranks.get((p + 1, q - 1), 0)
         if kappa < 0:
             raise RuntimeError(f"negative cohomology dimension at (p={p}, q={q})")
         if kappa:
             entries[(p, q)] = Fraction(kappa)
-    return entries
-
-
-def betti_number(ideal: Ideal, p: int, q: int) -> int:
-    """kappa_{p,q} = dim ker(delta_{p,q}) - rank(delta_{p+1,q-1})."""
-    if p < 0 or q < 0:
-        raise ValueError(f"need p >= 0 and q >= 0, got p={p}, q={q}")
-    if p > ideal.num_vars:
-        return 0
-    pieces = list(islice(graded_pieces(ideal), q + 2))
-    return int(_betti_entries(ideal, pieces, [(p, q)]).get((p, q), 0))
+    return BettiTable(entries)
 
 
 def _in_field(ideal: Ideal) -> Ideal:
@@ -345,10 +324,8 @@ def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:
     if q_max < 1:
         raise ValueError(f"need q_max >= 1, got {q_max}")
     ideal, pieces = _cut_regular_variables(_in_field(ideal), q_max)
-    cells = [(p, q) for q in range(q_max + 1) for p in range(ideal.num_vars + 1)]
-    entries = _betti_entries(ideal, pieces, cells)
-    table = BettiTable(entries)
-    complete = not any(q in (q_max, q_max - 1) for _, q in entries)
+    table = _betti_entries(ideal, pieces, q_max)
+    complete = not any(q in (q_max, q_max - 1) for _, q in table.entries)
     return table, complete
 
 

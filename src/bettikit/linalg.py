@@ -10,8 +10,8 @@ One forward elimination (`_echelon`) serves `SparseMatrix.rank`, the number
 of echelon rows, and `reduced_echelon`, which back-substitutes the echelon.
 It reduces each new row against the pivot rows found so far; the leading
 column of a row is its smallest index.  Rows enter it normalized, each once:
-`rank` and `rref` normalize their input, and `koszul._next_piece` hands over
-rows it has normalized itself.  Over the rationals elimination is
+`rank` normalizes its input, and `koszul._next_piece` hands over rows it has
+normalized itself.  Over the rationals elimination is
 fraction-free: rows are primitive integer vectors, eliminated by
 cross-multiplication and divided by their gcd content, and a Fraction appears
 only in an output row.  Mod p, pivot rows are monic.
@@ -192,9 +192,3 @@ def reduced_echelon(rows: Iterable[dict], F: Field) -> dict[int, Row]:
             row = F.eliminate(row, pivots[col], col)
         pivots[lead] = row
     return {lead: F.output(row, lead) for lead, row in pivots.items()}
-
-
-def rref(rows: list[Row], char_p: int | None = None) -> dict[int, Row]:
-    """`reduced_echelon` of any rows over the rationals or GF(char_p)."""
-    F = field(char_p)
-    return reduced_echelon(map(F.row, rows), F)

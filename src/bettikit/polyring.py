@@ -69,10 +69,6 @@ def mono_times_var(mono: Monomial, var: int) -> Monomial:
     return mono[:var] + (mono[var] + 1,) + mono[var + 1:]
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def poly_degree(poly: Poly) -> int:
     return max((mono_degree(m) for m in poly), default=-1)
 
@@ -314,9 +310,3 @@ def poly_to_str(poly: Poly) -> str:
         else:
             pieces.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(pieces)
-
-
-def ideal_to_str(ideal: Ideal) -> str:
-    lines = [f"vars {ideal.num_vars}", f"field {ideal.field_label()}"]
-    lines.extend(poly_to_str(g) for g in ideal.generators)
-    return "\n".join(lines) + "\n"

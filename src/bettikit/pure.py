@@ -50,10 +50,8 @@ def pure_cells(degrees: tuple[int, ...]) -> dict[Cell, Fraction]:
     return cells
 
 
-def hk_diagram(d: DegreeSequence | tuple[int, ...]) -> PureDiagram:
+def hk_diagram(d: DegreeSequence) -> PureDiagram:
     """Normalized pure diagram pi(d) with one entry per column at row d_p - p."""
-    if not isinstance(d, DegreeSequence):
-        d = DegreeSequence(tuple(d))
     if d[0] < 0:
         raise ValueError(
             f"degree sequence {d} would place column 0 in negative row {d[0]}")

@@ -206,9 +206,7 @@ def sweep_square_zero(trials: int = 10, seed: int = 20240, q_max: int = 4) -> Sw
 
 def uncut_table(ideal: Ideal, q_max: int) -> BettiTable:
     """Rows 0..q_max computed in all of the ideal's variables, with no cut."""
-    pieces = list(islice(graded_pieces(ideal), q_max + 2))
-    cells = [(p, q) for q in range(q_max + 1) for p in range(ideal.num_vars + 1)]
-    return BettiTable(_betti_entries(ideal, pieces, cells))
+    return _betti_entries(ideal, list(islice(graded_pieces(ideal), q_max + 2)), q_max)
 
 
 def sweep_cut_agrees_with_uncut(trials: int = 100, seed: int = 31, q_max: int = 3) -> Sweep:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Cell = tuple[int, int]
 RationalLike = Union[Fraction, int]
@@ -85,10 +85,9 @@ class BettiTable:
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries: Mapping[Cell, RationalLike] | Iterable[tuple[Cell, RationalLike]] = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
+    def __init__(self, entries: Mapping[Cell, RationalLike]):
         store: dict[Cell, Fraction] = {}
-        for (p, q), raw in items:
+        for (p, q), raw in entries.items():
             if not (isinstance(p, int) and isinstance(q, int)) or p < 0 or q < 0:
                 raise ValueError(f"cell indices must be nonnegative integers, got ({p}, {q})")
             value = _coerce(raw)
@@ -134,7 +133,7 @@ class BettiTable:
         if c < 0:
             raise ValueError(f"scale factor must be nonnegative, got {c}")
         if c == 0:
-            return BettiTable()
+            return BettiTable({})
         return BettiTable({cell: value * c for cell, value in self._entries.items()})
 
     def subtract_checked(self, other: "BettiTable") -> "BettiTable":
@@ -314,9 +313,9 @@ class DegreeSequence:
 
     @classmethod
     def parse(cls, text: str) -> "DegreeSequence":
-        tokens = [t.strip() for t in text.split(",") if t.strip()]
-        if not tokens:
-            raise ValueError("empty degree sequence")
+        tokens = [t.strip() for t in text.split(",")]
+        if "" in tokens:
+            raise ValueError(f"empty entry in degree sequence {text!r}")
         try:
             degrees = tuple(int(t) for t in tokens)
         except ValueError:

@@ -1,0 +1,48 @@
+"""Reference helpers that only the tests use, kept apart from the library.
+
+pytest collects only `test_*.py`, so nothing here runs as a test by itself.
+"""
+
+from fractions import Fraction
+
+from bettikit.linalg import field, reduced_echelon
+from bettikit.polyring import poly_to_str
+
+
+def normal_form(piece, poly, char_p):
+    """Reduce a degree-q polynomial modulo I_q, in the standard monomials of `piece`."""
+    F = field(char_p)
+    out = {}
+    for mono, raw in poly.items():
+        coeff = F.coeff(Fraction(raw))
+        for target, factor in piece.rewrite.get(mono, {mono: F.one}).items():
+            out[target] = out.get(target, 0) + coeff * factor
+    return {m: c for m, v in out.items() if (c := F.coeff(v))}
+
+
+def rref(rows, char_p=None):
+    """`reduced_echelon` of any rows over the rationals or GF(char_p)."""
+    F = field(char_p)
+    return reduced_echelon(map(F.row, rows), F)
+
+
+def chain_check(decomposition):
+    """True iff consecutive terms have non-increasing length and compare termwise."""
+    terms = decomposition.terms
+    for (_, a), (_, b) in zip(terms, terms[1:]):
+        if a.length < b.length:
+            return False
+        if any(a[k] > b[k] for k in range(len(b))):
+            return False
+    return True
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ideal_to_str(ideal):
+    """The ideal in the file format `parse_ideal` reads."""
+    lines = [f"vars {ideal.num_vars}", f"field {ideal.field_label()}"]
+    lines.extend(poly_to_str(g) for g in ideal.generators)
+    return "\n".join(lines) + "\n"

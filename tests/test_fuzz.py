@@ -75,9 +75,6 @@ def numeric_flag_argv(draw):
         codim = draw(OPTIONAL)
         return argv + ([] if codim is None else ["--codim", codim])
     argv += ["--codim", draw(NUMBERS)]
-    q = draw(OPTIONAL)
-    if q is not None:
-        argv += ["--q", q]
     if draw(st.booleans()):
         argv += ["--ndm", f"{draw(NUMBERS)},{draw(NUMBERS)}"]
     if draw(st.booleans()):

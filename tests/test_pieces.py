@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
 from bettikit.koszul import GradedPiece, _next_piece, graded_piece, graded_pieces
-from bettikit.linalg import field, reduced_echelon, rref
-from bettikit.polyring import (Ideal, mono_mul, monomials_of_degree, parse_ideal,
-                               parse_polynomial, poly_degree)
+from bettikit.linalg import field, reduced_echelon
+from bettikit.polyring import (Ideal, monomials_of_degree, parse_ideal, parse_polynomial,
+                               poly_degree)
+from oracles import mono_mul, rref
 
 FIELDS = (None, 32003)
 

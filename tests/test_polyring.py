@@ -5,10 +5,11 @@ import pytest
 
 from bettikit.koszul import betti_table, graded_piece
 from bettikit.linalg import SparseMatrix
-from bettikit.polyring import (PRIME_LIMIT, Ideal, IdealParseError, ideal_to_str,
-                               is_prime, mono_times_var, monomials_of_degree,
-                               parse_ideal, parse_polynomial, poly_to_str)
+from bettikit.polyring import (PRIME_LIMIT, Ideal, IdealParseError, is_prime,
+                               mono_times_var, monomials_of_degree, parse_ideal,
+                               parse_polynomial, poly_to_str)
 from bettikit.selftest import random_ideal
+from oracles import ideal_to_str
 
 
 def test_monomial_enumeration_order():

@@ -47,9 +47,9 @@ def test_hk_diagram_free_module():
 
 def test_hk_diagram_rejects_bad_input():
     with pytest.raises(ValueError):
-        hk_diagram((0, 2, 2))
+        hk_diagram(DegreeSequence((0, 2, 2)))
     with pytest.raises(ValueError):
-        hk_diagram((-1, 2))
+        hk_diagram(DegreeSequence((-1, 2)))
 
 
 def test_one_entry_per_column():
@@ -172,4 +172,4 @@ def textbook_diagram(degrees):
 @example(start=5, gaps=[6, 1, 5, 2, 4, 3, 3, 4, 2, 5, 1, 6])
 def test_hk_diagram_matches_textbook_formula(start, gaps):
     degrees = tuple(accumulate(gaps, initial=start))
-    assert hk_diagram(degrees).table == textbook_diagram(degrees)
+    assert hk_diagram(DegreeSequence(degrees)).table == textbook_diagram(degrees)

@@ -232,3 +232,6 @@ def test_degree_sequence_parse_and_str():
     assert str(d) == "0,3,4,5"
     with pytest.raises(ValueError):
         DegreeSequence.parse("0,a,2")
+    for text in ("0,,3", "0,3,", ",0,3", " , "):
+        with pytest.raises(ValueError, match="empty entry"):
+            DegreeSequence.parse(text)
