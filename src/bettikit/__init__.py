@@ -14,18 +14,17 @@ from .decompose import (Decomposition, NoColumnError, NotInConeError,
                         multiplicity_from_decomposition, top_strand)
 from .koszul import (GradedPiece, betti_table, graded_piece, hilbert_consistency,
                      koszul_differential)
-from .polyring import Ideal, IdealParseError, parse_ideal, parse_polynomial
+from .polyring import Ideal, parse_ideal, parse_polynomial
 from .pure import (PureDiagram, family_deq, family_tilde, hk_diagram, kappa_max,
                    kappa_next_max, multiplicity)
-from .tables import BettiTable, DegreeSequence, NegativeEntryError, TableParseError
+from .tables import BettiTable, DegreeSequence, NegativeEntryError, ParseError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assumptions", "BettiTable", "ColumnComparison", "Decomposition", "DegreeSequence",
-    "GradedPiece", "Ideal", "IdealParseError", "NegativeEntryError", "NoColumnError",
-    "NotInConeError", "PureDiagram", "StrandNotIncreasingError", "StrandReport",
-    "TableParseError",
+    "GradedPiece", "Ideal", "NegativeEntryError", "NoColumnError", "NotInConeError",
+    "ParseError", "PureDiagram", "StrandNotIncreasingError", "StrandReport",
     "betti_table", "bs_decompose", "check_Ndm",
     "check_first_strand", "check_next_to_max", "degree_bounds", "family_deq",
     "family_tilde", "first_nontrivial_strand", "graded_piece", "hilbert_consistency",

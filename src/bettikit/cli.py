@@ -4,6 +4,13 @@ Subcommands: pure, decompose, betti, check, fixtures, selftest.  JSON output
 (--out json / --format json) is the machine contract, text is for humans.
 Exit codes: 0 success / no violation, 1 malformed input or failed run,
 2 bound violation, 64 usage error.
+
+Errors take one path: a command raises ValueError (or OSError) and `main`
+prints it as one line and returns 1.  Input files are read through
+`tables.load`, so their errors read `path:line:column: message`; any other
+error reads `error: message`.  Integers on the command line and in files have
+the one syntax of `tables.integer`, and `--field` the one grammar of
+`polyring.parse_field`.
 """
 
 from __future__ import annotations
@@ -15,14 +22,13 @@ from dataclasses import replace
 
 from .bounds import (Assumptions, check_first_strand, check_Ndm, check_next_to_max,
                      degree_bounds, first_nontrivial_strand)
-from .decompose import NotInConeError, bs_decompose, multiplicity_from_decomposition
+from .decompose import bs_decompose, multiplicity_from_decomposition
 from .fixtures import FIXTURES, run_fixture
 from .koszul import betti_table
-from .linalg import CoefficientError
-from .polyring import IdealParseError, parse_ideal
+from .polyring import parse_field, parse_ideal
 from .pure import hk_diagram
 from .selftest import run_all as run_sweeps
-from .tables import BettiTable, DegreeSequence
+from .tables import BettiTable, DegreeSequence, ParseError, integer, load
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -37,21 +43,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _parse_table(text: str) -> BettiTable:
+    if text.lstrip().startswith("{"):
+        return BettiTable.from_json(text)
+    return BettiTable.from_text(text)
 
 
 def _load_table(path: str) -> BettiTable:
-    text = _read_file(path)
-    if text.lstrip().startswith("{"):
-        table = BettiTable.from_json(text)
-    else:
-        table = BettiTable.from_text(text)
-    return _normalize(table)
-
-
-def _normalize(table: BettiTable) -> BettiTable:
+    table = load(path, _parse_table)
     # shift rows so the minimum generator degree (column 0) sits at (0, 0)
     generator_rows = [q for p, q in table.entries if p == 0]
     if not generator_rows:
@@ -64,22 +63,9 @@ def _normalize(table: BettiTable) -> BettiTable:
     return BettiTable({(p, q - shift): v for (p, q), v in table.entries.items()})
 
 
-def _diagnostic(path: str, exc: Exception) -> str:
-    line = getattr(exc, "line", None)
-    column = getattr(exc, "column", None)
-    message = getattr(exc, "message", None) or str(exc)
-    if line is not None:
-        return f"{path}:{line}:{column or 1}: {message}"
-    return f"{path}: {exc}"
-
-
 def cmd_pure(args) -> int:
-    try:
-        d = DegreeSequence.parse(args.degrees)
-        diagram = hk_diagram(d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    d = DegreeSequence.parse(args.degrees)
+    diagram = hk_diagram(d)
     table = diagram.table
     scale = None
     if args.clear_denominators:
@@ -100,18 +86,9 @@ def cmd_pure(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        table = _load_table(args.table_file)
-    except (OSError, ValueError) as exc:
-        print(_diagnostic(args.table_file, exc), file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        decomposition = bs_decompose(table)
-        multiplicity = (None if args.codim is None
-                        else multiplicity_from_decomposition(decomposition, args.codim))
-    except (NotInConeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    decomposition = bs_decompose(_load_table(args.table_file))
+    multiplicity = (None if args.codim is None
+                    else multiplicity_from_decomposition(decomposition, args.codim))
     terms = decomposition.sorted_terms()
     if args.codim is not None:
         short = [d for _, d in terms if d.length < args.codim]
@@ -133,34 +110,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    try:
-        ideal = parse_ideal(_read_file(args.ideal_file))
-    except (OSError, IdealParseError, ValueError) as exc:
-        print(_diagnostic(args.ideal_file, exc), file=sys.stderr)
-        return EXIT_INPUT
+    ideal = load(args.ideal_file, parse_ideal)
     if args.field is not None:
-        label = args.field.replace(" ", "")
-        if label == "rational":
-            char_p = None
-        elif label.startswith("gf") and label[2:].isdigit():
-            char_p = int(label[2:])
-        else:
-            print(f"error: bad field {args.field!r}, expected 'rational' or 'gfP'",
-                  file=sys.stderr)
-            return EXIT_INPUT
-        try:
-            ideal = replace(ideal, char_p=char_p)
-        except ValueError as exc:
-            print(f"error: --field {args.field}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        ideal = replace(ideal, char_p=parse_field(args.field))
     if args.qmax < 1:
-        print(f"error: --qmax must be at least 1, got {args.qmax}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        table, complete = betti_table(ideal, args.qmax)
-    except CoefficientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"--qmax must be at least 1, got {args.qmax}")
+    table, complete = betti_table(ideal, args.qmax)
     if args.out == "json":
         payload = table.to_json_dict()
         payload["field"] = ideal.field_label()
@@ -175,30 +130,17 @@ def cmd_betti(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        table = _load_table(args.table_file)
-    except (OSError, ValueError) as exc:
-        print(_diagnostic(args.table_file, exc), file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        assumptions = Assumptions(codim_e=args.codim, nd_q=args.assert_nd,
-                                  lgp=args.assert_lgp)
-        strand = first_nontrivial_strand(table)
-        ndm_holds = None if args.ndm is None else check_Ndm(table, *args.ndm)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    table = _load_table(args.table_file)
+    assumptions = Assumptions(codim_e=args.codim, nd_q=args.assert_nd, lgp=args.assert_lgp)
+    strand = first_nontrivial_strand(table)
+    ndm_holds = None if args.ndm is None else check_Ndm(table, *args.ndm)
     lines = []
     payload: dict = {"codim": args.codim, "nd_q": args.assert_nd, "lgp": args.assert_lgp}
     report = None
-    try:
-        if args.next_to_max:
-            report = check_next_to_max(table, assumptions)
-        elif strand is not None:
-            report = check_first_strand(table, assumptions, strand)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.next_to_max:
+        report = check_next_to_max(table, assumptions)
+    elif strand is not None:
+        report = check_first_strand(table, assumptions, strand)
     if report is None:
         lines.append("no nontrivial strand: nothing to check")
     else:
@@ -268,14 +210,10 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_INPUT
 
 
-def _parse_ndm(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected D,M")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected integers D,M") from None
+def integer_pair(text: str) -> tuple[int, int]:
+    """'D,M' as two integers; a ValueError, which argparse reports, otherwise."""
+    d, m = map(integer, text.split(","))
+    return d, m
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,28 +231,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("table_file")
     p_dec.add_argument("--format", "--out", dest="format", choices=["text", "json"],
                        default="text")
-    p_dec.add_argument("--codim", type=int, default=None,
+    p_dec.add_argument("--codim", type=integer, default=None,
                        help="minimal permitted length for the multiplicity sum")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_betti = sub.add_parser("betti", help="betti table of an ideal's quotient ring")
     p_betti.add_argument("ideal_file")
-    p_betti.add_argument("--qmax", type=int, required=True)
+    p_betti.add_argument("--qmax", type=integer, required=True)
     p_betti.add_argument("--field", default=None,
-                         help="override the input file's field: 'rational' or 'gfP'")
+                         help="override the input file's field: 'rational', 'gf P' or 'gfP'")
     p_betti.add_argument("--out", choices=["text", "json"], default="text")
     p_betti.set_defaults(func=cmd_betti)
 
     p_check = sub.add_parser("check", help="check a table against the strand bounds")
     p_check.add_argument("table_file")
-    p_check.add_argument("--codim", type=int, required=True)
+    p_check.add_argument("--codim", type=integer, required=True)
     p_check.add_argument("--assert-nd", action="store_true",
                          help="assert the vanishing-on-sections hypothesis")
     p_check.add_argument("--assert-lgp", action="store_true",
                          help="assert linearly general position of a general section")
     p_check.add_argument("--next-to-max", action="store_true",
                          help="check the next-to-maximal bound for row 1")
-    p_check.add_argument("--ndm", type=_parse_ndm, default=None, metavar="D,M",
+    p_check.add_argument("--ndm", type=integer_pair, default=None, metavar="D,M",
                          help="also report the N_{D,M} vanishing pattern")
     p_check.add_argument("--out", choices=["text", "json"], default="text")
     p_check.set_defaults(func=cmd_check)
@@ -334,7 +272,12 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        located = isinstance(exc, ParseError) and exc.path is not None
+        print(exc if located else f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .bounds import Assumptions, check_first_strand, check_next_to_max, first_no
 from .decompose import NotInConeError, bs_decompose, multiplicity_from_decomposition
 from .koszul import betti_table, hilbert_consistency
 from .polyring import DEFAULT_PRIME, parse_ideal
-from .tables import BettiTable
+from .tables import BettiTable, load
 
 ENV_DIR = "FIXTURES_DIR"
 
@@ -161,15 +161,17 @@ def fixture_path(filename: str) -> str:
 
 
 def load_text(filename: str) -> str:
-    with open(fixture_path(filename), "r", encoding="utf-8") as fh:
-        return fh.read()
+    return load(fixture_path(filename), str)
 
 
 def run_fixture(entry: FixtureEntry) -> list[str]:
-    """Run one fixture through the pipeline; returns discrepancy strings."""
+    """Run one fixture through the pipeline; returns discrepancy strings.
+
+    A malformed fixture file raises a ParseError naming the file.
+    """
     problems: list[str] = []
     if entry.is_ideal():
-        ideal = parse_ideal(load_text(entry.filename))
+        ideal = load(fixture_path(entry.filename), parse_ideal)
         table, complete = betti_table(ideal, entry.qmax)
         expected = BettiTable(dict(entry.expected_table))
         if table != expected:
@@ -185,7 +187,7 @@ def run_fixture(entry: FixtureEntry) -> list[str]:
                 f"field disagreement: {ideal.field_label()} gives {table!r}, "
                 f"{other.field_label()} gives {other_table!r}")
     else:
-        table = BettiTable.from_text(load_text(entry.filename))
+        table = load(fixture_path(entry.filename), BettiTable.from_text)
     try:
         decomposition = bs_decompose(table)
     except NotInConeError as exc:

@@ -13,7 +13,7 @@ GF(p)) tells the Koszul engine how to interpret them.
 Ideal file format::
 
     vars 4
-    field gf 32003        # optional; also "field rational"
+    field gf 32003        # optional; any field `parse_field` reads
     x0*x2 - x1^2
     x0*x3 - x1*x2
     x1*x3 - x2^2
@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .tables import DIGITS, ParseError, integer
+
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, Fraction]
 
@@ -35,16 +37,6 @@ DEFAULT_PRIME = 32003
 # PRIME_LIMIT, the least strong pseudoprime to all of them (about 3.18e23).
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_LIMIT = 318665857834031151167461
-
-
-class IdealParseError(ValueError):
-    """Malformed ideal text, with the position of the offending token."""
-
-    def __init__(self, message: str, line: int, column: int = 1):
-        self.message = message
-        self.line = line
-        self.column = column
-        super().__init__(f"line {line}, column {column}: {message}")
 
 
 @lru_cache(maxsize=None)
@@ -140,8 +132,19 @@ class Ideal:
         return "rational" if self.char_p is None else f"gf {self.char_p}"
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<coeff>\d+(?:/\d+)?)|(?P<var>x\d+)"
-                       r"|(?P<pow>\^)|(?P<mul>\*)|(?P<junk>\S))")
+_FIELD_RE = re.compile(rf"rational|gf\s*({DIGITS})")
+
+
+def parse_field(text: str, line: int | None = None) -> int | None:
+    """The characteristic a field name gives: None for 'rational', p for 'gf p' or 'gfp'."""
+    match = _FIELD_RE.fullmatch(text)
+    if match is None:
+        raise ParseError(f"bad field {text!r}, expected 'rational', 'gf P' or 'gfP'", line)
+    return None if match[1] is None else int(match[1])
+
+
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<sign>[+-])|(?P<coeff>{DIGITS}(?:/{DIGITS})?)"
+                       rf"|(?P<var>x{DIGITS})|(?P<pow>\^)|(?P<mul>\*)|(?P<junk>\S))")
 
 
 def parse_polynomial(text: str, num_vars: int, line: int = 1) -> Poly:
@@ -159,7 +162,7 @@ def parse_polynomial(text: str, num_vars: int, line: int = 1) -> Poly:
     def flush(column: int):
         nonlocal sign, term_open, coeff, exponents, last_var
         if not term_open:
-            raise IdealParseError("empty term", line, column)
+            raise ParseError("empty term", line, column)
         mono = tuple(exponents) if exponents is not None else (0,) * num_vars
         value = (coeff if coeff is not None else Fraction(1)) * sign
         new = poly.get(mono, Fraction(0)) + value
@@ -177,14 +180,13 @@ def parse_polynomial(text: str, num_vars: int, line: int = 1) -> Poly:
         column = match.start(match.lastgroup) + 1
         token = match.group(match.lastgroup)
         if match.lastgroup == "junk":
-            raise IdealParseError(f"unexpected token {token!r}", line, column)
+            raise ParseError(f"unexpected token {token!r}", line, column)
         if expect_exponent:
             if match.lastgroup != "coeff" or "/" in token:
-                raise IdealParseError(f"bad exponent {token!r}", line, column)
+                raise ParseError(f"bad exponent {token!r}", line, column)
             value = int(token)
             if value < 1:
-                raise IdealParseError(f"exponent must be positive, got {token!r}",
-                                      line, column)
+                raise ParseError(f"exponent must be positive, got {token!r}", line, column)
             exponents[last_var] += value - 1
             last_var = None
             expect_exponent = False
@@ -198,17 +200,17 @@ def parse_polynomial(text: str, num_vars: int, line: int = 1) -> Poly:
             continue
         if match.lastgroup == "mul":
             if not term_open:
-                raise IdealParseError("misplaced '*'", line, column)
+                raise ParseError("misplaced '*'", line, column)
             continue
         if match.lastgroup == "pow":
             if last_var is None:
-                raise IdealParseError("'^' must follow a variable", line, column)
+                raise ParseError("'^' must follow a variable", line, column)
             expect_exponent = True
             continue
         if match.lastgroup == "var":
             index = int(token[1:])
             if index >= num_vars:
-                raise IdealParseError(
+                raise ParseError(
                     f"unknown variable {token!r} (only x0..x{num_vars - 1} declared)",
                     line, column)
             if exponents is None:
@@ -220,22 +222,20 @@ def parse_polynomial(text: str, num_vars: int, line: int = 1) -> Poly:
             continue
         # a bare number is a coefficient and must open the term
         if term_open:
-            raise IdealParseError(
-                f"coefficient {token!r} must precede variables", line, column)
+            raise ParseError(f"coefficient {token!r} must precede variables", line, column)
         try:
             coeff = Fraction(token)
         except ZeroDivisionError:
-            raise IdealParseError(f"zero denominator in {token!r}", line, column) from None
+            raise ParseError(f"zero denominator in {token!r}", line, column) from None
         term_open = True
         pending_sign = False
 
     if expect_exponent:
-        raise IdealParseError("exponent expected after '^'", line, len(text))
+        raise ParseError("exponent expected after '^'", line, len(text))
     if term_open:
         flush(len(text))
     elif pending_sign or not poly:
-        raise IdealParseError("polynomial ends with a dangling sign or is empty",
-                              line, len(text))
+        raise ParseError("polynomial ends with a dangling sign or is empty", line, len(text))
     return poly
 
 
@@ -252,34 +252,23 @@ def parse_ideal(text: str) -> Ideal:
         if num_vars is None:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "vars":
-                raise IdealParseError(f"expected 'vars N' header, got {line!r}", lineno)
-            try:
-                num_vars = int(parts[1])
-            except ValueError:
-                raise IdealParseError(f"bad variable count {parts[1]!r}", lineno) from None
+                raise ParseError(f"expected 'vars N' header, got {line!r}", lineno)
+            num_vars = integer(parts[1], "variable count", lineno)
             if num_vars < 1:
-                raise IdealParseError("need at least one variable", lineno)
+                raise ParseError("need at least one variable", lineno)
             continue
-        if line.startswith("field") and not generators and not field_seen:
-            parts = line.split()
-            if parts[1:] == ["rational"]:
-                char_p = None
-            elif len(parts) == 3 and parts[1] == "gf" and parts[2].isdigit():
-                char_p = int(parts[2])
-            else:
-                raise IdealParseError(
-                    f"expected 'field rational' or 'field gf P', got {line!r}", lineno)
+        if line.split()[0] == "field" and not generators and not field_seen:
+            char_p = parse_field(line[len("field"):].strip(), lineno)
             field_seen = True
             continue
         poly = parse_polynomial(line, num_vars, line=lineno)
         if not poly:
-            raise IdealParseError("generator reduces to zero", lineno)
+            raise ParseError("generator reduces to zero", lineno)
         if not is_homogeneous(poly):
-            raise IdealParseError(
-                f"generator {line.strip()!r} is not homogeneous", lineno)
+            raise ParseError(f"generator {line.strip()!r} is not homogeneous", lineno)
         generators.append(poly)
     if num_vars is None:
-        raise IdealParseError("missing 'vars N' header", 1)
+        raise ParseError("missing 'vars N' header", 1)
     if not field_seen:
         char_p = DEFAULT_PRIME
     return Ideal(num_vars=num_vars, generators=tuple(generators), char_p=char_p)

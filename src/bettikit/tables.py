@@ -15,6 +15,11 @@ Two serialization formats are supported:
           cell and rationals written "a/b"
   json    ``{"entries": [{"p": 0, "q": 0, "num": "1", "den": "1"}, ...]}``
           sorted by (p, q), numerator/denominator as decimal strings
+
+Every integer read from outside input, here, in ideal files and on the
+command line, has one syntax, INTEGER: an optional sign, then ASCII digits
+0-9.  `integer` reads one, `ParseError` reports malformed input and `load`
+reads a file, naming it in any error.
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ from typing import Mapping, Union
 Cell = tuple[int, int]
 RationalLike = Union[Fraction, int]
 
-_ENTRY_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+DIGITS = "[0-9]+"
+INTEGER = "[+-]?" + DIGITS
+_INTEGER_RE = re.compile(INTEGER)
+_ENTRY_RE = re.compile(f"{INTEGER}(?:/{DIGITS})?")
 
 
 class NegativeEntryError(ValueError):
@@ -47,14 +55,41 @@ class NegativeEntryError(ValueError):
         super().__init__(f"negative entry at cell (p={p}, q={q}){detail}")
 
 
-class TableParseError(ValueError):
-    """Malformed table text, with the position of the offending token."""
+class ParseError(ValueError):
+    """Malformed input, with where it was found: the file, line and column, as known."""
 
-    def __init__(self, message: str, line: int, column: int = 1):
+    def __init__(self, message: str, line: int | None = None, column: int = 1,
+                 path: str | None = None):
         self.message = message
         self.line = line
         self.column = column
-        super().__init__(f"line {line}, column {column}: {message}")
+        self.path = path
+        if path is None:
+            where = None if line is None else f"line {line}, column {column}"
+        else:
+            where = path if line is None else f"{path}:{line}:{column}"
+        super().__init__(message if where is None else f"{where}: {message}")
+
+
+def integer(text: str, what: str = "integer", line: int | None = None) -> int:
+    """The integer `text` spells in the INTEGER syntax; a ParseError naming `what` otherwise."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise ParseError(f"bad {what} {text!r}", line)
+    return int(text)
+
+
+def load(path: str, parse):
+    """`parse` applied to the text of the file at `path`.
+
+    A ValueError it raises comes back as a ParseError naming `path`, at the
+    line and column of the original where it has them.  OSError passes through.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except ValueError as exc:
+        raise ParseError(getattr(exc, "message", str(exc)), getattr(exc, "line", None),
+                         getattr(exc, "column", 1), path) from None
 
 
 def _coerce(value: RationalLike) -> Fraction:
@@ -70,12 +105,9 @@ def _json_int(item: dict, key: str, index: int) -> int:
     if key not in item:
         raise ValueError(f"entry {index} of the JSON table has no {key!r}")
     value = item[key]
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, str) and _INTEGER_RE.fullmatch(value):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"entry {index} of the JSON table: {key!r} is {value!r}, not an integer")
 
@@ -208,13 +240,10 @@ class BettiTable:
                 continue
             head, sep, rest = line.partition(":")
             if not sep:
-                raise TableParseError(f"expected 'q: entries', got {line!r}", lineno)
-            try:
-                q = int(head.strip())
-            except ValueError:
-                raise TableParseError(f"bad row label {head.strip()!r}", lineno) from None
+                raise ParseError(f"expected 'q: entries', got {line!r}", lineno)
+            q = integer(head.strip(), "row label", lineno)
             if q < 0:
-                raise TableParseError(f"negative row label {q}", lineno)
+                raise ParseError(f"negative row label {q}", lineno)
             cursor = raw.index(":") + 1
             for p, token in enumerate(rest.split()):
                 cursor = raw.index(token, cursor)
@@ -222,17 +251,16 @@ class BettiTable:
                 cursor += len(token)
                 if token == ".":
                     continue
-                if not _ENTRY_RE.match(token):
-                    raise TableParseError(f"bad entry token {token!r}", lineno, column)
+                if not _ENTRY_RE.fullmatch(token):
+                    raise ParseError(f"bad entry token {token!r}", lineno, column)
                 try:
                     value = Fraction(token)
                 except ZeroDivisionError:
-                    raise TableParseError(f"zero denominator in {token!r}",
-                                          lineno, column) from None
+                    raise ParseError(f"zero denominator in {token!r}", lineno, column) from None
                 if value < 0:
                     raise NegativeEntryError(p, q, value, line=lineno, column=column)
                 if (p, q) in entries:
-                    raise TableParseError(f"duplicate cell (p={p}, q={q})", lineno, column)
+                    raise ParseError(f"duplicate cell (p={p}, q={q})", lineno, column)
                 if value != 0:
                     entries[(p, q)] = value
         return cls(entries)
@@ -313,11 +341,7 @@ class DegreeSequence:
 
     @classmethod
     def parse(cls, text: str) -> "DegreeSequence":
-        tokens = [t.strip() for t in text.split(",")]
-        if "" in tokens:
+        tokens = text.split(",")
+        if any(not t.strip() for t in tokens):
             raise ValueError(f"empty entry in degree sequence {text!r}")
-        try:
-            degrees = tuple(int(t) for t in tokens)
-        except ValueError:
-            raise ValueError(f"bad degree sequence {text!r}") from None
-        return cls(degrees)
+        return cls(tuple(integer(t, "degree") for t in tokens))

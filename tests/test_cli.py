@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_to_exit(capsys, argv):
+    """(exit code, stdout, stderr) of `bettikit argv`, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def expand(argv, tmp_path, text, numeral=""):
+    """argv with {n} the numeral, {file} a file holding `text` (its {n} replaced too),
+    and {ideal} and {table} two fixture files."""
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text.replace("{n}", numeral), encoding="utf-8")
+    subs = {"{n}": numeral, "{file}": str(path), "{ideal}": fixture_path("twisted_cubic.ideal"),
+            "{table}": fixture_path("veronese_projection.table")}
+    for key, value in subs.items():
+        argv = [arg.replace(key, value) for arg in argv]
+    return argv
 
 
 def test_pure_text_output(capsys):
@@ -322,3 +346,87 @@ def test_emit_parse_round_trip_on_fixture_files(capsys):
         table = BettiTable.from_text(text)
         assert table.to_text() == text
         assert BettiTable.from_json(table.to_json()) == table
+
+
+# Every place an integer or a field name is read from outside input: the argv,
+# the text of {file} ({n} is the numeral under test) and the exit code, 1 for
+# a file or positional input and 64 for a flag argparse rejects.
+READ_SITES = {
+    "degree-sequence": (["pure", "0,{n}"], None, 1),
+    "table-row-label": (["decompose", "{file}"], "0: 1\n{n}: . 3 2\n", 1),
+    "table-entry": (["check", "{file}", "--codim", "2"], "0: 1\n1: . {n} 2\n", 1),
+    "json-integer": (["decompose", "{file}"],
+                     '{"entries": [{"p": 0, "q": "{n}", "num": "1", "den": "1"}]}', 1),
+    "vars": (["betti", "{file}", "--qmax", "2"], "vars {n}\nx0^2\n", 1),
+    "field-line": (["betti", "{file}", "--qmax", "2"], "vars 2\nfield gf {n}\nx0^2\n", 1),
+    "coefficient": (["betti", "{file}", "--qmax", "2"], "vars 2\n{n}*x0^2\n", 1),
+    "variable-index": (["betti", "{file}", "--qmax", "2"], "vars 4\nx0*x{n}\n", 1),
+    "exponent": (["betti", "{file}", "--qmax", "2"], "vars 2\nx0^{n}\n", 1),
+    "field-flag": (["betti", "{ideal}", "--qmax", "2", "--field", "gf{n}"], None, 1),
+    "qmax": (["betti", "{ideal}", "--qmax", "{n}"], None, 64),
+    "decompose-codim": (["decompose", "{table}", "--codim", "{n}"], None, 64),
+    "check-codim": (["check", "{table}", "--codim", "{n}"], None, 64),
+    "ndm": (["check", "{table}", "--codim", "2", "--ndm", "2,{n}"], None, 64),
+}
+
+
+@pytest.mark.parametrize("numeral", ["1_0", "\u0663", "\u00b2"],
+                         ids=["underscore", "arabic-indic-3", "superscript-2"])
+@pytest.mark.parametrize("site", READ_SITES)
+def test_malformed_numeral_is_rejected_at_every_read_site(tmp_path, capsys, site, numeral):
+    # int() would read 1_0 as 10 and the Arabic-Indic digit as 3
+    argv, text, expected = READ_SITES[site]
+    code, out, err = run_to_exit(capsys, expand(argv, tmp_path, text, numeral))
+    assert (code, out) == (expected, "")
+    if expected == 64:
+        assert err.splitlines()[-1].startswith("error: argument --")
+    else:
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: " if text is None else f"{tmp_path}")
+
+
+ERRORS_GOLDEN = json.loads((Path(__file__).parent / "cli_errors_golden.json")
+                           .read_text(encoding="utf-8"))
+
+# Malformed input the tests above check by substring: the argv and the text of
+# {file}.  Its stderr, with the temporary directory written $TMP, and its exit
+# code are recorded in cli_errors_golden.json.
+ERROR_CASES = {
+    "bad-field-flag": (["betti", "{ideal}", "--qmax", "2", "--field", "gf"], None),
+    "bad-field-line": (["betti", "{file}", "--qmax", "2"], "vars 2\nfield gf x\nx0^2\n"),
+    "composite-field-flag": (["betti", "{ideal}", "--qmax", "2", "--field", "gf9"], None),
+    "composite-field-line": (["betti", "{file}", "--qmax", "2"],
+                             "vars 2\nfield gf 9\n3*x0^2 + x1^2\nx0^2\n"),
+    "zero-denominator-ideal": (["betti", "{file}", "--qmax", "2"],
+                               "vars 2\nfield rational\nx0*x1 + 1/0*x0^2\n"),
+    "zero-denominator-table": (["decompose", "{file}"], "0: 1\n1: . 1/0\n"),
+    "zero-denominator-json": (["decompose", "{file}"],
+                              '{"entries": [{"p": 1, "q": 1, "num": "1", "den": "0"}]}'),
+    "denominator-divisible-by-characteristic": (["betti", "{file}", "--qmax", "2"],
+                                                "vars 2\nfield gf 3\n1/3*x0^2\nx1^2\n"),
+    "json-missing-key": (["check", "{file}", "--codim", "2"], '{"entries": [{"p": 0, "q": 0}]}'),
+    "json-entry-not-object": (["decompose", "{file}"], '{"entries": [1]}'),
+    "json-entries-not-list": (["check", "{file}", "--codim", "2"], '{"entries": 5}'),
+    "json-float-index": (["decompose", "{file}"],
+                         '{"entries": [{"p": 1.5, "q": 0, "num": "1", "den": "1"}]}'),
+    "json-syntax": (["decompose", "{file}"], '{"entries": ['),
+    "qmax-zero": (["betti", "{ideal}", "--qmax", "0"], None),
+    "ndm-d-zero": (["check", "{table}", "--codim", "2", "--ndm", "0,0"], None),
+    "ndm-m-negative": (["check", "{table}", "--codim", "2", "--ndm", "1,-1"], None),
+    "decompose-negative-codim": (["decompose", "{table}", "--codim", "-1"], None),
+    "unknown-variable": (["betti", "{file}", "--qmax", "2"], "vars 2\nx0*x5\n"),
+    "negative-entry": (["check", "{file}", "--codim", "1"], "0: 1\n1: -2\n"),
+    "missing-file": (["decompose", "/nonexistent/t.table"], None),
+}
+
+
+def test_error_cases_are_the_recorded_ones():
+    assert sorted(ERROR_CASES) == sorted(ERRORS_GOLDEN)
+
+
+@pytest.mark.parametrize("case", ERROR_CASES)
+def test_error_output_matches_golden(tmp_path, capsys, case):
+    argv, text = ERROR_CASES[case]
+    code, out, err = run_to_exit(capsys, expand(argv, tmp_path, text))
+    assert out == ""
+    assert {"code": code, "stderr": err.replace(str(tmp_path), "$TMP")} == ERRORS_GOLDEN[case]

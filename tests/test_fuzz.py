@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bettikit.cli import main
 from bettikit.fixtures import FIXTURES, fixture_path, load_text
-from bettikit.polyring import IdealParseError, parse_ideal
+from bettikit.polyring import parse_ideal
 from bettikit.tables import BettiTable
 
 TABLE_FILES = [entry.filename for entry in FIXTURES if not entry.is_ideal()]
@@ -56,37 +56,50 @@ def test_fuzzed_table_exits_cleanly(tmp_path_factory, text):
 def test_fuzzed_ideal_parses_or_raises_value_error(text):
     try:
         parse_ideal(text)
-    except (IdealParseError, ValueError):
+    except ValueError:
         pass
 
 
-NUMBERS = st.integers(-2, 3).map(str)
-OPTIONAL = st.none() | NUMBERS
+WELL_FORMED = st.integers(-2, 3).map(str)
+# numerals int() reads but the integer syntax (a sign, then ASCII digits) rejects
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(chr(0x660 + i) for i in range(10)))
+MALFORMED = st.one_of(WELL_FORMED.map(lambda n: n + "_0"),
+                      WELL_FORMED.map(lambda n: n.translate(ARABIC_INDIC_DIGITS)),
+                      st.sampled_from(["\uff13", "\u00b2"]),
+                      WELL_FORMED.map(lambda n: f" {n}"), WELL_FORMED.map(lambda n: f"{n}\t"))
+NUMBERS = st.one_of(WELL_FORMED, WELL_FORMED, MALFORMED)
 
 
 @st.composite
 def numeric_flag_argv(draw):
-    """A `check`, `decompose` or `betti` command line with numeric flags from -2 to 3."""
+    """A `check`, `decompose` or `betti` command line with numeric flags, mostly
+    from -2 to 3 and now and then malformed, and whether any is malformed."""
+    numerals = []
+
+    def number():
+        numerals.append(draw(NUMBERS))
+        return numerals[-1]
+
     command = draw(st.sampled_from(("check", "decompose", "betti")))
     if command == "betti":
-        return ["betti", fixture_path("twisted_cubic.ideal"), "--qmax", draw(NUMBERS)]
-    argv = [command, fixture_path(draw(st.sampled_from(TABLE_FILES)))]
-    if command == "decompose":
-        codim = draw(OPTIONAL)
-        return argv + ([] if codim is None else ["--codim", codim])
-    argv += ["--codim", draw(NUMBERS)]
-    if draw(st.booleans()):
-        argv += ["--ndm", f"{draw(NUMBERS)},{draw(NUMBERS)}"]
-    if draw(st.booleans()):
+        argv = ["betti", fixture_path("twisted_cubic.ideal"), "--qmax", number()]
+    else:
+        argv = [command, fixture_path(draw(st.sampled_from(TABLE_FILES)))]
+        if command == "check" or draw(st.booleans()):
+            argv += ["--codim", number()]
+    if command == "check" and draw(st.booleans()):
+        argv += ["--ndm", f"{number()},{number()}"]
+    if command == "check" and draw(st.booleans()):
         argv.append("--next-to-max")
-    return argv
+    return argv, any(not n.isascii() or not n.lstrip("-").isdigit() for n in numerals)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(argv=numeric_flag_argv())
-def test_cli_numeric_flags_exit_cleanly(argv):
+@given(case=numeric_flag_argv())
+def test_cli_numeric_flags_exit_cleanly(case):
+    argv, malformed = case
     try:
         code = run_quietly(argv)
     except SystemExit as exc:
         code = exc.code
-    assert code in (0, 1, 2, 64)
+    assert code == 64 if malformed else code in (0, 1, 2, 64)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bettikit.tables import BettiTable, DegreeSequence, NegativeEntryError, TableParseError
+from bettikit.tables import BettiTable, DegreeSequence, NegativeEntryError, ParseError
 
 
 def table(cells):
@@ -133,23 +133,23 @@ def test_text_negative_entry():
 
 
 def test_text_parse_errors():
-    with pytest.raises(TableParseError):
+    with pytest.raises(ParseError):
         BettiTable.from_text("not a table")
-    with pytest.raises(TableParseError):
+    with pytest.raises(ParseError):
         BettiTable.from_text("0: 1 x")
-    with pytest.raises(TableParseError):
+    with pytest.raises(ParseError):
         BettiTable.from_text("-1: 3")
 
 
 def test_text_zero_denominator():
-    with pytest.raises(TableParseError) as info:
+    with pytest.raises(ParseError) as info:
         BettiTable.from_text("0: 1\n1: . 1/0")
     assert (info.value.line, info.value.column) == (2, 6)
     assert "zero denominator" in info.value.message
 
 
 def test_text_duplicate_cell():
-    with pytest.raises(TableParseError) as info:
+    with pytest.raises(ParseError) as info:
         BettiTable.from_text("0: 1\n0: 2")
     assert "duplicate cell" in str(info.value)
 
