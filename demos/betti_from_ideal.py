@@ -1,10 +1,13 @@
 """Compute betti tables of quotient rings straight from ideal generators.
 
-The engine realizes each graded piece of S/I by row-reducing the span of the
-generator multiples inside the monomial basis, then takes ranks of the exact
-wedge-differential matrices.  No Groebner bases, no floats; the ideal is used
-exactly as given, so feed it the saturated ideal if you mean the coordinate
-ring of a projective scheme.
+The engine realizes each graded piece of S/I from the one below it: I_{q+1}
+is the row-reduced span of x_v * r_m over the rewrite rules r_m of I_q and
+the generators of degree q + 1.  It then takes ranks of the exact
+wedge-differential matrices, on the ring cut by variables it certifies to be
+regular.  `complete` is True only when the Bayer-Stillman certificate proves
+that no row past q_max exists.  No Groebner bases, no floats; the ideal is
+used exactly as given, so feed it the saturated ideal if you mean the
+coordinate ring of a projective scheme.
 """
 
 from dataclasses import replace

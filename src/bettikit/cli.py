@@ -124,7 +124,7 @@ def cmd_betti(args) -> int:
         print(json.dumps(payload))
     else:
         print(f"field: {ideal.field_label()}")
-        print(f"complete: {'true' if complete else 'false'} (heuristic)")
+        print(f"complete: {'certified' if complete else 'unknown'}")
         sys.stdout.write(table.to_text())
     return EXIT_OK
 

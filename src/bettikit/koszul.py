@@ -25,12 +25,23 @@ Wedge basis vectors are strictly increasing index tuples in lex order; the
 M_q basis is the standard monomials in descending graded-lex order.  This
 fixes every matrix reproducibly.
 
-`betti_table` first cuts the ring by variables it certifies to be regular
-through degree q_max + 2 (see `_cut_regular_variables`), so the differentials
-it builds live in fewer variables.  The certificate is the Hilbert function
-of the cut ring, dim M'_j = dim M_j - dim M_{j-1}, not a rank, so a rejected
-variable costs only its pieces up to the degree where the identity fails.
-`graded_piece`, `koszul_differential` and `selftest.uncut_table` never cut.
+`betti_table` computes the table on the ring cut by variables certified to
+be regular in low degrees (see `_cut_regular_variables`), so the
+differentials it builds live in fewer variables, and it stops at the
+regularity.  The certificate is Bayer and Stillman's criterion (Invent.
+Math. 87 (1987), Thm 1.10, direction (b) => (a), which needs no genericity
+and so holds over GF(p) too): if every generator of I has degree <= m, each
+cut form h_i satisfies ((I, h_<i) : h_i)_m = (I, h_<i)_m, and
+(I, h_1, ..., h_j)_m = S_m, then I is m-regular.  The colon condition is
+injectivity of h_i from degree m to m + 1 on the ring cut so far, and the
+last condition says the cut ring's piece m is 0.  The cuts are checked by
+the Hilbert function of the cut ring, dim M'_j = dim M_j - dim M_{j-1},
+not by a rank.  Rows q <= m - 1 of S/I and of the cut ring agree by the
+truncation triangle, and rows q >= m vanish on both sides: for S/I by
+m-regularity, for the cut ring because its pieces vanish from degree m on.
+So when the certificate fires the table is exact in every row and `complete`
+is true.  `graded_piece`, `koszul_differential` and `selftest.uncut_table`
+never cut.
 
 All that differs between QQ and GF(p) is the field object `linalg.field`.
 A piece is a plain value: only the chain `graded_pieces` steps degrees, and
@@ -244,17 +255,47 @@ def _cut(ideal: Ideal, var: int) -> Ideal:
     return Ideal(ideal.num_vars - 1, tuple(generators), ideal.char_p)
 
 
-def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[GradedPiece]]:
-    """Cut by variables injective on M = S/I through degree q_max + 2, as long as any is.
+class _Ring:
+    """One ring of the cut chain: its ideal, its pieces so far, the variables rejected on it.
 
-    Returns the cut ideal, whose rows q <= q_max of the betti table equal
-    those of `ideal`, with its graded pieces from degree 0 through at least
-    q_max + 1.  At least one variable always remains.
+    `var` is the variable of the ring below whose cut gave this ring (None
+    for S/I itself).  A variable is rejected on a ring once its cut fails the
+    dimension identity in some degree; the certificate only ever asks for
+    more degrees, so it is never tried on that ring again.
+    """
 
-    Why the rows agree.  Let l = x_v be injective M_{j-1} -> M_j for every
-    1 <= j <= D, let S' = S/(l), and M' = M/lM = S'/I', where I' is I with
-    x_v set to zero.  Let L = ker(l: M(-1) -> M), so L_j = 0 for j <= D.  The
-    Koszul complex K(l; M) = [M(-1) -> M] contains L[1] (L placed in
+    def __init__(self, ideal: Ideal, var: int | None = None):
+        self.ideal = ideal
+        self.var = var
+        self.chain = graded_pieces(ideal)
+        self.pieces: list[GradedPiece] = []
+        self.rejected: set[int] = set()
+
+    def dim(self, q: int) -> int:
+        """dim M_q, stepping the chain up to degree q as needed."""
+        while len(self.pieces) <= q:
+            self.pieces.append(next(self.chain))
+        return self.pieces[q].dim
+
+
+def _injective(below: _Ring, cut: _Ring, j: int) -> bool:
+    """Whether the variable cut from `below` is injective M_{j-1} -> M_j on it."""
+    return cut.dim(j) == below.dim(j) - (below.dim(j - 1) if j else 0)
+
+
+def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[GradedPiece], bool]:
+    """Cut by variables injective on M = S/I through degree m + 1, raising m until certified.
+
+    Returns the cut ideal, its graded pieces M'_0 .. M'_m, and whether the
+    Bayer-Stillman certificate fired.  Rows q <= m - 1 of the cut ring's
+    betti table equal those of `ideal`; when certified, every row of `ideal`
+    from m on is zero, and otherwise m = q_max + 1.  At least one variable
+    always remains.
+
+    Why rows q <= m - 1 agree.  Let l = x_v be injective M_{j-1} -> M_j for
+    every 1 <= j <= D, let S' = S/(l), and M' = M/lM = S'/I', where I' is I
+    with x_v set to zero.  Let L = ker(l: M(-1) -> M), so L_j = 0 for j <= D.
+    The Koszul complex K(l; M) = [M(-1) -> M] contains L[1] (L placed in
     homological degree 1), and the quotient [M(-1)/L -> M] is injective with
     cokernel M'.  This gives the truncation triangle L[1] -> K(l; M) -> M'.
     Tensor it with the Koszul complex K' of S' on the other variables, which
@@ -267,66 +308,86 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[Graded
 
     The outer terms are subquotients of wedge^{p-1} V' (x) L_{q+1} and
     wedge^{p-2} V' (x) L_{q+2}, which vanish for q <= D - 2.  So kappa_{p,q}
-    is unchanged in every row q <= q_max when D = q_max + 2, and each further
-    cut is certified the same way on the ring already cut.  D = q_max + 1
-    does not suffice: for I = (x0^2, x1*x2^2 - x0*x1^2) at q_max = 2, x2 is
-    injective through degree 3, but cutting it adds kappa_{2,2} = 1.
+    is unchanged in every row q <= m - 1 when D = m + 1, and each further cut
+    is certified the same way on the ring already cut.  D = m does not
+    suffice: for I = (x0^2, x1*x2^2 - x0*x1^2) at m = 3, x2 is injective
+    through degree 3, but cutting it adds kappa_{2,2} = 1.
 
     Injectivity in degree j is a dimension count.  The sequence
 
         M_{j-1} --x_v--> M_j --> M'_j --> 0
 
     is exact, so dim M'_j = dim M_j - rank(x_v), and x_v is injective in
-    degree j exactly when dim M'_j = dim M_j - dim M_{j-1}.  Each variable is
-    tried in index order: the pieces of I' are stepped up from degree 0 and
-    the trial stops at the first degree where the count fails, so a rejected
-    variable costs only its pieces up to there.  The first variable that
-    passes through q_max + 2 is cut, and its pieces are the next round's.
-    When dim M_{j-1} > dim M_j for some j <= q_max + 1 no variable can pass,
-    and no trial is made.  Piece q_max + 2 of M, which the table itself never
-    uses, is built only when a trial reaches it.
+    degree j exactly when dim M'_j = dim M_j - dim M_{j-1}.
+
+    The loop.  m starts at the top generator degree (at least 1), capped at
+    q_max + 1, and every ring of the chain keeps its own `graded_pieces`.  At
+    each m, every cut is checked at the one new degree m + 1, in chain order;
+    a cut that fails there is dropped with the cuts after it, and its variable
+    is rejected on its parent ring.  Then the last ring is cut further while
+    its piece m is nonzero: each variable not rejected there is tried in index
+    order, its pieces stepped up from degree 0 until the identity fails (the
+    variable is rejected) or holds through m + 1 (it is cut).  No variable can
+    pass when dim M_{j-1} > dim M_j for some j <= m + 1, and then none is
+    tried.  The certificate fires when the last ring's piece m is 0, or when
+    its one variable is injective through m + 1: cutting that leaves the
+    field k, whose piece m is 0, and rows q <= m - 1 of k and of k[x]/(x^d),
+    d >= m + 2, are both (0, 0) alone.  It also needs m at least the top
+    generator degree.  Otherwise m is raised; at m = q_max + 1 the cut is
+    certified through q_max + 2, rows 0..q_max agree, and the certificate is
+    left unknown.
     """
-    top = q_max + 2
-    chain = graded_pieces(ideal)
-    pieces = list(islice(chain, top))
-    while ideal.num_vars > 1 and all(pieces[j - 1].dim <= pieces[j].dim
-                                     for j in range(1, top)):
-        for var in range(ideal.num_vars):
-            cut = _cut(ideal, var)
-            cut_chain = graded_pieces(cut)
-            cut_pieces = []
-            for j in range(top + 1):
-                if j == len(pieces):
-                    pieces.append(next(chain))
-                cut_pieces.append(next(cut_chain))
-                if cut_pieces[j].dim != pieces[j].dim - (pieces[j - 1].dim if j else 0):
-                    break
-            else:
-                ideal, pieces, chain = cut, cut_pieces, cut_chain
+    top = max((poly_degree(g) for g in ideal.generators), default=0)
+    m = min(max(1, top), q_max + 1)
+    rings = [_Ring(ideal)]
+    while True:
+        for k in range(1, len(rings)):
+            if not _injective(rings[k - 1], rings[k], m + 1):
+                rings[k - 1].rejected.add(rings[k].var)
+                del rings[k:]
                 break
-        else:
-            break
-    return ideal, pieces
+        last = rings[-1]
+        while (last.ideal.num_vars > 1 and last.dim(m)
+               and all(last.dim(j - 1) <= last.dim(j) for j in range(1, m + 2))):
+            for var in range(last.ideal.num_vars):
+                if var in last.rejected:
+                    continue
+                trial = _Ring(_cut(last.ideal, var), var)
+                if all(_injective(last, trial, j) for j in range(m + 2)):
+                    rings.append(trial)
+                    break
+                last.rejected.add(var)
+            else:
+                break
+            last = rings[-1]
+        zero = not last.dim(m) or last.ideal.num_vars == 1 and last.dim(m + 1) == 1
+        if zero or m > q_max:
+            return last.ideal, last.pieces[:m + 1], zero and m >= top
+        m += 1
 
 
 def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:
-    """All kappa_{p,q} for p <= num_vars, q <= q_max, plus a completeness flag.
+    """All kappa_{p,q} for p <= num_vars, q <= q_max, and whether the table is certified complete.
 
     Every coefficient is first mapped into the field, so a denominator the
     characteristic divides raises ValueError whatever q_max is.  The table is
     then computed on the ideal cut by certified regular variables (see
-    `_cut_regular_variables`), which has the same rows 0..q_max.
+    `_cut_regular_variables`), which has the same rows.
 
-    The flag is advisory: it is True when rows q_max and q_max - 1 are both
-    empty, a heuristic cutoff for having passed the regularity.  It never
-    silently truncates; callers who need more rows raise q_max.
+    The flag is True exactly when the Bayer-Stillman certificate fired at
+    some m <= q_max + 1: the generators have degree <= m, each cut form h_i
+    is injective on S/(I, h_<i) from degree m to m + 1 (the colon condition
+    ((I, h_<i) : h_i)_m = (I, h_<i)_m), and (I, h_1, ..., h_j)_m = S_m.
+    Then I is m-regular, so S/I has no row from m on, and the table is
+    complete: rows up to m - 1 agree with the cut ring's, and rows from m on
+    vanish for S/I by regularity and for the cut ring because its pieces
+    vanish from degree m on.  False means unknown, not incomplete; the rows
+    through q_max are exact either way.
     """
     if q_max < 1:
         raise ValueError(f"need q_max >= 1, got {q_max}")
-    ideal, pieces = _cut_regular_variables(_in_field(ideal), q_max)
-    table = _betti_entries(ideal, pieces, q_max)
-    complete = not any(q in (q_max, q_max - 1) for _, q in table.entries)
-    return table, complete
+    ideal, pieces, certified = _cut_regular_variables(_in_field(ideal), q_max)
+    return _betti_entries(ideal, pieces, len(pieces) - 2), certified
 
 
 def hilbert_consistency(ideal: Ideal, table: BettiTable, q_max: int) -> bool:

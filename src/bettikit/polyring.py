@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .tables import DIGITS, ParseError, integer
+from .tables import DIGITS, ParseError, integer, rational
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, Fraction]
@@ -140,7 +140,7 @@ def parse_field(text: str, line: int | None = None) -> int | None:
     match = _FIELD_RE.fullmatch(text)
     if match is None:
         raise ParseError(f"bad field {text!r}, expected 'rational', 'gf P' or 'gfP'", line)
-    return None if match[1] is None else int(match[1])
+    return None if match[1] is None else integer(match[1], "characteristic", line)
 
 
 _TOKEN_RE = re.compile(rf"\s*(?:(?P<sign>[+-])|(?P<coeff>{DIGITS}(?:/{DIGITS})?)"
@@ -184,7 +184,7 @@ def parse_polynomial(text: str, num_vars: int, line: int = 1) -> Poly:
         if expect_exponent:
             if match.lastgroup != "coeff" or "/" in token:
                 raise ParseError(f"bad exponent {token!r}", line, column)
-            value = int(token)
+            value = integer(token, "exponent", line, column)
             if value < 1:
                 raise ParseError(f"exponent must be positive, got {token!r}", line, column)
             exponents[last_var] += value - 1
@@ -208,7 +208,7 @@ def parse_polynomial(text: str, num_vars: int, line: int = 1) -> Poly:
             expect_exponent = True
             continue
         if match.lastgroup == "var":
-            index = int(token[1:])
+            index = integer(token[1:], "variable index", line, column)
             if index >= num_vars:
                 raise ParseError(
                     f"unknown variable {token!r} (only x0..x{num_vars - 1} declared)",
@@ -223,10 +223,7 @@ def parse_polynomial(text: str, num_vars: int, line: int = 1) -> Poly:
         # a bare number is a coefficient and must open the term
         if term_open:
             raise ParseError(f"coefficient {token!r} must precede variables", line, column)
-        try:
-            coeff = Fraction(token)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {token!r}", line, column) from None
+        coeff = rational(token, "coefficient", line, column)
         term_open = True
         pending_sign = False
 

@@ -210,7 +210,11 @@ def uncut_table(ideal: Ideal, q_max: int) -> BettiTable:
 
 
 def sweep_cut_agrees_with_uncut(trials: int = 100, seed: int = 31, q_max: int = 3) -> Sweep:
-    """betti_table, which cuts certified regular variables, against the uncut table."""
+    """betti_table, which cuts certified regular variables, against the uncut table.
+
+    When betti_table certifies its table complete, the uncut table three rows
+    further must have no row past q_max.
+    """
     rng = random.Random(seed)
     cases = 0
     failures = []
@@ -219,10 +223,15 @@ def sweep_cut_agrees_with_uncut(trials: int = 100, seed: int = 31, q_max: int = 
         for char_p in (None, 32003):
             cases += 1
             field_ideal = replace(ideal, char_p=char_p)
-            table, _ = betti_table(field_ideal, q_max)
+            table, certified = betti_table(field_ideal, q_max)
             expected = uncut_table(field_ideal, q_max)
             if table != expected:
                 failures.append(f"{field_ideal}: cut table {table} != uncut {expected}")
+            elif certified:
+                row = uncut_table(field_ideal, q_max + 3).regularity()
+                if row > q_max:
+                    failures.append(f"{field_ideal}: certified at q_max {q_max}, "
+                                    f"but the uncut table has row {row}")
     return cases, failures
 
 

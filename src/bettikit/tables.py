@@ -18,14 +18,18 @@ Two serialization formats are supported:
 
 Every integer read from outside input, here, in ideal files and on the
 command line, has one syntax, INTEGER: an optional sign, then ASCII digits
-0-9.  `integer` reads one, `ParseError` reports malformed input and `load`
-reads a file, naming it in any error.
+0-9.  `integer` reads one and `rational` reads INTEGER or INTEGER/DIGITS;
+a numeral longer than Python converts (`sys.get_int_max_str_digits()`, 4300
+digits by default) is malformed input like any other, reported where it
+stands.  `ParseError` reports malformed input and `load` reads a file,
+naming it in any error.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -71,11 +75,27 @@ class ParseError(ValueError):
         super().__init__(message if where is None else f"{where}: {message}")
 
 
-def integer(text: str, what: str = "integer", line: int | None = None) -> int:
+def integer(text: str, what: str = "integer", line: int | None = None, column: int = 1) -> int:
     """The integer `text` spells in the INTEGER syntax; a ParseError naming `what` otherwise."""
     if not _INTEGER_RE.fullmatch(text):
-        raise ParseError(f"bad {what} {text!r}", line)
-    return int(text)
+        raise ParseError(f"bad {what} {text!r}", line, column)
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python converts
+        digits = len(text.lstrip("+-"))
+        raise ParseError(f"{what} has {digits} digits, more than the "
+                         f"{sys.get_int_max_str_digits()} allowed", line, column) from None
+
+
+def rational(text: str, what: str, line: int | None = None, column: int = 1) -> Fraction:
+    """The rational `text` spells, INTEGER or INTEGER/DIGITS; a ParseError naming `what` otherwise."""
+    if not _ENTRY_RE.fullmatch(text):
+        raise ParseError(f"bad {what} {text!r}", line, column)
+    numerator, _, denominator = text.partition("/")
+    den = integer(denominator or "1", what, line, column)
+    if not den:
+        raise ParseError(f"zero denominator in {text!r}", line, column)
+    return Fraction(integer(numerator, what, line, column), den)
 
 
 def load(path: str, parse):
@@ -106,7 +126,7 @@ def _json_int(item: dict, key: str, index: int) -> int:
         raise ValueError(f"entry {index} of the JSON table has no {key!r}")
     value = item[key]
     if isinstance(value, str) and _INTEGER_RE.fullmatch(value):
-        return int(value)
+        return integer(value, f"entry {index} of the JSON table: {key!r}")
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"entry {index} of the JSON table: {key!r} is {value!r}, not an integer")
@@ -241,7 +261,7 @@ class BettiTable:
             head, sep, rest = line.partition(":")
             if not sep:
                 raise ParseError(f"expected 'q: entries', got {line!r}", lineno)
-            q = integer(head.strip(), "row label", lineno)
+            q = integer(head.strip(), "row label", lineno, len(raw) - len(raw.lstrip()) + 1)
             if q < 0:
                 raise ParseError(f"negative row label {q}", lineno)
             cursor = raw.index(":") + 1
@@ -251,12 +271,7 @@ class BettiTable:
                 cursor += len(token)
                 if token == ".":
                     continue
-                if not _ENTRY_RE.fullmatch(token):
-                    raise ParseError(f"bad entry token {token!r}", lineno, column)
-                try:
-                    value = Fraction(token)
-                except ZeroDivisionError:
-                    raise ParseError(f"zero denominator in {token!r}", lineno, column) from None
+                value = rational(token, "entry token", lineno, column)
                 if value < 0:
                     raise NegativeEntryError(p, q, value, line=lineno, column=column)
                 if (p, q) in entries:
@@ -300,7 +315,8 @@ class BettiTable:
 
     @classmethod
     def from_json(cls, text: str) -> "BettiTable":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(json.loads(text, parse_int=lambda digits: integer(
+            digits, "JSON integer")))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,23 @@ def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def power(poly, exponent):
+    """poly ** exponent, for a polynomial in three variables."""
+    out = {(0, 0, 0): 1}
+    for _ in range(exponent):
+        product = {}
+        for ma, ca in out.items():
+            for mb, cb in poly.items():
+                mono = mono_mul(ma, mb)
+                product[mono] = product.get(mono, 0) + ca * cb
+        out = product
+    return {m: Fraction(c) for m, c in out.items() if c}
+
+
+def linear(a, b, c):
+    return {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}
+
+
 def ideal_to_str(ideal):
     """The ideal in the file format `parse_ideal` reads."""
     lines = [f"vars {ideal.num_vars}", f"field {ideal.field_label()}"]

@@ -1,5 +1,6 @@
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,22 +121,25 @@ def test_betti_text(capsys):
     code, out, _ = run(capsys, "betti", fixture_path("twisted_cubic.ideal"), "--qmax", "3")
     assert code == 0
     assert "field: gf 32003" in out
-    assert "complete: true" in out
+    assert "complete: certified" in out
     assert "0: 1" in out
     assert "1: . 3 2" in out
 
 
-def test_betti_complete_flag_is_labelled_heuristic(tmp_path, capsys):
-    # rows 2 and 3 are empty, yet rows 4 and 5 are not
+def test_betti_complete_flag_means_certified(tmp_path, capsys):
+    # (x0^2, x1^5) is 6-regular: rows 2 and 3 are empty, yet rows 4 and 5 are not
     gap = tmp_path / "gap.ideal"
     gap.write_text("vars 2\nx0^2\nx1^5\n")
     code, out, _ = run(capsys, "betti", str(gap), "--qmax", "3")
     assert code == 0
-    assert "complete: true (heuristic)" in out
+    assert "complete: unknown" in out
     assert "4:" not in out
+    code, out, _ = run(capsys, "betti", str(gap), "--qmax", "3", "--out", "json")
+    assert code == 0
+    assert json.loads(out)["complete"] is False
     code, out, _ = run(capsys, "betti", str(gap), "--qmax", "6")
     assert code == 0
-    assert "complete: false (heuristic)" in out
+    assert "complete: certified" in out
     assert "4: . 1" in out and "5: . . 1" in out
 
 
@@ -357,6 +361,8 @@ READ_SITES = {
     "table-entry": (["check", "{file}", "--codim", "2"], "0: 1\n1: . {n} 2\n", 1),
     "json-integer": (["decompose", "{file}"],
                      '{"entries": [{"p": 0, "q": "{n}", "num": "1", "den": "1"}]}', 1),
+    "json-literal": (["decompose", "{file}"],
+                     '{"entries": [{"p": 0, "q": 0, "num": {n}, "den": 1}]}', 1),
     "vars": (["betti", "{file}", "--qmax", "2"], "vars {n}\nx0^2\n", 1),
     "field-line": (["betti", "{file}", "--qmax", "2"], "vars 2\nfield gf {n}\nx0^2\n", 1),
     "coefficient": (["betti", "{file}", "--qmax", "2"], "vars 2\n{n}*x0^2\n", 1),
@@ -370,19 +376,42 @@ READ_SITES = {
 }
 
 
-@pytest.mark.parametrize("numeral", ["1_0", "\u0663", "\u00b2"],
-                         ids=["underscore", "arabic-indic-3", "superscript-2"])
+@pytest.fixture
+def int_digit_limit():
+    """Python's default limit on integer-string conversion, restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("numeral", ["1_0", "\u0663", "\u00b2", "1" * 5000],
+                         ids=["underscore", "arabic-indic-3", "superscript-2", "5000-digits"])
 @pytest.mark.parametrize("site", READ_SITES)
-def test_malformed_numeral_is_rejected_at_every_read_site(tmp_path, capsys, site, numeral):
-    # int() would read 1_0 as 10 and the Arabic-Indic digit as 3
+def test_malformed_numeral_is_rejected_at_every_read_site(tmp_path, capsys, int_digit_limit,
+                                                           site, numeral):
+    # int() would read 1_0 as 10 and the Arabic-Indic digit as 3, and refuse
+    # 5000 digits with advice meant for a Python program
     argv, text, expected = READ_SITES[site]
     code, out, err = run_to_exit(capsys, expand(argv, tmp_path, text, numeral))
     assert (code, out) == (expected, "")
+    assert "set_int_max_str_digits" not in err
     if expected == 64:
         assert err.splitlines()[-1].startswith("error: argument --")
     else:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: " if text is None else f"{tmp_path}")
+
+
+def test_oversized_numeral_is_reported_where_it_stands(tmp_path, capsys, int_digit_limit):
+    big = "1" * 5000
+    argv = expand(["decompose", "{file}"], tmp_path, "0: 1\n{n}: . 3 2\n", big)
+    code, out, err = run_to_exit(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"{argv[1]}:2:1: row label has 5000 digits, more than the 4300 allowed\n"
+    code, out, err = run_to_exit(capsys, ["pure", f"0,{big}"])
+    assert (code, out) == (1, "")
+    assert err == "error: degree has 5000 digits, more than the 4300 allowed\n"
 
 
 ERRORS_GOLDEN = json.loads((Path(__file__).parent / "cli_errors_golden.json")

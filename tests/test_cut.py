@@ -15,7 +15,7 @@ from bettikit.polyring import (Ideal, mono_times_var, monomials_of_degree, parse
                                parse_polynomial)
 from bettikit.selftest import sweep_cut_agrees_with_uncut, uncut_table
 from bettikit.tables import BettiTable
-from oracles import normal_form
+from oracles import linear, normal_form, power
 
 FIELDS = (None, 32003)
 
@@ -59,17 +59,18 @@ COUNTEREXAMPLE = ideal_from(3, ["x0^2", "x1*x2^2 - x0*x1^2"])
 
 
 def test_cut_needs_injectivity_through_qmax_plus_two():
-    # At q_max = 1 the range 0..q_max+2 ends at degree 3, so x2 is cut and
-    # rows 0..1 still agree.
-    cut, _ = _cut_regular_variables(COUNTEREXAMPLE, 1)
+    # At q_max = 1 the certificate degree m stops at q_max + 1 = 2, the cut
+    # is checked through degree m + 1 = 3, so x2 is cut and rows 0..1 still agree.
+    cut, _, certified = _cut_regular_variables(COUNTEREXAMPLE, 1)
     assert cut.num_vars == 2
+    assert not certified
     assert betti_table(COUNTEREXAMPLE, 1)[0] == uncut_table(COUNTEREXAMPLE, 1)
     # At q_max = 2, cutting x2 after checking only through q_max+1 = 3
     # would add a wrong cell in row q_max.
     expected = BettiTable({(0, 0): 1, (1, 1): 1, (1, 2): 1})
     assert uncut_table(COUNTEREXAMPLE, 2) == expected
     assert uncut_table(_cut(COUNTEREXAMPLE, 2), 2) == expected + BettiTable({(2, 2): 1})
-    cut, _ = _cut_regular_variables(COUNTEREXAMPLE, 2)
+    cut, _, _ = _cut_regular_variables(COUNTEREXAMPLE, 2)
     assert cut.num_vars == 3
     assert betti_table(COUNTEREXAMPLE, 2)[0] == expected
 
@@ -81,16 +82,17 @@ def test_cut_matches_uncut_on_fixtures(char_p):
         assert betti_table(ideal, entry.qmax)[0] == uncut_table(ideal, entry.qmax), entry.name
 
 
+# (variables, variables after the cut, degree m where the certificate fires)
 VARIABLES_AFTER_CUT = {
-    "twisted-cubic": (4, 2),
-    "veronese-p2": (6, 3),
-    "rnc-conic": (3, 1),
-    "rnc-quartic": (5, 3),
-    "rnc-quintic": (6, 4),
-    "rnc-sextic": (7, 5),
-    "ci-two-quadrics": (2, 2),
-    "ci-quadric-cubic": (2, 2),
-    "hypersurface-cubic": (3, 1),
+    "twisted-cubic": (4, 2, 2),
+    "veronese-p2": (6, 3, 2),
+    "rnc-conic": (3, 1, 2),
+    "rnc-quartic": (5, 3, 2),
+    "rnc-quintic": (6, 4, 2),
+    "rnc-sextic": (7, 5, 2),
+    "ci-two-quadrics": (2, 2, 3),
+    "ci-quadric-cubic": (2, 2, 4),
+    "hypersurface-cubic": (3, 1, 3),
 }
 
 
@@ -98,20 +100,26 @@ VARIABLES_AFTER_CUT = {
 def test_variables_cut_per_fixture(char_p):
     got = {}
     for entry, ideal in fixture_ideals():
-        cut, pieces = _cut_regular_variables(replace(ideal, char_p=char_p), entry.qmax)
-        got[entry.name] = (ideal.num_vars, cut.num_vars)
-        assert all(pieces[q] == graded_piece(cut, q) for q in range(entry.qmax + 2))
+        cut, pieces, certified = _cut_regular_variables(replace(ideal, char_p=char_p),
+                                                        entry.qmax)
+        assert certified, entry.name
+        m = len(pieces) - 1
+        got[entry.name] = (ideal.num_vars, cut.num_vars, m)
+        # the pieces M'_0 .. M'_m are all the table reads
+        assert all(pieces[q] == graded_piece(cut, q) for q in range(m + 1))
+        assert pieces[m].dim == 0 or cut.num_vars == 1
     assert got == VARIABLES_AFTER_CUT
 
 
 @pytest.mark.parametrize("char_p", FIELDS)
 def test_cut_pieces_are_iterated_differences(char_p):
-    # Each cut variable is injective through q_max+2, so each cut takes one
-    # backward difference of the Hilbert function there: dim M'_j = Δ^k dim M_j.
+    # Each cut variable is injective through m + 1, and by Bayer-Stillman in
+    # every degree, so each cut takes one backward difference of the Hilbert
+    # function, checked here through q_max + 2: dim M'_j = Δ^k dim M_j.
     for entry, ideal in fixture_ideals():
         ideal = _in_field(replace(ideal, char_p=char_p))
         top = entry.qmax + 2
-        cut, pieces = _cut_regular_variables(ideal, entry.qmax)
+        cut, pieces, _ = _cut_regular_variables(ideal, entry.qmax)
         dims = [graded_piece(ideal, j).dim for j in range(top + 1)]
         for _ in range(ideal.num_vars - cut.num_vars):
             dims = [dim - (dims[j - 1] if j else 0) for j, dim in enumerate(dims)]
@@ -140,19 +148,25 @@ def homogeneous_ideals(draw):
     return Ideal(num_vars=num_vars, generators=tuple(generators), char_p=char_p)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(ideal=homogeneous_ideals(), q_max=st.integers(1, 4))
 @example(ideal=ideal_from(3, ["x0^2", "x1^2", "x2^2"], char_p=5), q_max=3)     # Artinian
 @example(ideal=ideal_from(2, ["x0^2", "x0*x1"]), q_max=3)                      # depth 0
 @example(ideal=ideal_from(3, ["x0*x1", "x0*x2", "x1*x2"]), q_max=3)            # no regular variable
 @example(ideal=ideal_from(3, ["x0*x1"], char_p=32003), q_max=2)                # cuts x2, then stops
 @example(ideal=COUNTEREXAMPLE, q_max=2)                                         # stops at q_max+2
+@example(ideal=ideal_from(2, ["x0^2", "x1^5"], char_p=5), q_max=5)             # certifies at m = 6
+@example(ideal=ideal_from(4, []), q_max=1)                                     # zero ideal
 def test_cut_matches_uncut_on_random_ideals(ideal, q_max):
-    table, _ = betti_table(ideal, q_max)
+    table, certified = betti_table(ideal, q_max)
     assert table == uncut_table(ideal, q_max)
     assert hilbert_consistency(ideal, table, q_max)
-    cut, pieces = _cut_regular_variables(ideal, q_max)
-    assert all(pieces[q] == graded_piece(cut, q) for q in range(q_max + 2))
+    if certified:
+        # the certificate proves that no row past q_max exists
+        assert uncut_table(ideal, q_max + 3).regularity() <= q_max
+    cut, pieces, _ = _cut_regular_variables(_in_field(ideal), q_max)
+    assert 2 <= len(pieces) <= q_max + 2
+    assert all(pieces[q] == graded_piece(cut, q) for q in range(len(pieces)))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -171,6 +185,42 @@ def test_dimension_certificate_matches_rank_oracle(ideal, q_max):
             identity = graded_piece(cut, j).dim == pieces[j].dim - pieces[j - 1].dim
             assert identity == multiplication_has_full_rank(ideal, pieces[j - 1], pieces[j], var)
     assert _cut_regular_variables(ideal, q_max)[0] == rank_certified_cut(ideal, q_max)
+
+
+@pytest.mark.parametrize("char_p", (None, 5, 32003))
+@pytest.mark.parametrize("num_vars", (1, 2, 4))
+def test_zero_ideal_is_certified(num_vars, char_p):
+    # every variable is regular; the last one cut leaves the field k, whose piece m is 0
+    zero = Ideal(num_vars=num_vars, generators=(), char_p=char_p)
+    for q_max in (1, 3):
+        assert betti_table(zero, q_max) == (BettiTable({(0, 0): 1}), True)
+
+
+def test_certificate_needs_every_generator_degree():
+    # x2 is injective through degree 4 and cutting it leaves k[x0,x1]/(x0^2, x1^2),
+    # whose piece 3 is zero; but x2^5 puts a cell in row 4, so with m <= 3
+    # the certificate must not fire.  It fires once m reaches 7, past the socle.
+    ideal = ideal_from(3, ["x0^2", "x1^2", "x2^5"])
+    assert betti_table(ideal, 2) == (uncut_table(ideal, 2), False)
+    assert betti_table(ideal, 6) == (uncut_table(ideal, 6), True)
+    assert uncut_table(ideal, 6).regularity() == 6
+
+
+@pytest.mark.parametrize("char_p", FIELDS)
+def test_lefschetz_cut_is_certified_one_degree_up(char_p):
+    # On this complete intersection of degrees (3, 4, 5), dims 1 3 6 9 11 11 9 6 3 1,
+    # x1 is injective through degree 5 but not into degree 6.  Certifying only
+    # through m = 5, the cut and the gate dim M_{j-1} <= dim M_j alike, would
+    # cut x1, find the cut ring's piece 5 zero, and drop rows 5..9; through
+    # m + 1 = 6 the gate stops every trial and nothing is lost.
+    ideal = Ideal(num_vars=3, char_p=char_p, generators=(
+        power(linear(1, 1, 1), 3), power(linear(1, 2, 2), 4), power(linear(1, 2, 3), 5)))
+    table, certified = betti_table(ideal, 11)
+    assert table == BettiTable({(0, 0): 1, (1, 2): 1, (1, 3): 1, (1, 4): 1,
+                                (2, 5): 1, (2, 6): 1, (2, 7): 1, (3, 9): 1})
+    assert certified
+    cut, pieces, _ = _cut_regular_variables(_in_field(ideal), 11)
+    assert cut.num_vars == 3 and len(pieces) - 1 == 10
 
 
 def test_cut_sweep():

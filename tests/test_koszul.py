@@ -196,8 +196,9 @@ def test_each_differential_is_built_once(monkeypatch):
 
     monkeypatch.setattr(koszul, "koszul_differential", counting)
     betti_table(TWISTED_CUBIC, 3)
-    # the cut ring of the twisted cubic has 2 variables
-    assert len(built) == len(set(built)) == (2 + 1) * (3 + 1)
+    # the cut ring of the twisted cubic has 2 variables, and the certificate
+    # fires at m = 2, so only rows 0..1 are computed
+    assert len(built) == len(set(built)) == (2 + 1) * (1 + 1)
     built.clear()
     uncut_table(TWISTED_CUBIC, 3)
     assert len(built) == len(set(built)) == (4 + 1) * (3 + 1)
@@ -210,9 +211,18 @@ def test_betti_table_twisted_cubic():
 
 
 def test_betti_table_incomplete_flag():
+    # the twisted cubic certifies at m = 2 even at q_max 1
     table, complete = betti_table(TWISTED_CUBIC, 1)
     assert table == BettiTable({(0, 0): 1, (1, 1): 3, (2, 1): 2})
+    assert complete
+    # (x0^2, x1^5) is 6-regular: rows 2 and 3 are empty, but q_max 3 cannot certify it
+    gap = ideal_from(2, ["x0^2", "x1^5"])
+    table, complete = betti_table(gap, 3)
+    assert table == BettiTable({(0, 0): 1, (1, 1): 1})
     assert not complete
+    table, complete = betti_table(gap, 6)
+    assert table == BettiTable({(0, 0): 1, (1, 1): 1, (1, 4): 1, (2, 5): 1})
+    assert complete
 
 
 def test_betti_table_veronese():

@@ -14,7 +14,7 @@ from bettikit.koszul import GradedPiece, _next_piece, graded_piece, graded_piece
 from bettikit.linalg import field, reduced_echelon
 from bettikit.polyring import (Ideal, monomials_of_degree, parse_ideal, parse_polynomial,
                                poly_degree)
-from oracles import mono_mul, rref
+from oracles import linear, mono_mul, power, rref
 
 FIELDS = (None, 32003)
 
@@ -127,22 +127,6 @@ def test_graded_pieces_chain_skips_products_explained_below(char_p, monkeypatch)
     assert len(given) == entry.qmax + 3
     assert given[-1] < ideal.num_vars * pieces[-2].ideal_dim
     assert pieces[-1] == macaulay_piece(ideal, entry.qmax + 2)
-
-
-def power(poly, exponent):
-    out = {(0, 0, 0): 1}
-    for _ in range(exponent):
-        product = {}
-        for ma, ca in out.items():
-            for mb, cb in poly.items():
-                mono = mono_mul(ma, mb)
-                product[mono] = product.get(mono, 0) + ca * cb
-        out = product
-    return {m: Fraction(c) for m, c in out.items() if c}
-
-
-def linear(a, b, c):
-    return {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}
 
 
 @pytest.mark.parametrize("char_p", FIELDS)
