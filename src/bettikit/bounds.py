@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .decompose import NotInConeError, bs_decompose, multiplicity_from_decomposition
-from .pure import family_deq, family_tilde, multiplicity, pure_cells
+from .pure import _integer_diagram, family_deq, family_tilde, multiplicity
 from .tables import BettiTable, DegreeSequence
 
 VERDICT_ALL_MAX = "AllMax"
@@ -97,8 +97,8 @@ def first_nontrivial_strand(table: BettiTable) -> int | None:
 
 def _against_diagram(table: BettiTable, q: int, d: DegreeSequence) -> StrandReport:
     """Row q of the table against pi(d), read as the module docstring says; no notes."""
-    diagram = pure_cells(d.degrees)
-    del diagram[(0, 0)]
+    cells, den = _integer_diagram(d.degrees)
+    diagram = {cell: Fraction(n, den) for cell, n in cells.items() if cell != (0, 0)}
     per_p = []
     for p in range(1, max(d.length, table.projective_dimension()) + 1):
         observed, bound = table.entry(p, q), diagram.get((p, q))
@@ -173,6 +173,8 @@ def check_next_to_max(table: BettiTable, assumptions: Assumptions) -> StrandRepo
     if e < 2:
         raise ValueError(f"next-to-maximal bound needs codimension >= 2, got {e}")
     strand = first_nontrivial_strand(table)
+    if strand is None:
+        raise ValueError("the table has no nontrivial strand, the bound needs q = 1")
     if strand != 1:
         raise ValueError(f"first nontrivial strand is {strand}, the bound needs q = 1")
     d = family_tilde(e, 1)

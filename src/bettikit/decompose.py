@@ -2,12 +2,13 @@
 
 Every table in the cone spanned by pure diagrams is a unique positive
 rational combination of diagrams along a chain of degree sequences.  The
-peeling loop below recovers it: read off the top strand (the minimal degree
-sequence d with d_p = p + min row of column p), subtract the largest multiple
-of pi(d) that keeps all cells nonnegative, repeat.  pi(d) lives on exactly
-the strand cells, and the subtracted multiple is the minimum over those cells
-of table / diagram, so each pass zeroes at least one cell and creates none:
-a table with n nonzero cells is peeled in at most n passes.
+peeling loop below recovers it in integers: clear the table once, read off the
+top strand (the minimal degree sequence d with d_p = p + min row of column p),
+subtract the largest multiple of pi(d), as integers over one denominator,
+that keeps all cells nonnegative, and repeat; a pass builds one Fraction, its
+coefficient.  pi(d) lives on exactly the strand cells and the multiple is the
+minimum over them of table / diagram, so each pass zeroes at least one cell
+and creates none: a table with n nonzero cells is peeled in at most n passes.
 
 Tables outside the cone surface as NotInConeError, in one of two ways while
 reading the top strand: a column gap or a non-increasing strand.
@@ -17,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
-from .pure import multiplicity, pure_cells
+from .pure import _integer_diagram, multiplicity
 from .tables import BettiTable, Cell, DegreeSequence
 
 
@@ -58,19 +60,20 @@ class Decomposition:
                 raise ValueError(f"duplicate degree sequence {d}")
             seen.add(d.degrees)
 
-    def __iter__(self):
-        return iter(self.terms)
-
     def sorted_terms(self) -> list[tuple[Fraction, DegreeSequence]]:
         """Display order: by length, then lexicographically by degrees."""
         return sorted(self.terms, key=lambda term: (term[1].length, term[1].degrees))
 
     def reconstruct(self) -> BettiTable:
-        total: dict[Cell, Fraction] = {}
-        for coefficient, d in self.terms:
-            for cell, value in pure_cells(d.degrees).items():
-                total[cell] = total.get(cell, 0) + coefficient * value
-        return BettiTable(total)
+        """Sum of c * pi(d) over the terms, in integers over one common denominator."""
+        parts = [(c, *_integer_diagram(d.degrees)) for c, d in self.terms]
+        common = lcm(*(c.denominator * den for c, _, den in parts))
+        total: dict[Cell, int] = {}
+        for c, cells, den in parts:
+            factor = c.numerator * (common // (c.denominator * den))
+            for cell, n in cells.items():
+                total[cell] = total.get(cell, 0) + factor * n
+        return BettiTable({cell: Fraction(v, common) for cell, v in total.items()})
 
 
 def _strand_degrees(cells: Iterable[Cell]) -> tuple[int, ...]:
@@ -101,30 +104,38 @@ def top_strand(table: BettiTable) -> DegreeSequence:
 def bs_decompose(table: BettiTable) -> Decomposition:
     """Peel a table into its positive combination of pure diagrams.
 
-    Each pass subtracts c * pi(d) from a dict of the remaining cells, on the
-    l+1 strand cells only, with c the minimal ratio cell / pi(d)[cell]: no
-    cell goes negative, the argmin cell reaches zero and is deleted, and none
-    is created, so there are at most nnz(table) passes.  Raises NotInConeError
-    when the table leaves the cone (a gap in a column or a non-increasing strand).
+    `work` holds the remaining cells as integers over `scale`.  A pass finds
+    a / b, the least work / n over the strand cells of pi(d) = n / den, by
+    cross-multiplication; work becomes b * work - a * n over scale * b, both
+    divided by their content; c = a * den / (scale * b).  NotInConeError when
+    the table leaves the cone (a gap in a column or a non-increasing strand).
     """
     if table.is_zero():
         raise ValueError("cannot decompose an empty table")
-    work = dict(table.entries)
+    scale = lcm(*(v.denominator for v in table.entries.values()))
+    work = {cell: v.numerator * (scale // v.denominator) for cell, v in table.entries.items()}
     terms: list[tuple[Fraction, DegreeSequence]] = []
     while work:
         try:
             degrees = _strand_degrees(work)
         except (NoColumnError, StrandNotIncreasingError) as exc:
             raise NotInConeError(f"table is outside the cone: {exc}") from exc
-        diagram = pure_cells(degrees)
-        coefficient = min(work[cell] / value for cell, value in diagram.items())
-        for cell, value in diagram.items():
-            rest = work[cell] - coefficient * value
-            if rest:
-                work[cell] = rest
-            else:
-                del work[cell]
-        terms.append((coefficient, DegreeSequence(degrees)))
+        diagram, den = _integer_diagram(degrees)
+        a, b = 1, 0  # the ratio 1/0 exceeds every cell's
+        for cell, n in diagram.items():
+            if work[cell] * b < a * n:
+                a, b = work[cell], n
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        terms.append((Fraction(a * den, scale * b), DegreeSequence(degrees)))
+        if b != 1:
+            work = {cell: b * w for cell, w in work.items()}
+            scale *= b
+        for cell, n in diagram.items():
+            work[cell] -= a * n
+        content = gcd(scale, *work.values())
+        scale //= content
+        work = {cell: w // content for cell, w in work.items() if w}
     return Decomposition(tuple(terms))
 
 
@@ -137,7 +148,7 @@ def multiplicity_from_decomposition(decomposition: Decomposition, codim_length: 
     if codim_length < 0:
         raise ValueError(f"codim length must be nonnegative, got {codim_length}")
     total = Fraction(0)
-    for coefficient, d in decomposition:
+    for coefficient, d in decomposition.terms:
         if d.length == codim_length:
             total += coefficient * multiplicity(d)
     return total

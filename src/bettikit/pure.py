@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .tables import BettiTable, Cell, DegreeSequence
 
@@ -37,17 +37,19 @@ def multiplicity(d: DegreeSequence) -> Fraction:
     return Fraction(prod(dk - d[0] for dk in d.degrees[1:]), factorial(d.length))
 
 
-def pure_cells(degrees: tuple[int, ...]) -> dict[Cell, Fraction]:
-    """Cells {(p, d_p - p): kappa_p} of pi(d); d strictly increasing, d_0 >= 0, unchecked."""
-    d0 = degrees[0]
-    span = prod(dk - d0 for dk in degrees[1:])
-    cells = {(0, d0): Fraction(1)}
-    for p in range(1, len(degrees)):
-        dp = degrees[p]
-        denominator = (prod(dp - dk for dk in degrees[1:p])
-                       * prod(dk - dp for dk in degrees[p + 1:]))
-        cells[(p, dp - p)] = Fraction(span // (dp - d0), denominator)
-    return cells
+def _integer_diagram(degrees: tuple[int, ...]) -> tuple[dict[Cell, int], int]:
+    """pi(d) as coprime integers {(p, d_p - p): n_p} over den = n_0, for d strictly increasing.
+
+    n_p = L / D_p for D_p the product of |d_k - d_p| over k != p, L their lcm.  Unchecked.
+    """
+    spans = []
+    for dp in degrees:
+        span = 1
+        for dk in degrees:
+            span *= dk - dp or 1  # the factor k = p is left out
+        spans.append(abs(span))
+    top = lcm(*spans)
+    return {(p, dp - p): top // spans[p] for p, dp in enumerate(degrees)}, top // spans[0]
 
 
 def hk_diagram(d: DegreeSequence) -> PureDiagram:
@@ -55,8 +57,8 @@ def hk_diagram(d: DegreeSequence) -> PureDiagram:
     if d[0] < 0:
         raise ValueError(
             f"degree sequence {d} would place column 0 in negative row {d[0]}")
-    return PureDiagram(d=d, table=BettiTable(pure_cells(d.degrees)),
-                       multiplicity=multiplicity(d))
+    cells, den = _integer_diagram(d.degrees)
+    return PureDiagram(d, BettiTable(cells).scale(Fraction(1, den)), multiplicity(d))
 
 
 def family_deq(e: int, q: int) -> DegreeSequence:

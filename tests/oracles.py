@@ -7,6 +7,8 @@ from fractions import Fraction
 
 from bettikit.linalg import field, reduced_echelon
 from bettikit.polyring import poly_to_str
+from bettikit.pure import hk_diagram
+from bettikit.tables import BettiTable
 
 
 def normal_form(piece, poly, char_p):
@@ -35,6 +37,14 @@ def chain_check(decomposition):
         if any(a[k] > b[k] for k in range(len(b))):
             return False
     return True
+
+
+def reconstruct(decomposition):
+    """Sum of c * pi(d) over the terms, by `BettiTable.scale` and `+` in Fractions."""
+    total = BettiTable({})
+    for coefficient, d in decomposition.terms:
+        total = total + hk_diagram(d).table.scale(coefficient)
+    return total
 
 
 def mono_mul(a, b):

@@ -77,6 +77,8 @@ def check_next_to_max_closed_form(table, assumptions):
     if e < 2:
         raise ValueError(f"next-to-maximal bound needs codimension >= 2, got {e}")
     strand = first_nontrivial_strand(table)
+    if strand is None:
+        raise ValueError("the table has no nontrivial strand, the bound needs q = 1")
     if strand != 1:
         raise ValueError(f"first nontrivial strand is {strand}, the bound needs q = 1")
     width = max(e, table.projective_dimension())

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from bettikit.decompose import (Decomposition, NoColumnError, NotInConeError,
 from bettikit.pure import hk_diagram
 from bettikit.selftest import random_chain_table, sweep_cone_round_trip
 from bettikit.tables import BettiTable, DegreeSequence, NegativeEntryError
-from oracles import chain_check
+from oracles import chain_check, reconstruct
 
 PROJECTED_VERONESE = BettiTable(
     {(0, 0): 1, (1, 2): 7, (2, 2): 10, (3, 2): 5, (4, 2): 1})
@@ -249,3 +250,77 @@ def test_chain_table_round_trip(seed, max_terms, max_length):
     assert decomposition.reconstruct() == table
     # each pass zeroes at least one cell and creates none
     assert len(decomposition.terms) <= len(table.entries)
+
+
+def primes_above(n, count):
+    """The first `count` primes greater than n, by trial division."""
+    found = []
+    while len(found) < count:
+        n += 1
+        if all(n % k for k in range(2, int(n ** 0.5) + 1)):
+            found.append(n)
+    return found
+
+
+@st.composite
+def large_integer_tables(draw):
+    """(table, distinct): a long chain table with denominators up to 10**6, or
+    one with each cell divided by its own prime above 10**6, so that all its
+    cells have pairwise distinct denominators; the peel's running scale grows."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    max_denominator = draw(st.sampled_from((10**3, 10**6)))
+    table, _ = random_chain_table(rng, max_terms=16, max_length=10, max_entry=60,
+                                  max_denominator=max_denominator)
+    if draw(st.booleans()):
+        return table, False
+    cells = sorted(table.entries)
+    primes = primes_above(10**6, len(cells))
+    return BettiTable({cell: table.entry(*cell) / prime
+                       for cell, prime in zip(cells, primes)}), True
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(case=large_integer_tables())
+def test_peeling_matches_table_oracle_on_large_integers(case):
+    table, distinct = case
+    if distinct:
+        denominators = [value.denominator for value in table.entries.values()]
+        assert len(set(denominators)) == len(denominators)
+    assert peel_outcome(bs_decompose, table) == peel_outcome(peel_oracle, table)
+
+
+def test_long_chains_with_large_denominators_round_trip():
+    rng = random.Random(7)
+    for _ in range(30):
+        table, terms = random_chain_table(rng, max_terms=16, max_length=10, max_entry=60,
+                                          max_denominator=10**6)
+        assert bs_decompose(table).terms == tuple(terms)
+
+
+@st.composite
+def term_lists(draw):
+    """Decompositions of chain terms as drawn, peeled from `sparse_tables` (empty
+    when outside the cone), and of arbitrary distinct degree sequences (no
+    chain) with positive coefficients."""
+    kind = draw(st.sampled_from(("chain", "peeled", "arbitrary")))
+    if kind == "chain":
+        _, terms = random_chain_table(random.Random(draw(st.integers(0, 2**32 - 1))),
+                                      max_terms=16, max_length=10)
+        return Decomposition(tuple(terms))
+    if kind == "peeled":
+        table = draw(sparse_tables())
+        try:
+            return bs_decompose(table)
+        except NotInConeError:
+            return Decomposition(())
+    starts_and_gaps = st.tuples(st.integers(0, 3), st.lists(st.integers(1, 4), max_size=8))
+    sequences = starts_and_gaps.map(
+        lambda drawn: DegreeSequence(tuple(accumulate(drawn[1], initial=drawn[0]))))
+    terms = draw(st.dictionaries(sequences, positive_entries, max_size=6))
+    return Decomposition(tuple((c, d) for d, c in terms.items()))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(decomposition=term_lists())
+def test_reconstruct_matches_oracle(decomposition):
+    assert decomposition.reconstruct() == reconstruct(decomposition)
