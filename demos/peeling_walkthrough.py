@@ -8,23 +8,15 @@ rational and the sum of the peeled diagrams reconstructs the table cell for
 cell.
 """
 
-from bettikit import BettiTable, bs_decompose, hk_diagram, multiplicity_from_decomposition, top_strand
+from bettikit import BettiTable, bs_decompose, multiplicity_from_decomposition
 
 
 def trace(name, table, codim):
     print(f"=== {name} ===")
     print(table.to_text(), end="")
-    work = table
-    step = 0
-    while not work.is_zero():
-        step += 1
-        d = top_strand(work)
-        diagram = hk_diagram(d)
-        coefficient = min(work.entry(p, d[p] - p) / diagram.table.entry(p, d[p] - p)
-                          for p in range(len(d)))
-        work = work.subtract_checked(diagram.table.scale(coefficient))
-        print(f"  step {step}: peel {coefficient} * pi({d})")
     decomposition = bs_decompose(table)
+    for step, (coefficient, d) in enumerate(decomposition.terms, start=1):
+        print(f"  step {step}: peel {coefficient} * pi({d})")
     assert decomposition.reconstruct() == table
     degree = multiplicity_from_decomposition(decomposition, codim)
     print(f"  multiplicity of the length-{codim} part: {degree}\n")

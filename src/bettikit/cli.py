@@ -26,7 +26,7 @@ from .decompose import bs_decompose, multiplicity_from_decomposition
 from .fixtures import FIXTURES, run_fixture
 from .koszul import betti_table
 from .polyring import parse_field, parse_ideal
-from .pure import hk_diagram
+from .pure import hk_diagram, multiplicity
 from .selftest import run_all as run_sweeps
 from .tables import BettiTable, DegreeSequence, ParseError, integer, load
 
@@ -65,15 +65,14 @@ def _load_table(path: str) -> BettiTable:
 
 def cmd_pure(args) -> int:
     d = DegreeSequence.parse(args.degrees)
-    diagram = hk_diagram(d)
-    table = diagram.table
+    table = hk_diagram(d)
     scale = None
     if args.clear_denominators:
         table, scale = table.cleared()
     if args.out == "json":
         payload = table.to_json_dict()
         payload["degrees"] = list(d.degrees)
-        payload["multiplicity"] = str(diagram.multiplicity)
+        payload["multiplicity"] = str(multiplicity(d))
         if scale is not None:
             payload["cleared_by"] = scale
         print(json.dumps(payload))
@@ -81,14 +80,14 @@ def cmd_pure(args) -> int:
         if scale is not None:
             print(f"cleared by: {scale}")
         sys.stdout.write(table.to_text())
-        print(f"multiplicity: {diagram.multiplicity}")
+        print(f"multiplicity: {multiplicity(d)}")
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
     decomposition = bs_decompose(_load_table(args.table_file))
-    multiplicity = (None if args.codim is None
-                    else multiplicity_from_decomposition(decomposition, args.codim))
+    degree = (None if args.codim is None
+              else multiplicity_from_decomposition(decomposition, args.codim))
     terms = decomposition.sorted_terms()
     if args.codim is not None:
         short = [d for _, d in terms if d.length < args.codim]
@@ -98,14 +97,14 @@ def cmd_decompose(args) -> int:
     if args.format == "json":
         payload = {"terms": [{"coefficient": str(c), "degrees": list(d.degrees)}
                              for c, d in terms]}
-        if multiplicity is not None:
-            payload["multiplicity"] = str(multiplicity)
+        if degree is not None:
+            payload["multiplicity"] = str(degree)
         print(json.dumps(payload))
     else:
         for coefficient, d in terms:
             print(f"{coefficient}  {d}")
-        if multiplicity is not None:
-            print(f"multiplicity (length {args.codim} part): {multiplicity}")
+        if degree is not None:
+            print(f"multiplicity (length {args.codim} part): {degree}")
     return EXIT_OK
 
 

@@ -10,8 +10,9 @@ coefficient.  pi(d) lives on exactly the strand cells and the multiple is the
 minimum over them of table / diagram, so each pass zeroes at least one cell
 and creates none: a table with n nonzero cells is peeled in at most n passes.
 
-Tables outside the cone surface as NotInConeError, in one of two ways while
-reading the top strand: a column gap or a non-increasing strand.
+A table outside the cone raises NotInConeError while its top strand is read,
+naming the first empty column before the last one or the first position where
+the strand fails to increase strictly.
 """
 
 from __future__ import annotations
@@ -23,22 +24,6 @@ from typing import Iterable
 
 from .pure import _integer_diagram, multiplicity
 from .tables import BettiTable, Cell, DegreeSequence
-
-
-class NoColumnError(ValueError):
-    """Column p is empty although a later column is not."""
-
-    def __init__(self, p: int):
-        self.p = p
-        super().__init__(f"column {p} has no entries but the table extends past it")
-
-
-class StrandNotIncreasingError(ValueError):
-    """The top strand fails to increase strictly at position p."""
-
-    def __init__(self, p: int):
-        self.p = p
-        super().__init__(f"top strand is not strictly increasing at position {p}")
 
 
 class NotInConeError(ValueError):
@@ -77,7 +62,10 @@ class Decomposition:
 
 
 def _strand_degrees(cells: Iterable[Cell]) -> tuple[int, ...]:
-    """d_p = p + min{q : (p, q) in cells} for every column up to the last one."""
+    """d_p = p + min{q : (p, q) in cells} for every column up to the last one.
+
+    NotInConeError when a column before the last is empty or d fails to increase.
+    """
     min_row: dict[int, int] = {}
     for p, q in cells:
         row = min_row.get(p)
@@ -86,19 +74,14 @@ def _strand_degrees(cells: Iterable[Cell]) -> tuple[int, ...]:
     degrees = []
     for p in range(max(min_row) + 1):
         if p not in min_row:
-            raise NoColumnError(p)
+            raise NotInConeError(f"table is outside the cone: column {p} has no entries "
+                                 "but the table extends past it")
         degrees.append(p + min_row[p])
     for p in range(1, len(degrees)):
         if degrees[p] <= degrees[p - 1]:
-            raise StrandNotIncreasingError(p)
+            raise NotInConeError("table is outside the cone: top strand is not strictly "
+                                 f"increasing at position {p}")
     return tuple(degrees)
-
-
-def top_strand(table: BettiTable) -> DegreeSequence:
-    """Minimal degree sequence of a table: d_p = p + min{q : (p, q) nonzero}."""
-    if table.is_zero():
-        raise ValueError("top strand of an empty table is undefined")
-    return DegreeSequence(_strand_degrees(table.entries))
 
 
 def bs_decompose(table: BettiTable) -> Decomposition:
@@ -116,10 +99,7 @@ def bs_decompose(table: BettiTable) -> Decomposition:
     work = {cell: v.numerator * (scale // v.denominator) for cell, v in table.entries.items()}
     terms: list[tuple[Fraction, DegreeSequence]] = []
     while work:
-        try:
-            degrees = _strand_degrees(work)
-        except (NoColumnError, StrandNotIncreasingError) as exc:
-            raise NotInConeError(f"table is outside the cone: {exc}") from exc
+        degrees = _strand_degrees(work)
         diagram, den = _integer_diagram(degrees)
         a, b = 1, 0  # the ratio 1/0 exceeds every cell's
         for cell, n in diagram.items():

@@ -10,26 +10,18 @@ in column p at row d_p - p.  Its multiplicity is
 
     e(d) = (1 / l!) * prod over k >= 1 of (d_k - d_0).
 
-Also provided: the extremal families behind the first-strand bounds and the
-closed-form bound values they realize.
+`hk_diagram` returns pi(d) as a BettiTable and `multiplicity` returns e(d);
+the peel and the bound checks read pi(d) as integers over one denominator from
+`_integer_diagram`.  Also here: the extremal families behind the first-strand
+bounds and the closed-form bound values they realize.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 
 from .tables import BettiTable, Cell, DegreeSequence
-
-
-@dataclass(frozen=True)
-class PureDiagram:
-    """A degree sequence with its normalized betti table and multiplicity."""
-
-    d: DegreeSequence
-    table: BettiTable
-    multiplicity: Fraction
 
 
 def multiplicity(d: DegreeSequence) -> Fraction:
@@ -52,13 +44,16 @@ def _integer_diagram(degrees: tuple[int, ...]) -> tuple[dict[Cell, int], int]:
     return {(p, dp - p): top // spans[p] for p, dp in enumerate(degrees)}, top // spans[0]
 
 
-def hk_diagram(d: DegreeSequence) -> PureDiagram:
-    """Normalized pure diagram pi(d) with one entry per column at row d_p - p."""
+def hk_diagram(d: DegreeSequence) -> BettiTable:
+    """The normalized pure diagram pi(d): 1 at (0, d_0), kappa_p at (p, d_p - p).
+
+    ValueError when d_0 < 0 would put column 0 in a negative row.
+    """
     if d[0] < 0:
         raise ValueError(
             f"degree sequence {d} would place column 0 in negative row {d[0]}")
     cells, den = _integer_diagram(d.degrees)
-    return PureDiagram(d, BettiTable(cells).scale(Fraction(1, den)), multiplicity(d))
+    return BettiTable({cell: Fraction(n, den) for cell, n in cells.items()})
 
 
 def family_deq(e: int, q: int) -> DegreeSequence:

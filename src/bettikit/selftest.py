@@ -31,15 +31,15 @@ def sweep_deq_closed_forms(e_max: int = 10, q_max: int = 10) -> Sweep:
     for e in range(1, e_max + 1):
         for q in range(1, q_max + 1):
             cases += 1
-            diagram = hk_diagram(family_deq(e, q))
+            d = family_deq(e, q)
+            diagram = hk_diagram(d)
             for p in range(1, e + 1):
                 expected = kappa_max(p, q, e)
-                got = diagram.table.entry(p, q)
+                got = diagram.entry(p, q)
                 if got != expected:
                     failures.append(f"e={e} q={q} p={p}: entry {got} != {expected}")
-            if diagram.multiplicity != comb(e + q, q):
-                failures.append(
-                    f"e={e} q={q}: multiplicity {diagram.multiplicity} != C(e+q,q)")
+            if multiplicity(d) != comb(e + q, q):
+                failures.append(f"e={e} q={q}: multiplicity {multiplicity(d)} != C(e+q,q)")
     return cases, failures
 
 
@@ -49,16 +49,17 @@ def sweep_tilde_closed_forms(e_max: int = 10) -> Sweep:
     failures = []
     for e in range(2, e_max + 1):
         cases += 1
-        diagram = hk_diagram(family_tilde(e, 1))
+        d = family_tilde(e, 1)
+        diagram = hk_diagram(d)
         for p in range(1, e):
             expected = kappa_next_max(p, e)
-            got = diagram.table.entry(p, 1)
+            got = diagram.entry(p, 1)
             if got != expected:
                 failures.append(f"e={e} p={p}: entry {got} != {expected}")
-        if diagram.table.entry(e, 2) != 1:
-            failures.append(f"e={e}: corner entry {diagram.table.entry(e, 2)} != 1")
-        if diagram.multiplicity != e + 2:
-            failures.append(f"e={e}: multiplicity {diagram.multiplicity} != {e + 2}")
+        if diagram.entry(e, 2) != 1:
+            failures.append(f"e={e}: corner entry {diagram.entry(e, 2)} != 1")
+        if multiplicity(d) != e + 2:
+            failures.append(f"e={e}: multiplicity {multiplicity(d)} != {e + 2}")
     return cases, failures
 
 
@@ -82,22 +83,22 @@ def sweep_strand_bound_lemma(e_max: int = 5, q_max: int = 4, slack: int = 3) -> 
             for d in _sequences(e, q + 1, q + e + slack):
                 cases += 1
                 diagram = hk_diagram(d)
+                degree = multiplicity(d)
                 is_extremal = d.degrees == extremal.degrees
                 attained = []
                 for p in range(1, e + 1):
-                    entry = diagram.table.entry(p, q)
+                    entry = diagram.entry(p, q)
                     bound = kappa_max(p, q, e)
                     if entry > bound:
                         failures.append(f"d={d}: entry at p={p} is {entry} > {bound}")
                     attained.append(entry == bound)
-                if diagram.multiplicity < bound_multiplicity:
-                    failures.append(
-                        f"d={d}: multiplicity {diagram.multiplicity} < {bound_multiplicity}")
+                if degree < bound_multiplicity:
+                    failures.append(f"d={d}: multiplicity {degree} < {bound_multiplicity}")
                 if all(attained) != is_extremal:
                     failures.append(f"d={d}: all-columns equality mismatch")
                 if any(attained) != is_extremal:
                     failures.append(f"d={d}: some-column equality mismatch")
-                if (diagram.multiplicity == bound_multiplicity) != is_extremal:
+                if (degree == bound_multiplicity) != is_extremal:
                     failures.append(f"d={d}: multiplicity equality mismatch")
     return cases, failures
 
@@ -145,7 +146,7 @@ def sweep_hilbert_divisibility(e_max: int = 5, q_max: int = 3, slack: int = 2) -
         for q in range(1, q_max + 1):
             for d in _sequences(e, q + 1, q + e + slack):
                 cases += 1
-                cleared, _ = hk_diagram(d).table.cleared()
+                cleared, _ = hk_diagram(d).cleared()
                 coeffs = cleared.hilbert_numerator()
                 for _ in range(d.length):
                     coeffs = _divide_by_one_minus_t(coeffs)

@@ -12,7 +12,7 @@ in this package ever rounds.
 Two serialization formats are supported:
 
   text    one line per nonzero row, ``q: v0 v1 v2 ...`` with "." for a zero
-          cell and rationals written "a/b"
+          cell and rationals written "a/b"; a row label appears at most once
   json    ``{"entries": [{"p": 0, "q": 0, "num": "1", "den": "1"}, ...]}``
           sorted by (p, q), numerator/denominator as decimal strings
 
@@ -48,15 +48,11 @@ _ENTRY_RE = re.compile(f"{INTEGER}(?:/{DIGITS})?")
 class NegativeEntryError(ValueError):
     """A table cell that must stay nonnegative went negative."""
 
-    def __init__(self, p: int, q: int, value: Fraction | None = None,
-                 line: int | None = None, column: int | None = None):
+    def __init__(self, p: int, q: int, value: Fraction):
         self.p = p
         self.q = q
         self.value = value
-        self.line = line
-        self.column = column
-        detail = f" (value {value})" if value is not None else ""
-        super().__init__(f"negative entry at cell (p={p}, q={q}){detail}")
+        super().__init__(f"negative entry at cell (p={p}, q={q}) (value {value})")
 
 
 class ParseError(ValueError):
@@ -174,33 +170,6 @@ class BettiTable:
         cells = ", ".join(f"({p},{q}): {v}" for (p, q), v in sorted(self._entries.items()))
         return f"BettiTable({{{cells}}})"
 
-    def __add__(self, other: "BettiTable") -> "BettiTable":
-        out = dict(self._entries)
-        for cell, value in other._entries.items():
-            out[cell] = out.get(cell, Fraction(0)) + value
-        return BettiTable(out)
-
-    def scale(self, factor: RationalLike) -> "BettiTable":
-        c = _coerce(factor)
-        if c < 0:
-            raise ValueError(f"scale factor must be nonnegative, got {c}")
-        if c == 0:
-            return BettiTable({})
-        return BettiTable({cell: value * c for cell, value in self._entries.items()})
-
-    def subtract_checked(self, other: "BettiTable") -> "BettiTable":
-        """Entrywise difference, raising NegativeEntryError if any cell dips below zero."""
-        out = dict(self._entries)
-        for (p, q), value in other._entries.items():
-            diff = out.get((p, q), Fraction(0)) - value
-            if diff < 0:
-                raise NegativeEntryError(p, q, diff)
-            if diff == 0:
-                out.pop((p, q), None)
-            else:
-                out[(p, q)] = diff
-        return BettiTable(out)
-
     def projective_dimension(self) -> int:
         """Largest column index with a nonzero entry; -1 for the zero table."""
         return max((p for p, _ in self._entries), default=-1)
@@ -235,8 +204,8 @@ class BettiTable:
 
     def cleared(self) -> tuple["BettiTable", int]:
         """Integer-cleared view: (table * m, m) with m the lcm of denominators."""
-        m = lcm(*(v.denominator for v in self._entries.values())) if self._entries else 1
-        return self.scale(m), m
+        m = lcm(*(v.denominator for v in self._entries.values()))
+        return BettiTable({cell: v * m for cell, v in self._entries.items()}), m
 
     # text format
 
@@ -254,6 +223,7 @@ class BettiTable:
     @classmethod
     def from_text(cls, text: str) -> "BettiTable":
         entries: dict[Cell, Fraction] = {}
+        rows: set[int] = set()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -261,9 +231,13 @@ class BettiTable:
             head, sep, rest = line.partition(":")
             if not sep:
                 raise ParseError(f"expected 'q: entries', got {line!r}", lineno)
-            q = integer(head.strip(), "row label", lineno, len(raw) - len(raw.lstrip()) + 1)
+            label_column = len(raw) - len(raw.lstrip()) + 1
+            q = integer(head.strip(), "row label", lineno, label_column)
             if q < 0:
                 raise ParseError(f"negative row label {q}", lineno)
+            if q in rows:
+                raise ParseError(f"duplicate row {q}", lineno, label_column)
+            rows.add(q)
             cursor = raw.index(":") + 1
             for p, token in enumerate(rest.split()):
                 cursor = raw.index(token, cursor)
@@ -273,9 +247,8 @@ class BettiTable:
                     continue
                 value = rational(token, "entry token", lineno, column)
                 if value < 0:
-                    raise NegativeEntryError(p, q, value, line=lineno, column=column)
-                if (p, q) in entries:
-                    raise ParseError(f"duplicate cell (p={p}, q={q})", lineno, column)
+                    raise ParseError(f"negative entry at cell (p={p}, q={q}) (value {value})",
+                                     lineno, column)
                 if value != 0:
                     entries[(p, q)] = value
         return cls(entries)

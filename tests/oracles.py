@@ -40,11 +40,12 @@ def chain_check(decomposition):
 
 
 def reconstruct(decomposition):
-    """Sum of c * pi(d) over the terms, by `BettiTable.scale` and `+` in Fractions."""
-    total = BettiTable({})
+    """Sum of c * pi(d) over the terms, cell by cell in Fractions on a plain dict."""
+    total = {}
     for coefficient, d in decomposition.terms:
-        total = total + hk_diagram(d).table.scale(coefficient)
-    return total
+        for cell, value in hk_diagram(d).entries.items():
+            total[cell] = total.get(cell, 0) + coefficient * value
+    return BettiTable(total)
 
 
 def mono_mul(a, b):

@@ -16,7 +16,7 @@ from bettikit.decompose import NotInConeError, bs_decompose, multiplicity_from_d
 from bettikit.fixtures import load_text
 from bettikit.koszul import betti_table, graded_pieces, hilbert_consistency, koszul_differential
 from bettikit.polyring import parse_ideal
-from bettikit.pure import family_deq, hk_diagram, kappa_max
+from bettikit.pure import family_deq, hk_diagram, kappa_max, multiplicity
 from bettikit.selftest import (random_chain_table, random_ideal,
                                sweep_strand_bound_lemma)
 from bettikit.tables import BettiTable, DegreeSequence
@@ -62,21 +62,23 @@ def test_criterion_3_extremal_family_closed_forms():
     for e in range(1, 11):
         for q in range(1, 11):
             cases += 1
-            diagram = hk_diagram(family_deq(e, q))
+            d = family_deq(e, q)
+            diagram = hk_diagram(d)
             for p in range(1, e + 1):
-                assert diagram.table.entry(p, q) == comb(p + q - 1, q) * comb(e + q, p + q)
-            assert diagram.multiplicity == comb(e + q, q)
+                assert diagram.entry(p, q) == comb(p + q - 1, q) * comb(e + q, p + q)
+            assert multiplicity(d) == comb(e + q, q)
     assert cases == 100
     report(3, f"{cases} extremal diagrams match their closed forms exactly")
 
 
 def test_criterion_4_next_to_maximal_family():
     for e in range(2, 11):
-        diagram = hk_diagram(DegreeSequence((0,) + tuple(range(2, e + 1)) + (e + 2,)))
+        d = DegreeSequence((0,) + tuple(range(2, e + 1)) + (e + 2,))
+        diagram = hk_diagram(d)
         for p in range(1, e):
-            assert diagram.table.entry(p, 1) == p * comb(e + 1, p + 1) - comb(e, p - 1)
-        assert diagram.table.entry(e, 2) == 1
-        assert diagram.multiplicity == e + 2
+            assert diagram.entry(p, 1) == p * comb(e + 1, p + 1) - comb(e, p - 1)
+        assert diagram.entry(e, 2) == 1
+        assert multiplicity(d) == e + 2
     report(4, "next-to-maximal diagrams for e = 2..10 match exactly")
 
 
@@ -93,7 +95,7 @@ def test_criterion_6_koszul_engine_fixtures():
     ]
     for filename, e in jobs:
         ideal = parse_ideal(load_text(filename))
-        expected = hk_diagram(family_deq(e, 1)).table
+        expected = hk_diagram(family_deq(e, 1))
         modular, complete = betti_table(ideal, 3)
         assert modular == expected, filename
         assert complete, filename

@@ -136,7 +136,7 @@ def chain_tables(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     table, _ = random_chain_table(rng, max_terms=4, max_length=7, max_entry=30)
     if draw(st.booleans()):
-        table = table.scale(1 / table.entry(0, 0))
+        table = BettiTable({cell: v / table.entry(0, 0) for cell, v in table.entries.items()})
     return table
 
 
@@ -153,7 +153,7 @@ def perturbed_diagrams(draw):
         d = family_tilde(e, 1)
     else:
         d = family_deq(e, draw(st.integers(1, 4)))
-    cells = dict(hk_diagram(d).table.entries)
+    cells = dict(hk_diagram(d).entries)
     support = sorted(cells)
     for _ in range(draw(st.integers(0, 2))):
         if draw(st.booleans()):

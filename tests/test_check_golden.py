@@ -23,7 +23,7 @@ TABLES = {
     "veronese-projection": load_text("veronese_projection.table"),
     "cubic-conic-union": load_text("cubic_conic_union.table"),
     "twisted-cubic": "0: 1\n1: . 3 2\n",
-    "pi-0235": hk_diagram(DegreeSequence((0, 2, 3, 5))).table.to_text(),
+    "pi-0235": hk_diagram(DegreeSequence((0, 2, 3, 5))).to_text(),
     # the twisted cubic's row 1 is AllMax, the entry in row 3 breaks the shape
     "all-max-extra-row": "0: 1\n1: . 3 2\n3: . 1\n",
     # pi(0,2,3,5) with the generator at (3, 2) doubled: same support, wrong shape

@@ -1,13 +1,13 @@
 from fractions import Fraction
-from itertools import accumulate
-from math import comb
+from itertools import accumulate, combinations
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bettikit.pure import (PureDiagram, family_deq, family_tilde, hk_diagram,
-                           kappa_max, kappa_next_max, multiplicity)
+from bettikit.pure import (_integer_diagram, family_deq, family_tilde, hk_diagram, kappa_max,
+                           kappa_next_max, multiplicity)
 from bettikit.selftest import (sweep_deq_closed_forms, sweep_dual_multiplicity,
                                sweep_hilbert_divisibility, sweep_strand_bound_lemma,
                                sweep_tilde_closed_forms)
@@ -15,34 +15,34 @@ from bettikit.tables import BettiTable, DegreeSequence
 
 
 def test_hk_diagram_0345():
-    diagram = hk_diagram(DegreeSequence((0, 3, 4, 5)))
-    assert diagram.table == BettiTable({(0, 0): 1, (1, 2): 10, (2, 2): 15, (3, 2): 6})
-    assert diagram.multiplicity == 10
+    d = DegreeSequence((0, 3, 4, 5))
+    assert hk_diagram(d) == BettiTable({(0, 0): 1, (1, 2): 10, (2, 2): 15, (3, 2): 6})
+    assert multiplicity(d) == 10
 
 
 def test_hk_diagram_0235():
-    diagram = hk_diagram(DegreeSequence((0, 2, 3, 5)))
-    assert diagram.table == BettiTable({(0, 0): 1, (1, 1): 5, (2, 1): 5, (3, 2): 1})
-    assert diagram.multiplicity == 5
+    d = DegreeSequence((0, 2, 3, 5))
+    assert hk_diagram(d) == BettiTable({(0, 0): 1, (1, 1): 5, (2, 1): 5, (3, 2): 1})
+    assert multiplicity(d) == 5
 
 
 def test_hk_diagram_0245():
-    diagram = hk_diagram(DegreeSequence((0, 2, 4, 5)))
-    assert diagram.table == BettiTable(
+    d = DegreeSequence((0, 2, 4, 5))
+    assert hk_diagram(d) == BettiTable(
         {(0, 0): 1, (1, 1): Fraction(10, 3), (2, 2): 5, (3, 2): Fraction(8, 3)})
-    assert diagram.multiplicity == Fraction(20, 3)
+    assert multiplicity(d) == Fraction(20, 3)
 
 
 def test_hk_diagram_shifted_start():
-    diagram = hk_diagram(DegreeSequence((1, 3)))
-    assert diagram.table == BettiTable({(0, 1): 1, (1, 2): 1})
-    assert diagram.multiplicity == 2
+    d = DegreeSequence((1, 3))
+    assert hk_diagram(d) == BettiTable({(0, 1): 1, (1, 2): 1})
+    assert multiplicity(d) == 2
 
 
 def test_hk_diagram_free_module():
-    diagram = hk_diagram(DegreeSequence((0,)))
-    assert diagram.table == BettiTable({(0, 0): 1})
-    assert diagram.multiplicity == 1
+    d = DegreeSequence((0,))
+    assert hk_diagram(d) == BettiTable({(0, 0): 1})
+    assert multiplicity(d) == 1
 
 
 def test_hk_diagram_rejects_bad_input():
@@ -55,15 +55,15 @@ def test_hk_diagram_rejects_bad_input():
 def test_one_entry_per_column():
     for degrees in [(0, 2, 3, 7), (0, 1, 5), (2, 4, 6, 9, 11)]:
         diagram = hk_diagram(DegreeSequence(degrees))
-        columns = sorted(p for p, _ in diagram.table.entries)
+        columns = sorted(p for p, _ in diagram.entries)
         assert columns == list(range(len(degrees)))
         for p, d_p in enumerate(degrees):
-            assert diagram.table.entry(p, d_p - p) > 0
-        assert diagram.table.entry(0, degrees[0]) == 1
+            assert diagram.entry(p, d_p - p) > 0
+        assert diagram.entry(0, degrees[0]) == 1
 
 
 def test_integer_cleared():
-    table, scale = hk_diagram(DegreeSequence((0, 2, 4, 5))).table.cleared()
+    table, scale = hk_diagram(DegreeSequence((0, 2, 4, 5))).cleared()
     assert scale == 3
     assert table == BettiTable({(0, 0): 3, (1, 1): 10, (2, 2): 15, (3, 2): 8})
 
@@ -94,9 +94,9 @@ def test_kappa_max_values():
 
 
 def test_kappa_max_cross_checks_diagram():
-    assert hk_diagram(family_deq(2, 2)).table.entry(1, 2) == kappa_max(1, 2, 2)
-    assert hk_diagram(family_deq(4, 2)).table.entry(2, 2) == kappa_max(2, 2, 4)
-    assert hk_diagram(family_deq(3, 1)).table.entry(3, 1) == kappa_max(3, 1, 3)
+    assert hk_diagram(family_deq(2, 2)).entry(1, 2) == kappa_max(1, 2, 2)
+    assert hk_diagram(family_deq(4, 2)).entry(2, 2) == kappa_max(2, 2, 4)
+    assert hk_diagram(family_deq(3, 1)).entry(3, 1) == kappa_max(3, 1, 3)
 
 
 def test_kappa_next_max_values():
@@ -105,7 +105,7 @@ def test_kappa_next_max_values():
     assert kappa_next_max(1, 2) == 2
     assert kappa_next_max(3, 3) == 0
     assert kappa_next_max(5, 3) == 0
-    assert hk_diagram(family_tilde(3, 1)).table.entry(1, 1) == kappa_next_max(1, 3)
+    assert hk_diagram(family_tilde(3, 1)).entry(1, 1) == kappa_next_max(1, 3)
 
 
 def test_multiplicity_function():
@@ -144,14 +144,17 @@ def test_hilbert_divisibility_sweep():
 
 def test_pure_diagram_is_frozen():
     diagram = hk_diagram(DegreeSequence((0, 2)))
-    assert isinstance(diagram, PureDiagram)
+    assert isinstance(diagram, BettiTable)
     with pytest.raises(AttributeError):
-        diagram.multiplicity = Fraction(1)
+        diagram.entries = {}
+    with pytest.raises(TypeError):
+        diagram.entries[(0, 0)] = Fraction(2)
+    assert diagram == BettiTable({(0, 0): 1, (1, 1): 1})
 
 
 def test_deq_multiplicity_closed_form_spot():
     for e, q in [(2, 2), (5, 3), (7, 1)]:
-        assert hk_diagram(family_deq(e, q)).multiplicity == comb(e + q, q)
+        assert multiplicity(family_deq(e, q)) == comb(e + q, q)
 
 
 def textbook_diagram(degrees):
@@ -172,4 +175,16 @@ def textbook_diagram(degrees):
 @example(start=5, gaps=[6, 1, 5, 2, 4, 3, 3, 4, 2, 5, 1, 6])
 def test_hk_diagram_matches_textbook_formula(start, gaps):
     degrees = tuple(accumulate(gaps, initial=start))
-    assert hk_diagram(DegreeSequence(degrees)).table == textbook_diagram(degrees)
+    assert hk_diagram(DegreeSequence(degrees)) == textbook_diagram(degrees)
+
+
+def test_integer_diagram_is_coprime_over_its_column_0_entry():
+    # every strictly increasing d with d_0 in {0, 2}, length <= 6 and d_l - d_0 <= 12
+    sequences = [(start,) + tuple(start + t for t in tail) for start in (0, 2)
+                 for length in range(7) for tail in combinations(range(1, 13), length)]
+    assert len(sequences) == 5020
+    for degrees in sequences:
+        cells, den = _integer_diagram(degrees)
+        assert gcd(*cells.values()) == 1, degrees
+        assert den == cells[(0, degrees[0])], degrees
+        assert hk_diagram(DegreeSequence(degrees)).cleared() == (BettiTable(cells), den), degrees
