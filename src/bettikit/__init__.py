@@ -15,13 +15,13 @@ from .koszul import (GradedPiece, betti_table, graded_piece, hilbert_consistency
                      koszul_differential)
 from .polyring import Ideal, parse_ideal
 from .pure import family_deq, family_tilde, hk_diagram, kappa_max, kappa_next_max, multiplicity
-from .tables import BettiTable, DegreeSequence, NegativeEntryError, ParseError
+from .tables import BettiTable, DegreeSequence, ParseError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assumptions", "BettiTable", "ColumnComparison", "Decomposition", "DegreeSequence",
-    "GradedPiece", "Ideal", "NegativeEntryError", "NotInConeError", "ParseError",
+    "GradedPiece", "Ideal", "NotInConeError", "ParseError",
     "StrandReport", "betti_table", "bs_decompose", "check_Ndm",
     "check_first_strand", "check_next_to_max", "degree_bounds", "family_deq",
     "family_tilde", "first_nontrivial_strand", "graded_piece", "hilbert_consistency",

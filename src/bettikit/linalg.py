@@ -28,10 +28,6 @@ Coeff = Union[Fraction, int]
 Row = dict[int, Coeff]
 
 
-class CoefficientError(ValueError):
-    """A rational coefficient with no image in GF(p): p divides its denominator."""
-
-
 class Rationals:
     """QQ: rows are eliminated as primitive integer vectors, output as Fractions."""
 
@@ -87,7 +83,7 @@ class PrimeField:
             return value.numerator % p
         den = value.denominator % p
         if den == 0:
-            raise CoefficientError(
+            raise ValueError(
                 f"coefficient {value} has denominator divisible by the characteristic {p}")
         return value.numerator * pow(den, -1, p) % p
 

@@ -150,64 +150,47 @@ _TOKEN_RE = re.compile(rf"\s*(?:(?P<sign>[+-])|(?P<coeff>{DIGITS}(?:/{DIGITS})?)
 def parse_polynomial(text: str, num_vars: int, line: int = 1) -> Poly:
     """Parse one polynomial in ASCII form, e.g. ``x0*x2 - 2*x1^2 + 1/2*x3^2``."""
     poly: Poly = {}
-    pos = 0
-    sign = 1
-    pending_sign = False  # a sign was read but no term body yet
-    term_open = False     # a coefficient or variable has been read for this term
-    coeff: Fraction | None = None
-    exponents: list[int] | None = None
-    last_var: int | None = None   # variable a following '^' applies to
+    # the open term (open once its coefficient or a variable is read), and its sign
+    sign, coeff, exponents = 1, None, None
+    last_var = None   # variable a following '^' applies to
     expect_exponent = False
 
-    def flush(column: int):
-        nonlocal sign, term_open, coeff, exponents, last_var
-        if not term_open:
-            raise ParseError("empty term", line, column)
-        mono = tuple(exponents) if exponents is not None else (0,) * num_vars
-        value = (coeff if coeff is not None else Fraction(1)) * sign
-        new = poly.get(mono, Fraction(0)) + value
-        if new == 0:
-            poly.pop(mono, None)
-        else:
+    def flush():
+        mono = (0,) * num_vars if exponents is None else tuple(exponents)
+        new = poly.get(mono, 0) + (Fraction(1) if coeff is None else coeff) * sign
+        if new:
             poly[mono] = new
-        sign, term_open, coeff, exponents, last_var = 1, False, None, None, None
+        else:
+            poly.pop(mono, None)
 
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            break
-        pos = match.end()
-        column = match.start(match.lastgroup) + 1
-        token = match.group(match.lastgroup)
-        if match.lastgroup == "junk":
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        token, column = match[kind], match.start(kind) + 1
+        term_open = coeff is not None or exponents is not None
+        if kind == "junk":
             raise ParseError(f"unexpected token {token!r}", line, column)
-        if expect_exponent:
-            if match.lastgroup != "coeff" or "/" in token:
+        elif expect_exponent:
+            if kind != "coeff" or "/" in token:
                 raise ParseError(f"bad exponent {token!r}", line, column)
             value = integer(token, "exponent", line, column)
             if value < 1:
                 raise ParseError(f"exponent must be positive, got {token!r}", line, column)
             exponents[last_var] += value - 1
-            last_var = None
-            expect_exponent = False
-            continue
-        if match.lastgroup == "sign":
+            last_var, expect_exponent = None, False
+        elif kind == "sign":
             if term_open:
-                flush(column)
+                flush()
+                sign, coeff, exponents, last_var = 1, None, None, None
             if token == "-":
                 sign = -sign
-            pending_sign = True
-            continue
-        if match.lastgroup == "mul":
+        elif kind == "mul":
             if not term_open:
                 raise ParseError("misplaced '*'", line, column)
-            continue
-        if match.lastgroup == "pow":
+        elif kind == "pow":
             if last_var is None:
                 raise ParseError("'^' must follow a variable", line, column)
             expect_exponent = True
-            continue
-        if match.lastgroup == "var":
+        elif kind == "var":
             index = integer(token[1:], "variable index", line, column)
             if index >= num_vars:
                 raise ParseError(
@@ -217,29 +200,23 @@ def parse_polynomial(text: str, num_vars: int, line: int = 1) -> Poly:
                 exponents = [0] * num_vars
             exponents[index] += 1
             last_var = index
-            term_open = True
-            pending_sign = False
-            continue
-        # a bare number is a coefficient and must open the term
-        if term_open:
+        elif term_open:  # a bare number is a coefficient and must open the term
             raise ParseError(f"coefficient {token!r} must precede variables", line, column)
-        coeff = rational(token, "coefficient", line, column)
-        term_open = True
-        pending_sign = False
+        else:
+            coeff = rational(token, "coefficient", line, column)
 
     if expect_exponent:
         raise ParseError("exponent expected after '^'", line, len(text))
-    if term_open:
-        flush(len(text))
-    elif pending_sign or not poly:
+    if coeff is None and exponents is None:
         raise ParseError("polynomial ends with a dangling sign or is empty", line, len(text))
+    flush()
     return poly
 
 
 def parse_ideal(text: str) -> Ideal:
     """Parse an ideal file: a vars header, optional field line, one generator per line."""
     num_vars: int | None = None
-    char_p: int | None = None
+    char_p: int | None = DEFAULT_PRIME
     field_seen = False
     generators: list[Poly] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -266,8 +243,6 @@ def parse_ideal(text: str) -> Ideal:
         generators.append(poly)
     if num_vars is None:
         raise ParseError("missing 'vars N' header", 1)
-    if not field_seen:
-        char_p = DEFAULT_PRIME
     return Ideal(num_vars=num_vars, generators=tuple(generators), char_p=char_p)
 
 

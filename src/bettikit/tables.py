@@ -14,7 +14,8 @@ Two serialization formats are supported:
   text    one line per nonzero row, ``q: v0 v1 v2 ...`` with "." for a zero
           cell and rationals written "a/b"; a row label appears at most once
   json    ``{"entries": [{"p": 0, "q": 0, "num": "1", "den": "1"}, ...]}``
-          sorted by (p, q), numerator/denominator as decimal strings
+          sorted by (p, q), numerator/denominator as decimal strings; a cell
+          is listed at most once, a listing of 0 included
 
 Every integer read from outside input, here, in ideal files and on the
 command line, has one syntax, INTEGER: an optional sign, then ASCII digits
@@ -43,16 +44,7 @@ DIGITS = "[0-9]+"
 INTEGER = "[+-]?" + DIGITS
 _INTEGER_RE = re.compile(INTEGER)
 _ENTRY_RE = re.compile(f"{INTEGER}(?:/{DIGITS})?")
-
-
-class NegativeEntryError(ValueError):
-    """A table cell that must stay nonnegative went negative."""
-
-    def __init__(self, p: int, q: int, value: Fraction):
-        self.p = p
-        self.q = q
-        self.value = value
-        super().__init__(f"negative entry at cell (p={p}, q={q}) (value {value})")
+_TOKEN_RE = re.compile(r"\S+")
 
 
 class ParseError(ValueError):
@@ -140,7 +132,7 @@ class BettiTable:
                 raise ValueError(f"cell indices must be nonnegative integers, got ({p}, {q})")
             value = _coerce(raw)
             if value < 0:
-                raise NegativeEntryError(p, q, value)
+                raise ValueError(f"negative entry at cell (p={p}, q={q}) (value {value})")
             if value != 0:
                 store[(p, q)] = value
         object.__setattr__(self, "_entries", store)
@@ -228,29 +220,25 @@ class BettiTable:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            head, sep, rest = line.partition(":")
+            head, sep, _ = line.partition(":")
             if not sep:
                 raise ParseError(f"expected 'q: entries', got {line!r}", lineno)
             label_column = len(raw) - len(raw.lstrip()) + 1
             q = integer(head.strip(), "row label", lineno, label_column)
             if q < 0:
-                raise ParseError(f"negative row label {q}", lineno)
+                raise ParseError(f"negative row label {q}", lineno, label_column)
             if q in rows:
                 raise ParseError(f"duplicate row {q}", lineno, label_column)
             rows.add(q)
-            cursor = raw.index(":") + 1
-            for p, token in enumerate(rest.split()):
-                cursor = raw.index(token, cursor)
-                column = cursor + 1
-                cursor += len(token)
+            for p, match in enumerate(_TOKEN_RE.finditer(raw, raw.index(":") + 1)):
+                token, column = match[0], match.start() + 1
                 if token == ".":
                     continue
                 value = rational(token, "entry token", lineno, column)
                 if value < 0:
                     raise ParseError(f"negative entry at cell (p={p}, q={q}) (value {value})",
                                      lineno, column)
-                if value != 0:
-                    entries[(p, q)] = value
+                entries[(p, q)] = value
         return cls(entries)
 
     # json format
@@ -277,13 +265,9 @@ class BettiTable:
             p, q, num, den = (_json_int(item, key, index) for key in ("p", "q", "num", "den"))
             if den == 0:
                 raise ValueError(f"zero denominator at cell (p={p}, q={q}) in JSON table")
-            value = Fraction(num, den)
             if (p, q) in entries:
                 raise ValueError(f"duplicate cell (p={p}, q={q}) in JSON table")
-            if value < 0:
-                raise NegativeEntryError(p, q, value)
-            if value != 0:
-                entries[(p, q)] = value
+            entries[(p, q)] = Fraction(num, den)
         return cls(entries)
 
     @classmethod

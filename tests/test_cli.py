@@ -439,6 +439,11 @@ ERROR_CASES = {
     "json-float-index": (["decompose", "{file}"],
                          '{"entries": [{"p": 1.5, "q": 0, "num": "1", "den": "1"}]}'),
     "json-syntax": (["decompose", "{file}"], '{"entries": ['),
+    "json-duplicate-zero-cell": (["decompose", "{file}"],
+                                 '{"entries": [{"p": 1, "q": 1, "num": "0", "den": "1"}, '
+                                 '{"p": 0, "q": 0, "num": "1", "den": "1"}, '
+                                 '{"p": 1, "q": 1, "num": "3", "den": "1"}, '
+                                 '{"p": 2, "q": 1, "num": "2", "den": "1"}]}'),
     "qmax-zero": (["betti", "{ideal}", "--qmax", "0"], None),
     "ndm-d-zero": (["check", "{table}", "--codim", "2", "--ndm", "0,0"], None),
     "ndm-m-negative": (["check", "{table}", "--codim", "2", "--ndm", "1,-1"], None),

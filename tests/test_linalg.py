@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bettikit.linalg import CoefficientError, SparseMatrix
+from bettikit.linalg import SparseMatrix
 from oracles import rref
 
 
@@ -216,5 +216,5 @@ def test_rational_entries_are_mapped_into_gf():
     # 1/2 = 3 mod 5, so the row 1/2*x0 + x1 is 3*x0 + x1, monic x0 + 2*x1
     assert rref([{0: Fraction(1, 2), 1: 1}], 5) == {0: {0: 1, 1: 2}}
     assert SparseMatrix(2, 2, [{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}]).rank(5) == 1
-    with pytest.raises(CoefficientError, match="denominator"):
+    with pytest.raises(ValueError, match="denominator divisible by the characteristic 5"):
         rref([{0: Fraction(1, 5)}], 5)

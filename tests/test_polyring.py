@@ -42,6 +42,56 @@ def test_parse_polynomial_bad_tokens():
             parse_polynomial(text, 2)
 
 
+# each of parse_polynomial's own messages, with the column it reports on line 5
+PARSE_ERRORS = [
+    ("x0 + y", "unexpected token 'y'", 6),
+    ("x0^x1", "bad exponent 'x1'", 4),
+    ("x0^-2", "bad exponent '-'", 4),
+    ("x0^1/2", "bad exponent '1/2'", 4),
+    ("x0^0", "exponent must be positive, got '0'", 4),
+    ("* x0", "misplaced '*'", 1),
+    ("x1 + * x0", "misplaced '*'", 6),
+    ("^2", "'^' must follow a variable", 1),
+    ("2^2", "'^' must follow a variable", 2),
+    ("x0^2^3", "'^' must follow a variable", 5),
+    ("x0*x7", "unknown variable 'x7' (only x0..x1 declared)", 4),
+    ("x0 2", "coefficient '2' must precede variables", 4),
+    ("x0^", "exponent expected after '^'", 3),
+    ("x0 +", "polynomial ends with a dangling sign or is empty", 4),
+    ("x0 - -  ", "polynomial ends with a dangling sign or is empty", 8),
+    ("", "polynomial ends with a dangling sign or is empty", 0),
+]
+
+
+@pytest.mark.parametrize("text, message, column", PARSE_ERRORS)
+def test_parse_polynomial_error_messages(text, message, column):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, 2, line=5)
+    assert (info.value.message, info.value.line, info.value.column) == (message, 5, column)
+
+
+# spellings the grammar accepts, with their parsed terms in insertion order
+PARSED = [
+    ("x0*", [((1, 0), 1)]),
+    ("x0 * * x1", [((1, 1), 1)]),
+    ("x0*^2", [((2, 0), 1)]),
+    ("2x0", [((1, 0), 2)]),
+    ("x0 x1", [((1, 1), 1)]),
+    ("x0^2x1", [((2, 1), 1)]),
+    ("- - x0", [((1, 0), 1)]),
+    ("-x1 + 3/6", [((0, 1), -1), ((0, 0), Fraction(1, 2))]),
+    ("x1 + x0 - x1 + x1", [((1, 0), 1), ((0, 1), 1)]),
+    ("  x0^10 - 2*x1^10  ", [((10, 0), 1), ((0, 10), -2)]),
+]
+
+
+@pytest.mark.parametrize("text, terms", PARSED)
+def test_parse_polynomial_accepted_spellings(text, terms):
+    poly = parse_polynomial(text, 2)
+    assert list(poly.items()) == terms
+    assert all(type(value) is Fraction for value in poly.values())
+
+
 def test_parse_polynomial_zero_denominator():
     with pytest.raises(ParseError) as info:
         parse_polynomial("x0*x1 + 1/0*x0^2", 2, line=3)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bettikit.tables import BettiTable, DegreeSequence, NegativeEntryError, ParseError
+from bettikit.tables import BettiTable, DegreeSequence, ParseError
 
 
 def table(cells):
@@ -12,7 +12,7 @@ def table(cells):
 
 def test_constructor_drops_zeros_and_rejects_negatives():
     assert table({(0, 0): 0, (1, 1): 2}) == table({(1, 1): 2})
-    with pytest.raises(NegativeEntryError):
+    with pytest.raises(ValueError, match=r"negative entry at cell \(p=0, q=0\) \(value -1\)"):
         table({(0, 0): -1})
 
 
@@ -80,6 +80,14 @@ def test_text_parse_errors():
         BettiTable.from_text("-1: 3")
 
 
+def test_text_negative_row_label_is_located_at_the_label():
+    for text, line, column in (("-1: . 2", 1, 1), ("0: 1\n  -1: . 2", 2, 3)):
+        with pytest.raises(ParseError) as info:
+            BettiTable.from_text(text)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert info.value.message == "negative row label -1"
+
+
 def test_text_zero_denominator():
     with pytest.raises(ParseError) as info:
         BettiTable.from_text("0: 1\n1: . 1/0")
@@ -114,6 +122,12 @@ def test_json_duplicate_cell_rejected():
               ' {"p": 0, "q": 0, "num": "2", "den": "1"}]}'
     with pytest.raises(ValueError):
         BettiTable.from_json(payload)
+    # a cell is listed at most once, even where its first listing is 0
+    payload = '{"entries": [{"p": 1, "q": 1, "num": "0", "den": "1"},' \
+              ' {"p": 0, "q": 0, "num": "1", "den": "1"},' \
+              ' {"p": 1, "q": 1, "num": "3", "den": "1"}]}'
+    with pytest.raises(ValueError, match=r"^duplicate cell \(p=1, q=1\) in JSON table$"):
+        BettiTable.from_json(payload)
 
 
 def test_json_zero_denominator_rejected():
@@ -137,6 +151,10 @@ MALFORMED_JSON = {
                          "'den' is 'two', not an integer"),
     "second-entry": ('{"entries": [{"p": 0, "q": 0, "num": "1", "den": "1"}, {"p": 1}]}',
                      "entry 1 .* no 'q'"),
+    "negative-entry": ('{"entries": [{"p": 1, "q": 1, "num": "-2", "den": "3"}]}',
+                       r"^negative entry at cell \(p=1, q=1\) \(value -2/3\)$"),
+    "negative-index": ('{"entries": [{"p": -1, "q": 0, "num": "1", "den": "1"}]}',
+                       r"^cell indices must be nonnegative integers, got \(-1, 0\)$"),
 }
 
 
