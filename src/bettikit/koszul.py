@@ -256,20 +256,12 @@ def _cut(ideal: Ideal, var: int) -> Ideal:
 
 
 class _Ring:
-    """One ring of the cut chain: its ideal, its pieces so far, the variables rejected on it.
+    """One ring of the cut chain, remembered by its cut path: its ideal and its pieces so far."""
 
-    `var` is the variable of the ring below whose cut gave this ring (None
-    for S/I itself).  A variable is rejected on a ring once its cut fails the
-    dimension identity in some degree; the certificate only ever asks for
-    more degrees, so it is never tried on that ring again.
-    """
-
-    def __init__(self, ideal: Ideal, var: int | None = None):
+    def __init__(self, ideal: Ideal):
         self.ideal = ideal
-        self.var = var
         self.chain = graded_pieces(ideal)
         self.pieces: list[GradedPiece] = []
-        self.rejected: set[int] = set()
 
     def dim(self, q: int) -> int:
         """dim M_q, stepping the chain up to degree q as needed."""
@@ -279,8 +271,8 @@ class _Ring:
 
 
 def _injective(below: _Ring, cut: _Ring, j: int) -> bool:
-    """Whether the variable cut from `below` is injective M_{j-1} -> M_j on it."""
-    return cut.dim(j) == below.dim(j) - (below.dim(j - 1) if j else 0)
+    """Whether the variable cut from `below` is injective M_{j-1} -> M_j on it, for j >= 1."""
+    return cut.dim(j) == below.dim(j) - below.dim(j - 1)
 
 
 def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[GradedPiece], bool]:
@@ -318,52 +310,52 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[Graded
         M_{j-1} --x_v--> M_j --> M'_j --> 0
 
     is exact, so dim M'_j = dim M_j - rank(x_v), and x_v is injective in
-    degree j exactly when dim M'_j = dim M_j - dim M_{j-1}.
+    degree j exactly when dim M'_j = dim M_j - dim M_{j-1}.  Degree 0 needs
+    no check: no generator has degree 0, so M_0 = k on every ring.
 
-    The loop.  m starts at the top generator degree (at least 1), capped at
-    q_max + 1, and every ring of the chain keeps its own `graded_pieces`.  At
-    each m, every cut is checked at the one new degree m + 1, in chain order;
-    a cut that fails there is dropped with the cuts after it, and its variable
-    is rejected on its parent ring.  Then the last ring is cut further while
-    its piece m is nonzero: each variable not rejected there is tried in index
-    order, its pieces stepped up from degree 0 until the identity fails (the
-    variable is rejected) or holds through m + 1 (it is cut).  No variable can
+    The walk.  m starts at the top generator degree (at least 1), capped at
+    q_max + 1.  At each m the chain is walked afresh from S/I: on each ring,
+    the first variable in index order that is injective in every degree
+    1 <= j <= m + 1 is cut, and the walk stops on a ring whose piece m is 0,
+    that has one variable, or on which no variable passes.  No variable can
     pass when dim M_{j-1} > dim M_j for some j <= m + 1, and then none is
-    tried.  The certificate fires when the last ring's piece m is 0, or when
-    its one variable is injective through m + 1: cutting that leaves the
-    field k, whose piece m is 0, and rows q <= m - 1 of k and of k[x]/(x^d),
+    tried.  So the chain at m is a function of m alone.  Rings are remembered
+    by their cut path, the tuple of variables cut in order, with the pieces
+    stepped so far: a ring is a function of its path, and whether a variable
+    passes on it in degree j never changes.  A variable that failed at an
+    earlier m fails again in a degree already stepped, with no new piece; a
+    cut that passed at an earlier m steps only the new degree m + 1, and
+    when it fails there the next variable that passes takes its place.  A
+    ring inside the chain never has piece m zero, since the variable cut from
+    it injects M_0 = k into piece m.
+
+    The certificate fires when the last ring's piece m is 0, or when its one
+    variable is injective through m + 1: cutting that leaves the field k,
+    whose piece m is 0, and rows q <= m - 1 of k and of k[x]/(x^d),
     d >= m + 2, are both (0, 0) alone.  It also needs m at least the top
     generator degree.  Otherwise m is raised; at m = q_max + 1 the cut is
     certified through q_max + 2, rows 0..q_max agree, and the certificate is
     left unknown.
     """
     top = max((poly_degree(g) for g in ideal.generators), default=0)
-    m = min(max(1, top), q_max + 1)
-    rings = [_Ring(ideal)]
-    while True:
-        for k in range(1, len(rings)):
-            if not _injective(rings[k - 1], rings[k], m + 1):
-                rings[k - 1].rejected.add(rings[k].var)
-                del rings[k:]
-                break
-        last = rings[-1]
+    rings = {(): _Ring(ideal)}
+    for m in range(min(max(1, top), q_max + 1), q_max + 2):
+        path, last = (), rings[()]
         while (last.ideal.num_vars > 1 and last.dim(m)
                and all(last.dim(j - 1) <= last.dim(j) for j in range(1, m + 2))):
             for var in range(last.ideal.num_vars):
-                if var in last.rejected:
-                    continue
-                trial = _Ring(_cut(last.ideal, var), var)
-                if all(_injective(last, trial, j) for j in range(m + 2)):
-                    rings.append(trial)
+                if path + (var,) not in rings:
+                    rings[path + (var,)] = _Ring(_cut(last.ideal, var))
+                trial = rings[path + (var,)]
+                if all(_injective(last, trial, j) for j in range(1, m + 2)):
+                    path, last = path + (var,), trial
                     break
-                last.rejected.add(var)
             else:
                 break
-            last = rings[-1]
         zero = not last.dim(m) or last.ideal.num_vars == 1 and last.dim(m + 1) == 1
-        if zero or m > q_max:
-            return last.ideal, last.pieces[:m + 1], zero and m >= top
-        m += 1
+        if zero:
+            break
+    return last.ideal, last.pieces[:m + 1], zero and m >= top
 
 
 def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:

@@ -186,6 +186,7 @@ def parse_polynomial(text: str, num_vars: int, line: int = 1) -> Poly:
         elif kind == "mul":
             if not term_open:
                 raise ParseError("misplaced '*'", line, column)
+            last_var = None
         elif kind == "pow":
             if last_var is None:
                 raise ParseError("'^' must follow a variable", line, column)
@@ -220,7 +221,9 @@ def parse_ideal(text: str) -> Ideal:
     field_seen = False
     generators: list[Poly] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # generator columns count from the start of the line
+        body = raw.split("#", 1)[0].rstrip()
+        line = body.lstrip()
         if not line:
             continue
         if num_vars is None:
@@ -235,11 +238,11 @@ def parse_ideal(text: str) -> Ideal:
             char_p = parse_field(line[len("field"):].strip(), lineno)
             field_seen = True
             continue
-        poly = parse_polynomial(line, num_vars, line=lineno)
+        poly = parse_polynomial(body, num_vars, line=lineno)
         if not poly:
             raise ParseError("generator reduces to zero", lineno)
         if not is_homogeneous(poly):
-            raise ParseError(f"generator {line.strip()!r} is not homogeneous", lineno)
+            raise ParseError(f"generator {line!r} is not homogeneous", lineno)
         generators.append(poly)
     if num_vars is None:
         raise ParseError("missing 'vars N' header", 1)

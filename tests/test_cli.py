@@ -449,6 +449,8 @@ ERROR_CASES = {
     "ndm-m-negative": (["check", "{table}", "--codim", "2", "--ndm", "1,-1"], None),
     "decompose-negative-codim": (["decompose", "{table}", "--codim", "-1"], None),
     "unknown-variable": (["betti", "{file}", "--qmax", "2"], "vars 2\nx0*x5\n"),
+    "indented-unexpected-token": (["betti", "{file}", "--qmax", "2"], "vars 2\n    x0^2 + y\n"),
+    "indented-dangling-sign": (["betti", "{file}", "--qmax", "2"], "vars 2\n    x0^2 +\n"),
     "negative-entry": (["check", "{file}", "--codim", "1"], "0: 1\n1: -2\n"),
     "duplicate-row": (["decompose", "{file}"], "0: 1\n2: . 7\n2: . . 10 5 1\n"),
     "next-to-max-no-strand": (["check", "{file}", "--codim", "2", "--next-to-max"], "0: 1\n"),

@@ -57,6 +57,12 @@ def fixture_ideals():
 # x2 is injective on S/I from degree 0 to 3 but not from 3 to 4.
 COUNTEREXAMPLE = ideal_from(3, ["x0^2", "x1*x2^2 - x0*x1^2"])
 
+# x0 is injective on S/I through degree 3 but not from 3 to 4.  At q_max = 3
+# the chain cuts x0 at m = 2, drops it at m = 3 and cuts x3 instead, and
+# certifies at m = 4 on three variables.
+DROPPED_CUT = ideal_from(4, ["-x0*x1 - x0*x2 - x1^2", "-2*x0^2 + 3*x0*x2 - x2*x3",
+                             "-x0^2 - 2*x1*x3 - 2*x2^2"])
+
 
 def test_cut_needs_injectivity_through_qmax_plus_two():
     # At q_max = 1 the certificate degree m stops at q_max + 1 = 2, the cut
@@ -73,6 +79,13 @@ def test_cut_needs_injectivity_through_qmax_plus_two():
     cut, _, _ = _cut_regular_variables(COUNTEREXAMPLE, 2)
     assert cut.num_vars == 3
     assert betti_table(COUNTEREXAMPLE, 2)[0] == expected
+
+
+def test_cut_that_fails_a_degree_up_is_replaced():
+    ideal = _in_field(DROPPED_CUT)
+    assert _cut_regular_variables(ideal, 1)[0] == _cut(ideal, 0)
+    cut, pieces, certified = _cut_regular_variables(ideal, 3)
+    assert (cut, len(pieces) - 1, certified) == (_cut(ideal, 3), 4, True)
 
 
 @pytest.mark.parametrize("char_p", FIELDS)
@@ -157,6 +170,7 @@ def homogeneous_ideals(draw):
 @example(ideal=COUNTEREXAMPLE, q_max=2)                                         # stops at q_max+2
 @example(ideal=ideal_from(2, ["x0^2", "x1^5"], char_p=5), q_max=5)             # certifies at m = 6
 @example(ideal=ideal_from(4, []), q_max=1)                                     # zero ideal
+@example(ideal=DROPPED_CUT, q_max=3)                                            # drops a cut
 def test_cut_matches_uncut_on_random_ideals(ideal, q_max):
     table, certified = betti_table(ideal, q_max)
     assert table == uncut_table(ideal, q_max)

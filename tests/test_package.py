@@ -30,3 +30,10 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_runtime_has_no_assert():
+    # `python -O` strips assert statements, so no invariant may rest on one
+    for path in sorted(Path(bettikit.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} uses assert"

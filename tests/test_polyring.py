@@ -54,6 +54,7 @@ PARSE_ERRORS = [
     ("^2", "'^' must follow a variable", 1),
     ("2^2", "'^' must follow a variable", 2),
     ("x0^2^3", "'^' must follow a variable", 5),
+    ("x0*^2", "'^' must follow a variable", 4),
     ("x0*x7", "unknown variable 'x7' (only x0..x1 declared)", 4),
     ("x0 2", "coefficient '2' must precede variables", 4),
     ("x0^", "exponent expected after '^'", 3),
@@ -74,7 +75,7 @@ def test_parse_polynomial_error_messages(text, message, column):
 PARSED = [
     ("x0*", [((1, 0), 1)]),
     ("x0 * * x1", [((1, 1), 1)]),
-    ("x0*^2", [((2, 0), 1)]),
+    ("x0*x1^2", [((1, 2), 1)]),
     ("2x0", [((1, 0), 2)]),
     ("x0 x1", [((1, 1), 1)]),
     ("x0^2x1", [((2, 1), 1)]),
