@@ -34,9 +34,9 @@ and so holds over GF(p) too): if every generator of I has degree <= m, each
 cut form h_i satisfies ((I, h_<i) : h_i)_m = (I, h_<i)_m, and
 (I, h_1, ..., h_j)_m = S_m, then I is m-regular.  The colon condition is
 injectivity of h_i from degree m to m + 1 on the ring cut so far, and the
-last condition says the cut ring's piece m is 0.  The cuts are checked by
-the Hilbert function of the cut ring, dim M'_j = dim M_j - dim M_{j-1},
-not by a rank.  Rows q <= m - 1 of S/I and of the cut ring agree by the
+last condition says the cut ring's piece m is 0.  Each cut is checked by the
+rank of multiplication by h_i on the ring cut so far, before the cut ring is
+built.  Rows q <= m - 1 of S/I and of the cut ring agree by the
 truncation triangle, and rows q >= m vanish on both sides: for S/I by
 m-regularity, for the cut ring because its pieces vanish from degree m on.
 So when the certificate fires the table is exact in every row and `complete`
@@ -59,7 +59,8 @@ from math import comb
 from typing import Iterator, Mapping, Sequence
 
 from .linalg import SparseMatrix, field, reduced_echelon
-from .polyring import Ideal, Monomial, mono_times_var, monomials_of_degree, poly_degree
+from .polyring import (Ideal, Monomial, mono_degree, mono_times_var, monomials_of_degree,
+                       poly_degree)
 from .tables import BettiTable
 
 
@@ -140,7 +141,7 @@ def _next_piece(ideal: Ideal, below: GradedPiece,
             rows.append({index[mono_times_var(mono, var)]: value
                          for mono, value in terms.items()})
     for g in ideal.generators:
-        if poly_degree(g) == q:
+        if mono_degree(next(iter(g))) == q:
             rows.append({index[mono]: value for mono, value in F.row(g).items()})
     pivots = reduced_echelon(rows, F)
     standard = tuple(m for i, m in enumerate(basis) if i not in pivots)
@@ -270,9 +271,21 @@ class _Ring:
         return self.pieces[q].dim
 
 
-def _injective(below: _Ring, cut: _Ring, j: int) -> bool:
-    """Whether the variable cut from `below` is injective M_{j-1} -> M_j on it, for j >= 1."""
-    return cut.dim(j) == below.dim(j) - below.dim(j - 1)
+def _injective(ring: _Ring, var: int, j: int) -> bool:
+    """Whether x_var: M_{j-1} -> M_j on `ring` has full rank dim M_{j-1}, for j >= 1.
+
+    Row i is the image of x_var times the i-th standard monomial of M_{j-1},
+    read as in `koszul_differential`.
+    """
+    ring.dim(j)  # steps the piece chain through degree j
+    source, target = ring.pieces[j - 1], ring.pieces[j]
+    F = field(ring.ideal.char_p)
+    index = {mono: i for i, mono in enumerate(target.standard)}
+    rows = []
+    for mono in source.standard:
+        product = mono_times_var(mono, var)
+        rows.append({index[m]: v for m, v in target.rewrite.get(product, {product: F.one}).items()})
+    return SparseMatrix(source.dim, target.dim, rows).rank(ring.ideal.char_p) == source.dim
 
 
 def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[GradedPiece], bool]:
@@ -305,13 +318,15 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[Graded
     suffice: for I = (x0^2, x1*x2^2 - x0*x1^2) at m = 3, x2 is injective
     through degree 3, but cutting it adds kappa_{2,2} = 1.
 
-    Injectivity in degree j is a dimension count.  The sequence
+    Injectivity in degree j is a rank on the ring below: the matrix of x_v
+    from M_{j-1} to M_j has full rank dim M_{j-1} (`_injective`).  The sequence
 
         M_{j-1} --x_v--> M_j --> M'_j --> 0
 
-    is exact, so dim M'_j = dim M_j - rank(x_v), and x_v is injective in
-    degree j exactly when dim M'_j = dim M_j - dim M_{j-1}.  Degree 0 needs
-    no check: no generator has degree 0, so M_0 = k on every ring.
+    is exact, so dim M'_j = dim M_j - rank(x_v), and full rank is the same
+    test as the Hilbert function identity dim M'_j = dim M_j - dim M_{j-1} of
+    the cut ring, without building it.  Degree 0 needs no check: no generator
+    has degree 0, so M_0 = k on every ring.
 
     The walk.  m starts at the top generator degree (at least 1), capped at
     q_max + 1.  At each m the chain is walked afresh from S/I: on each ring,
@@ -322,12 +337,14 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[Graded
     tried.  So the chain at m is a function of m alone.  Rings are remembered
     by their cut path, the tuple of variables cut in order, with the pieces
     stepped so far: a ring is a function of its path, and whether a variable
-    passes on it in degree j never changes.  A variable that failed at an
-    earlier m fails again in a degree already stepped, with no new piece; a
-    cut that passed at an earlier m steps only the new degree m + 1, and
-    when it fails there the next variable that passes takes its place.  A
-    ring inside the chain never has piece m zero, since the variable cut from
-    it injects M_0 = k into piece m.
+    passes on it in degree j never changes.  A ring is built only for a
+    variable that has passed, so the memo holds only rings on some chain.  A
+    variable is tested by ranks on pieces of the ring below, which the gate
+    has already stepped through m + 1; a cut that passed at an earlier m is
+    tested again through the new degree m + 1, and when it fails there the
+    next variable that passes takes its place.  A ring inside the chain never
+    has piece m zero, since the variable cut from it injects M_0 = k into
+    piece m.
 
     The certificate fires when the last ring's piece m is 0, or when its one
     variable is injective through m + 1: cutting that leaves the field k,
@@ -344,11 +361,11 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[Graded
         while (last.ideal.num_vars > 1 and last.dim(m)
                and all(last.dim(j - 1) <= last.dim(j) for j in range(1, m + 2))):
             for var in range(last.ideal.num_vars):
-                if path + (var,) not in rings:
-                    rings[path + (var,)] = _Ring(_cut(last.ideal, var))
-                trial = rings[path + (var,)]
-                if all(_injective(last, trial, j) for j in range(1, m + 2)):
-                    path, last = path + (var,), trial
+                if all(_injective(last, var, j) for j in range(1, m + 2)):
+                    path += (var,)
+                    if path not in rings:
+                        rings[path] = _Ring(_cut(last.ideal, var))
+                    last = rings[path]
                     break
             else:
                 break

@@ -2,17 +2,20 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import (_cut, _cut_regular_variables, _in_field, betti_table,
-                             graded_piece, hilbert_consistency)
+from bettikit.koszul import (_cut, _cut_regular_variables, _in_field, _injective, _Ring,
+                             betti_table, graded_piece, hilbert_consistency)
 from bettikit.linalg import SparseMatrix
 from bettikit.polyring import (Ideal, mono_times_var, monomials_of_degree, parse_ideal,
                                parse_polynomial)
+from bettikit.pure import kappa_max
 from bettikit.selftest import sweep_cut_agrees_with_uncut, uncut_table
 from bettikit.tables import BettiTable
 from oracles import linear, normal_form, power
@@ -193,12 +196,38 @@ def test_dimension_certificate_matches_rank_oracle(ideal, q_max):
     ideal = _in_field(ideal)
     top = q_max + 2
     pieces = [graded_piece(ideal, j) for j in range(top + 1)]
+    ring = _Ring(ideal)
     for var in range(ideal.num_vars):
         cut = _cut(ideal, var)
         for j in range(1, top + 1):
             identity = graded_piece(cut, j).dim == pieces[j].dim - pieces[j - 1].dim
-            assert identity == multiplication_has_full_rank(ideal, pieces[j - 1], pieces[j], var)
+            oracle = multiplication_has_full_rank(ideal, pieces[j - 1], pieces[j], var)
+            assert identity == oracle == _injective(ring, var, j)
     assert _cut_regular_variables(ideal, q_max)[0] == rank_certified_cut(ideal, q_max)
+
+
+def rational_normal_curve(e, char_p):
+    """The 2x2 minors of the Hankel matrix [x0 .. x_e; x1 .. x_{e+1}], of codimension e."""
+    return ideal_from(e + 2, [f"x{i}*x{j + 1} - x{i + 1}*x{j}"
+                              for i, j in combinations(range(e + 1), 2)], char_p)
+
+
+@pytest.mark.parametrize("char_p", FIELDS)
+@pytest.mark.parametrize("e", (4, 7))
+def test_rejected_variables_build_no_ring(e, char_p, monkeypatch):
+    # Every variable but the last fails on S/I; its rank test builds no ring,
+    # so only the two rings of the chain are cut.
+    cuts = []
+
+    def counted_cut(ideal, var):
+        cuts.append(var)
+        return _cut(ideal, var)
+
+    monkeypatch.setattr(koszul, "_cut", counted_cut)
+    table, certified = betti_table(rational_normal_curve(e, char_p), 3)
+    assert len(cuts) == 2
+    assert certified
+    assert table == BettiTable({(0, 0): 1, **{(p, 1): kappa_max(p, 1, e) for p in range(1, e + 1)}})
 
 
 @pytest.mark.parametrize("char_p", (None, 5, 32003))
