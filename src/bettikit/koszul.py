@@ -19,7 +19,9 @@ product x_v * r_m is skipped when m / x_w is a lead of I_{q-1} for some
 w < v: it is then x_w * r_{x_v m / x_w} plus products with smaller leads, so
 the rows kept span the same I_{q+1}.
 Everything is exact; the field is the rationals or GF(p) as recorded on the
-ideal, and no float appears anywhere.
+ideal, and no float appears anywhere.  Generators keep the ideal's rational
+coefficients: `_next_piece` maps each into the field where it reads it, so a
+generator that vanishes there adds nothing.
 
 Wedge basis vectors are strictly increasing index tuples in lex order; the
 M_q basis is the standard monomials in descending graded-lex order.  This
@@ -45,22 +47,22 @@ never cut.
 
 All that differs between QQ and GF(p) is the field object `linalg.field`.
 A piece is a plain value: only the chain `graded_pieces` steps degrees, and
-it hands each step the leads of the piece two below.  Pieces and ranks are
-local values of the computation that needs them (`graded_pieces`,
-`_betti_entries`); `koszul_differential` reads the two pieces it is given.
+it hands each step the rewrite rules of the piece two below.  A `_Ring`,
+local to the computation that makes it, holds an ideal's pieces by degree;
+`_multiplication` reads x_v: M_q -> M_{q+1} for both `koszul_differential`
+and `_injective`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Container, Iterator, Mapping, Sequence
 
-from .linalg import SparseMatrix, field, reduced_echelon
-from .polyring import (Ideal, Monomial, mono_degree, mono_times_var, monomials_of_degree,
-                       poly_degree)
+from .linalg import Field, Row, SparseMatrix, field, reduced_echelon
+from .polyring import Ideal, Monomial, mono_degree, mono_times_var, monomials_of_degree
 from .tables import BettiTable
 
 
@@ -87,13 +89,14 @@ class GradedPiece:
 
 
 def _next_piece(ideal: Ideal, below: GradedPiece,
-                leads_below: frozenset[Monomial]) -> GradedPiece:
+                leads_below: Container[Monomial]) -> GradedPiece:
     """The piece of degree q + 1, given the piece `below` of degree q.
 
     Its rows are the generators of degree exactly q + 1 and the products
     x_v * r_m, where r_m = m - sum(rule) is a rewrite rule of `below` with
     lead m, for v <= w(m): the smallest w with x_w | m and m / x_w in
-    in(I_{q-1}) (`leads_below`), or n - 1 when there is none.
+    in(I_{q-1}) (`leads_below`, any container of those leads), or n - 1 when
+    there is none.
 
     All products x_v * r_m and the generators of degree q + 1 span I_{q+1},
     because I_{q+1} = S_1 * I_q + k * {generators of degree q + 1}: for
@@ -154,33 +157,59 @@ def _next_piece(ideal: Ideal, below: GradedPiece,
 def graded_pieces(ideal: Ideal) -> Iterator[GradedPiece]:
     """M_0, M_1, M_2, ... of S/I, each stepped up from the one below.
 
-    The first step starts from S_{-1} = 0, so a generator of degree 0 gives
-    I_0 = S_0 like any other.  Each step is given the leads of the piece two
-    below, in(I_{q-1}), so every step applies the product criterion.
+    The first step starts from S_{-1} = 0.  Each step is given the rewrite
+    rules of the piece two below, whose leads are in(I_{q-1}), so every step
+    applies the product criterion.
     """
-    piece, leads = GradedPiece(q=-1, standard=(), rewrite={}), frozenset()
+    piece = below = GradedPiece(q=-1, standard=(), rewrite={})
     while True:
-        piece, leads = _next_piece(ideal, piece, leads), frozenset(piece.rewrite)
+        piece, below = _next_piece(ideal, piece, below.rewrite), piece
         yield piece
+
+
+class _Ring:
+    """One ideal's pieces by degree: `ring[q]` is M_q, the chain stepped up to q as needed."""
+
+    def __init__(self, ideal: Ideal):
+        self.ideal = ideal
+        self.chain = graded_pieces(ideal)
+        self.pieces: list[GradedPiece] = []
+
+    def __getitem__(self, q: int) -> GradedPiece:
+        while len(self.pieces) <= q:
+            self.pieces.append(next(self.chain))
+        return self.pieces[q]
 
 
 def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
     """Row-reduce I_q inside S_q and package the quotient basis."""
     if q < 0:
         raise ValueError(f"degree must be nonnegative, got {q}")
-    return next(islice(graded_pieces(ideal), q, None))
+    return _Ring(ideal)[q]
+
+
+def _multiplication(source: GradedPiece, target: GradedPiece, var: int, F: Field) -> list[Row]:
+    """The rows of x_var: M_q -> M_{q+1}, one per standard monomial m of M_q.
+
+    Row i reads x_var * m from the rewrite rules of `target`, or as itself when standard.
+    """
+    index = {mono: i for i, mono in enumerate(target.standard)}
+    rows = []
+    for mono in source.standard:
+        product = mono_times_var(mono, var)
+        rows.append({index[m]: v for m, v in target.rewrite.get(product, {product: F.one}).items()})
+    return rows
 
 
 def koszul_differential(ideal: Ideal, p: int, q: int,
                         pieces: Sequence[GradedPiece] | Mapping[int, GradedPiece]) -> SparseMatrix:
     """Matrix of wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, rows = domain basis.
 
-    M_q and M_{q+1} are read as `pieces[q]` and `pieces[q + 1]`, from a list
-    or dict of the pieces of `ideal` by degree.  The image of x_v * m for a
-    standard monomial m of M_q is its rewrite rule in M_{q+1}, or x_v * m
-    itself when that is standard.  For a fixed wedge the j-th terms land in
-    distinct codomain wedges, so no two terms of a row share a column and
-    nothing cancels.
+    M_q and M_{q+1} are read as `pieces[q]` and `pieces[q + 1]`, from
+    anything that holds the pieces of `ideal` by degree: a list, a dict or,
+    inside the engine, a `_Ring`.  The images of x_v are read by `_multiplication`.  For a fixed
+    wedge the j-th terms land in distinct codomain wedges, so no two terms of
+    a row share a column and nothing cancels.
     """
     if p < 0 or q < 0:
         raise ValueError(f"need p >= 0 and q >= 0, got p={p}, q={q}")
@@ -194,33 +223,29 @@ def koszul_differential(ideal: Ideal, p: int, q: int,
         return SparseMatrix(nrows, ncols)
     F = field(ideal.char_p)
     wedge_index = {w: i for i, w in enumerate(codomain_wedges)}
-    target_index = {m: i for i, m in enumerate(target.standard)}
-    # images[sign][(var, mono)]: (column in M_{q+1}, +-coefficient) of x_var * mono
-    images: tuple[dict, dict] = ({}, {})
-    for var in range(n):
-        for mono in source.standard:
-            product = mono_times_var(mono, var)
-            image = target.rewrite.get(product, {product: F.one})
-            images[0][var, mono] = [(target_index[m], v) for m, v in image.items()]
-            images[1][var, mono] = [(target_index[m], F.coeff(-v)) for m, v in image.items()]
+    # images[j % 2][var][i]: (-1)^j times the image of x_var times the i-th monomial of M_q
+    plus = [_multiplication(source, target, var, F) for var in range(n)]
+    images = (plus, [[{col: F.coeff(-v) for col, v in row.items()} for row in rows]
+                     for rows in plus])
     rows = []
     for wedge in domain_wedges:
         bases = [wedge_index[wedge[:j] + wedge[j + 1:]] * target.dim for j in range(p)]
-        for mono in source.standard:
-            row: dict[int, Fraction | int] = {}
+        for i in range(source.dim):
+            row: Row = {}
             for j, var in enumerate(wedge):
-                for col, value in images[j % 2][var, mono]:
+                for col, value in images[j % 2][var][i].items():
                     row[bases[j] + col] = value
             rows.append(row)
     return SparseMatrix(nrows, ncols, rows)
 
 
-def _betti_entries(ideal: Ideal, pieces: list[GradedPiece], q_max: int) -> BettiTable:
+def _betti_entries(ideal: Ideal, pieces: Sequence[GradedPiece] | _Ring,
+                   q_max: int) -> BettiTable:
     """Rows 0..q_max of the betti table of `ideal` in all its variables.
 
-    `pieces` holds M_0 through M_{q_max+1}.  Each of the (n+1)(q_max+1)
-    differentials is built once: a cell (p, q) also needs the rank at
-    (p+1, q-1), which lies in the grid or is zero.
+    `pieces` holds M_0 through M_{q_max+1} by degree.  Each of the
+    (n+1)(q_max+1) differentials is built once: a cell (p, q) also needs the
+    rank at (p+1, q-1), which lies in the grid or is zero.
     """
     n = ideal.num_vars
     ranks = {(p, q): koszul_differential(ideal, p, q, pieces).rank(ideal.char_p)
@@ -235,17 +260,6 @@ def _betti_entries(ideal: Ideal, pieces: list[GradedPiece], q_max: int) -> Betti
     return BettiTable(entries)
 
 
-def _in_field(ideal: Ideal) -> Ideal:
-    """The ideal with every coefficient mapped into its field; vanishing generators dropped."""
-    coeff = field(ideal.char_p).coeff
-    generators = []
-    for g in ideal.generators:
-        mapped = {mono: Fraction(c) for mono, value in g.items() if (c := coeff(value))}
-        if mapped:
-            generators.append(mapped)
-    return replace(ideal, generators=tuple(generators))
-
-
 def _cut(ideal: Ideal, var: int) -> Ideal:
     """I + (x_var) / (x_var), as an ideal of the ring without x_var."""
     generators = []
@@ -256,35 +270,10 @@ def _cut(ideal: Ideal, var: int) -> Ideal:
     return Ideal(ideal.num_vars - 1, tuple(generators), ideal.char_p)
 
 
-class _Ring:
-    """One ring of the cut chain, remembered by its cut path: its ideal and its pieces so far."""
-
-    def __init__(self, ideal: Ideal):
-        self.ideal = ideal
-        self.chain = graded_pieces(ideal)
-        self.pieces: list[GradedPiece] = []
-
-    def dim(self, q: int) -> int:
-        """dim M_q, stepping the chain up to degree q as needed."""
-        while len(self.pieces) <= q:
-            self.pieces.append(next(self.chain))
-        return self.pieces[q].dim
-
-
 def _injective(ring: _Ring, var: int, j: int) -> bool:
-    """Whether x_var: M_{j-1} -> M_j on `ring` has full rank dim M_{j-1}, for j >= 1.
-
-    Row i is the image of x_var times the i-th standard monomial of M_{j-1},
-    read as in `koszul_differential`.
-    """
-    ring.dim(j)  # steps the piece chain through degree j
-    source, target = ring.pieces[j - 1], ring.pieces[j]
-    F = field(ring.ideal.char_p)
-    index = {mono: i for i, mono in enumerate(target.standard)}
-    rows = []
-    for mono in source.standard:
-        product = mono_times_var(mono, var)
-        rows.append({index[m]: v for m, v in target.rewrite.get(product, {product: F.one}).items()})
+    """Whether x_var: M_{j-1} -> M_j on `ring` has full rank dim M_{j-1}, for j >= 1."""
+    source, target = ring[j - 1], ring[j]
+    rows = _multiplication(source, target, var, field(ring.ideal.char_p))
     return SparseMatrix(source.dim, target.dim, rows).rank(ring.ideal.char_p) == source.dim
 
 
@@ -328,23 +317,24 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[Graded
     the cut ring, without building it.  Degree 0 needs no check: no generator
     has degree 0, so M_0 = k on every ring.
 
-    The walk.  m starts at the top generator degree (at least 1), capped at
-    q_max + 1.  At each m the chain is walked afresh from S/I: on each ring,
-    the first variable in index order that is injective in every degree
-    1 <= j <= m + 1 is cut, and the walk stops on a ring whose piece m is 0,
-    that has one variable, or on which no variable passes.  No variable can
-    pass when dim M_{j-1} > dim M_j for some j <= m + 1, and then none is
-    tried.  So the chain at m is a function of m alone.  Rings are remembered
-    by their cut path, the tuple of variables cut in order, with the pieces
-    stepped so far: a ring is a function of its path, and whether a variable
-    passes on it in degree j never changes.  A ring is built only for a
-    variable that has passed, so the memo holds only rings on some chain.  A
-    variable is tested by ranks on pieces of the ring below, which the gate
-    has already stepped through m + 1; a cut that passed at an earlier m is
-    tested again through the new degree m + 1, and when it fails there the
-    next variable that passes takes its place.  A ring inside the chain never
-    has piece m zero, since the variable cut from it injects M_0 = k into
-    piece m.
+    The walk.  m starts at the top degree of a generator nonzero in the field
+    (at least 1; reading them all into the field rejects a denominator the
+    characteristic divides at any q_max), capped at q_max + 1.  At each m the
+    chain is walked afresh from S/I: on each ring, the first variable in index
+    order that is injective in every degree 1 <= j <= m + 1 is cut, and the
+    walk stops on a ring whose piece m is 0, that has one variable, or on
+    which no variable passes.  No variable can pass when dim M_{j-1} > dim M_j
+    for some j <= m + 1, and then none is tried.  So the chain at m is a
+    function of m alone.  Rings are remembered by their cut path, the tuple of
+    variables cut in order, each a `_Ring` with the pieces stepped so far: a
+    ring is a function of its path, and whether a variable passes on it in
+    degree j never changes.  A ring is built only for a variable that has
+    passed, so the memo holds only rings on some chain.  A variable is tested
+    by ranks on pieces of the ring below, which the gate has already stepped
+    through m + 1; a cut that passed at an earlier m is tested again through
+    the new degree m + 1, and when it fails there the next variable that
+    passes takes its place.  A ring inside the chain never has piece m zero,
+    since the variable cut from it injects M_0 = k into piece m.
 
     The certificate fires when the last ring's piece m is 0, or when its one
     variable is injective through m + 1: cutting that leaves the field k,
@@ -354,12 +344,13 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[Graded
     certified through q_max + 2, rows 0..q_max agree, and the certificate is
     left unknown.
     """
-    top = max((poly_degree(g) for g in ideal.generators), default=0)
+    F = field(ideal.char_p)
+    top = max((mono_degree(next(iter(g))) for g in ideal.generators if F.row(g)), default=0)
     rings = {(): _Ring(ideal)}
     for m in range(min(max(1, top), q_max + 1), q_max + 2):
         path, last = (), rings[()]
-        while (last.ideal.num_vars > 1 and last.dim(m)
-               and all(last.dim(j - 1) <= last.dim(j) for j in range(1, m + 2))):
+        while (last.ideal.num_vars > 1 and last[m].dim
+               and all(last[j - 1].dim <= last[j].dim for j in range(1, m + 2))):
             for var in range(last.ideal.num_vars):
                 if all(_injective(last, var, j) for j in range(1, m + 2)):
                     path += (var,)
@@ -369,7 +360,7 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[Graded
                     break
             else:
                 break
-        zero = not last.dim(m) or last.ideal.num_vars == 1 and last.dim(m + 1) == 1
+        zero = not last[m].dim or last.ideal.num_vars == 1 and last[m + 1].dim == 1
         if zero:
             break
     return last.ideal, last.pieces[:m + 1], zero and m >= top
@@ -378,10 +369,10 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[Graded
 def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:
     """All kappa_{p,q} for p <= num_vars, q <= q_max, and whether the table is certified complete.
 
-    Every coefficient is first mapped into the field, so a denominator the
-    characteristic divides raises ValueError whatever q_max is.  The table is
-    then computed on the ideal cut by certified regular variables (see
-    `_cut_regular_variables`), which has the same rows.
+    Coefficients are mapped into the field where the engine reads them; a
+    denominator the characteristic divides raises ValueError whatever q_max
+    is.  The table is computed on the ideal cut by certified regular
+    variables (see `_cut_regular_variables`), which has the same rows.
 
     The flag is True exactly when the Bayer-Stillman certificate fired at
     some m <= q_max + 1: the generators have degree <= m, each cut form h_i
@@ -395,7 +386,7 @@ def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:
     """
     if q_max < 1:
         raise ValueError(f"need q_max >= 1, got {q_max}")
-    ideal, pieces, certified = _cut_regular_variables(_in_field(ideal), q_max)
+    ideal, pieces, certified = _cut_regular_variables(ideal, q_max)
     return _betti_entries(ideal, pieces, len(pieces) - 2), certified
 
 
@@ -409,12 +400,11 @@ def hilbert_consistency(ideal: Ideal, table: BettiTable, q_max: int) -> bool:
     lhs = BettiTable({(p, q): value for (p, q), value in table.entries.items()
                       if p + q <= q_max}).hilbert_numerator()
     lhs += [0] * (q_max + 1 - len(lhs))
-    dims = [piece.dim for piece in islice(graded_pieces(ideal), q_max + 1)]
-    n = ideal.num_vars
+    ring, n = _Ring(ideal), ideal.num_vars
     rhs = []
     for j in range(q_max + 1):
         total = 0
         for i in range(min(j, n) + 1):
-            total += (-1 if i % 2 else 1) * comb(n, i) * dims[j - i]
+            total += (-1 if i % 2 else 1) * comb(n, i) * ring[j - i].dim
         rhs.append(total)
     return lhs == rhs

@@ -104,7 +104,8 @@ class Ideal:
     elimination mod a composite need not terminate.
     Generators are kept with rational coefficients; reduction happens in the
     engine.  The ideal is used exactly as given: no saturation, no Groebner
-    preprocessing.
+    preprocessing.  Each rule has one check below, which `parse_ideal` and
+    `parse_field` also run, at the line they read.
     """
 
     num_vars: int
@@ -112,24 +113,34 @@ class Ideal:
     char_p: int | None = None
 
     def __post_init__(self):
-        if self.num_vars < 1:
-            raise ValueError("need at least one variable")
-        if self.char_p is not None and not (self.char_p < PRIME_LIMIT
-                                            and is_prime(self.char_p)):
-            raise ValueError(
-                f"characteristic must be a prime below {PRIME_LIMIT}, got {self.char_p}")
+        _check_vars(self.num_vars)
+        _check_field(self.char_p)
         for g in self.generators:
-            if not g:
-                raise ValueError("zero polynomial cannot generate")
-            if any(len(m) != self.num_vars for m in g):
-                raise ValueError("generator arity does not match num_vars")
-            if not is_homogeneous(g):
-                raise ValueError(f"generator {poly_to_str(g)} is not homogeneous")
-            if poly_degree(g) < 1:
-                raise ValueError("generators must have degree >= 1")
+            _check_generator(g, self.num_vars)
 
     def field_label(self) -> str:
         return "rational" if self.char_p is None else f"gf {self.char_p}"
+
+
+def _check_vars(num_vars: int, line: int | None = None) -> None:
+    if num_vars < 1:
+        raise ParseError("need at least one variable", line)
+
+
+def _check_field(char_p: int | None, line: int | None = None) -> None:
+    if char_p is not None and not (char_p < PRIME_LIMIT and is_prime(char_p)):
+        raise ParseError(f"characteristic must be a prime below {PRIME_LIMIT}, got {char_p}", line)
+
+
+def _check_generator(g: Poly, num_vars: int, line: int | None = None) -> None:
+    if not g:
+        raise ParseError("generator reduces to zero", line)
+    if any(len(m) != num_vars for m in g):
+        raise ParseError("generator arity does not match num_vars", line)
+    if not is_homogeneous(g):
+        raise ParseError(f"generator {poly_to_str(g)} is not homogeneous", line)
+    if mono_degree(next(iter(g))) < 1:
+        raise ParseError("generators must have degree >= 1", line)
 
 
 _FIELD_RE = re.compile(rf"rational|gf\s*({DIGITS})")
@@ -140,7 +151,9 @@ def parse_field(text: str, line: int | None = None) -> int | None:
     match = _FIELD_RE.fullmatch(text)
     if match is None:
         raise ParseError(f"bad field {text!r}, expected 'rational', 'gf P' or 'gfP'", line)
-    return None if match[1] is None else integer(match[1], "characteristic", line)
+    char_p = None if match[1] is None else integer(match[1], "characteristic", line)
+    _check_field(char_p, line)
+    return char_p
 
 
 _TOKEN_RE = re.compile(rf"\s*(?:(?P<sign>[+-])|(?P<coeff>{DIGITS}(?:/{DIGITS})?)"
@@ -231,18 +244,14 @@ def parse_ideal(text: str) -> Ideal:
             if len(parts) != 2 or parts[0] != "vars":
                 raise ParseError(f"expected 'vars N' header, got {line!r}", lineno)
             num_vars = integer(parts[1], "variable count", lineno)
-            if num_vars < 1:
-                raise ParseError("need at least one variable", lineno)
+            _check_vars(num_vars, lineno)
             continue
         if line.split()[0] == "field" and not generators and not field_seen:
             char_p = parse_field(line[len("field"):].strip(), lineno)
             field_seen = True
             continue
         poly = parse_polynomial(body, num_vars, line=lineno)
-        if not poly:
-            raise ParseError("generator reduces to zero", lineno)
-        if not is_homogeneous(poly):
-            raise ParseError(f"generator {line!r} is not homogeneous", lineno)
+        _check_generator(poly, num_vars, lineno)
         generators.append(poly)
     if num_vars is None:
         raise ParseError("missing 'vars N' header", 1)

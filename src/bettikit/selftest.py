@@ -12,11 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 from .decompose import Decomposition, bs_decompose
-from .koszul import _betti_entries, betti_table, graded_pieces, koszul_differential
+from .koszul import _betti_entries, _Ring, betti_table, koszul_differential
 from .polyring import Ideal, monomials_of_degree
 from .pure import family_deq, family_tilde, hk_diagram, kappa_max, kappa_next_max, multiplicity
 from .tables import BettiTable, DegreeSequence
@@ -193,7 +193,7 @@ def sweep_square_zero(trials: int = 10, seed: int = 20240, q_max: int = 4) -> Sw
     failures = []
     for _ in range(trials):
         ideal = random_ideal(rng)
-        pieces = list(islice(graded_pieces(ideal), q_max + 3))
+        pieces = _Ring(ideal)
         for q in range(q_max + 1):
             for p in range(1, ideal.num_vars + 2):
                 cases += 1
@@ -207,7 +207,7 @@ def sweep_square_zero(trials: int = 10, seed: int = 20240, q_max: int = 4) -> Sw
 
 def uncut_table(ideal: Ideal, q_max: int) -> BettiTable:
     """Rows 0..q_max computed in all of the ideal's variables, with no cut."""
-    return _betti_entries(ideal, list(islice(graded_pieces(ideal), q_max + 2)), q_max)
+    return _betti_entries(ideal, _Ring(ideal), q_max)
 
 
 def sweep_cut_agrees_with_uncut(trials: int = 100, seed: int = 31, q_max: int = 3) -> Sweep:

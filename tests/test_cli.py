@@ -1,10 +1,12 @@
 import json
 import shutil
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
+from bettikit import selftest
 from bettikit.cli import main
 from bettikit.fixtures import fixture_path
 from bettikit.tables import BettiTable
@@ -60,6 +62,14 @@ def test_pure_json(capsys):
     assert payload["degrees"] == [0, 2, 4, 5]
     assert payload["multiplicity"] == "20/3"
     assert {"p": 1, "q": 1, "num": "10", "den": "3"} in payload["entries"]
+
+
+def test_pure_json_clear_denominators(capsys):
+    code, out, _ = run(capsys, "pure", "0,2,3", "--clear-denominators", "--out", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cleared_by"] == 1
+    assert BettiTable.from_json_dict(payload) == BettiTable({(0, 0): 1, (1, 1): 3, (2, 1): 2})
 
 
 def test_pure_bad_sequence(capsys):
@@ -141,6 +151,14 @@ def test_betti_complete_flag_means_certified(tmp_path, capsys):
     assert code == 0
     assert "complete: certified" in out
     assert "4: . 1" in out and "5: . . 1" in out
+
+
+def test_betti_generator_vanishing_in_the_field(tmp_path, capsys):
+    ideal = tmp_path / "vanishing.ideal"
+    ideal.write_text("vars 4\nfield gf 5\nx0*x2 - x1^2\nx0*x3 - x1*x2\nx1*x3 - x2^2\n5*x0^4\n")
+    code, out, _ = run(capsys, "betti", str(ideal), "--qmax", "2")
+    assert code == 0
+    assert out == "field: gf 5\ncomplete: certified\n0: 1\n1: . 3 2\n"
 
 
 def test_betti_rational_json(capsys):
@@ -323,6 +341,43 @@ def test_fixtures_dir_override(tmp_path, capsys, monkeypatch):
     assert str(tmp_path) in fixture_path("veronese_projection.table")
 
 
+def test_fixtures_report_a_wrong_ideal(tmp_path, capsys, monkeypatch):
+    # the twisted cubic's file holds another valid ideal: the fixture fails, the rest pass
+    corpus = tmp_path / "corpus"
+    shutil.copytree(Path(fixture_path("twisted_cubic.ideal")).parent, corpus)
+    shutil.copy(corpus / "ci_two_quadrics.ideal", corpus / "twisted_cubic.ideal")
+    monkeypatch.setenv("FIXTURES_DIR", str(corpus))
+    code, out, _ = run(capsys, "fixtures")
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed == ["FAIL twisted-cubic [twisted_cubic.ideal]"]
+    start = lines.index(failed[0]) + 1
+    problems = list(takewhile(lambda line: line.startswith("     "), lines[start:]))
+    assert problems and problems[0].startswith("     table mismatch: got ")
+    assert sum(line.startswith("PASS") for line in lines) == 10
+    assert lines[-1] == "10/11 fixtures passed"
+
+
+def test_selftest_passes_every_sweep(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["PASS"] * 9
+    counts = [int(line.rsplit("(", 1)[1].split()[0]) for line in lines]
+    assert counts == [100, 9, 500, 451, 244, 165, 210, 200, 50]
+
+
+def test_selftest_reports_a_failing_sweep(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "ALL_SWEEPS", [
+        ("broken identity", lambda: (3, ["first failure", "second failure"])),
+        ("bound comparison", selftest.sweep_bound_comparison)])
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert out == ("FAIL broken identity (3 cases): first failure\n"
+                   "PASS bound comparison (244 cases)\n")
+
+
 def test_table_normalized_to_degree_zero(tmp_path, capsys):
     # a twist of the twisted cubic table: generator in degree 2
     shifted = tmp_path / "shifted.table"
@@ -426,6 +481,7 @@ ERROR_CASES = {
     "composite-field-flag": (["betti", "{ideal}", "--qmax", "2", "--field", "gf9"], None),
     "composite-field-line": (["betti", "{file}", "--qmax", "2"],
                              "vars 2\nfield gf 9\n3*x0^2 + x1^2\nx0^2\n"),
+    "constant-generator": (["betti", "{file}", "--qmax", "2"], "vars 2\n  1\n"),
     "zero-denominator-ideal": (["betti", "{file}", "--qmax", "2"],
                                "vars 2\nfield rational\nx0*x1 + 1/0*x0^2\n"),
     "zero-denominator-table": (["decompose", "{file}"], "0: 1\n1: . 1/0\n"),

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import (_cut, _cut_regular_variables, _in_field, _injective, _Ring,
-                             betti_table, graded_piece, hilbert_consistency)
+from bettikit.koszul import (_cut, _cut_regular_variables, _injective, _Ring, betti_table,
+                             graded_piece, hilbert_consistency)
 from bettikit.linalg import SparseMatrix
 from bettikit.polyring import (Ideal, mono_times_var, monomials_of_degree, parse_ideal,
                                parse_polynomial)
@@ -85,7 +85,7 @@ def test_cut_needs_injectivity_through_qmax_plus_two():
 
 
 def test_cut_that_fails_a_degree_up_is_replaced():
-    ideal = _in_field(DROPPED_CUT)
+    ideal = DROPPED_CUT
     assert _cut_regular_variables(ideal, 1)[0] == _cut(ideal, 0)
     cut, pieces, certified = _cut_regular_variables(ideal, 3)
     assert (cut, len(pieces) - 1, certified) == (_cut(ideal, 3), 4, True)
@@ -133,7 +133,7 @@ def test_cut_pieces_are_iterated_differences(char_p):
     # every degree, so each cut takes one backward difference of the Hilbert
     # function, checked here through q_max + 2: dim M'_j = Δ^k dim M_j.
     for entry, ideal in fixture_ideals():
-        ideal = _in_field(replace(ideal, char_p=char_p))
+        ideal = replace(ideal, char_p=char_p)
         top = entry.qmax + 2
         cut, pieces, _ = _cut_regular_variables(ideal, entry.qmax)
         dims = [graded_piece(ideal, j).dim for j in range(top + 1)]
@@ -181,7 +181,7 @@ def test_cut_matches_uncut_on_random_ideals(ideal, q_max):
     if certified:
         # the certificate proves that no row past q_max exists
         assert uncut_table(ideal, q_max + 3).regularity() <= q_max
-    cut, pieces, _ = _cut_regular_variables(_in_field(ideal), q_max)
+    cut, pieces, _ = _cut_regular_variables(ideal, q_max)
     assert 2 <= len(pieces) <= q_max + 2
     assert all(pieces[q] == graded_piece(cut, q) for q in range(len(pieces)))
 
@@ -193,7 +193,6 @@ def test_cut_matches_uncut_on_random_ideals(ideal, q_max):
 @example(ideal=ideal_from(3, ["x0*x1"], char_p=5), q_max=2)                    # cuts x2 only
 @example(ideal=COUNTEREXAMPLE, q_max=2)                                         # fails at q_max+2
 def test_dimension_certificate_matches_rank_oracle(ideal, q_max):
-    ideal = _in_field(ideal)
     top = q_max + 2
     pieces = [graded_piece(ideal, j) for j in range(top + 1)]
     ring = _Ring(ideal)
@@ -262,7 +261,7 @@ def test_lefschetz_cut_is_certified_one_degree_up(char_p):
     assert table == BettiTable({(0, 0): 1, (1, 2): 1, (1, 3): 1, (1, 4): 1,
                                 (2, 5): 1, (2, 6): 1, (2, 7): 1, (3, 9): 1})
     assert certified
-    cut, pieces, _ = _cut_regular_variables(_in_field(ideal), 11)
+    cut, pieces, _ = _cut_regular_variables(ideal, 11)
     assert cut.num_vars == 3 and len(pieces) - 1 == 10
 
 

@@ -319,6 +319,14 @@ def test_coefficients_vanishing_mod_p_drop_their_terms():
     assert betti_table(ideal, 3)[0] == betti_table(ideal_from(2, ["x1^2"], char_p=7), 3)[0]
 
 
+def test_generator_vanishing_in_the_field_does_not_delay_the_certificate():
+    # 5*x0^4 is zero in GF(5), so it neither adds a row nor raises the top
+    # generator degree from 2 to 4, which would leave the certificate unknown at q_max 2
+    ideal = replace(TWISTED_CUBIC, char_p=5,
+                    generators=TWISTED_CUBIC.generators + (parse_polynomial("5*x0^4", 4),))
+    assert betti_table(ideal, 2) == (BettiTable({(0, 0): 1, (1, 1): 3, (2, 1): 2}), True)
+
+
 def test_negative_kappa_raises(monkeypatch):
     # a rank larger than the domain can only come from a faulty rank
     monkeypatch.setattr(SparseMatrix, "rank", lambda self, char_p=None: 100)

@@ -122,6 +122,28 @@ def test_parse_ideal_errors():
     assert info.value.line == 2
 
 
+def test_ideal_rejects_arity_mismatch_and_degree_zero():
+    with pytest.raises(ValueError, match="arity"):
+        Ideal(num_vars=2, generators=({(1, 0, 0): Fraction(1)},))
+    with pytest.raises(ValueError, match="degree >= 1"):
+        Ideal(num_vars=2, generators=({(0, 0): Fraction(1)},))
+
+
+@pytest.mark.parametrize("text, generator", [
+    ("vars 2\n  1\n", {(0, 0): Fraction(1)}),
+    ("vars 2\nx0 + x1^2\n", {(1, 0): Fraction(1), (0, 2): Fraction(1)}),
+    ("vars 2\nx0 - x0\n", {}),
+], ids=["constant", "inhomogeneous", "zero"])
+def test_parse_ideal_reports_the_ideal_check_at_its_line(text, generator):
+    # one copy of each check: the file reports at its line what `Ideal` reports
+    with pytest.raises(ParseError) as parsed:
+        parse_ideal(text)
+    with pytest.raises(ParseError) as built:
+        Ideal(num_vars=2, generators=(generator,))
+    assert (parsed.value.line, parsed.value.message) == (2, built.value.message)
+    assert built.value.line is None
+
+
 def test_is_prime_matches_trial_division():
     def trial(n):
         return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
