@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .decompose import NotInConeError, bs_decompose, multiplicity_from_decomposition
-from .pure import _integer_diagram, family_deq, family_tilde, multiplicity
+from .pure import family_deq, family_tilde, hk_diagram, multiplicity
 from .tables import BettiTable, DegreeSequence
 
 VERDICT_ALL_MAX = "AllMax"
@@ -87,18 +87,22 @@ class StrandReport:
 def first_nontrivial_strand(table: BettiTable) -> int | None:
     """Smallest q >= 1 with an entry at (1, q); None when column 1 is empty.
 
-    Requires a well-formed column 0: a single entry 1 at (0, 0).
+    Requires a well-formed column 0, a single entry 1 at (0, 0), and no entry
+    at (1, 0).  Such an entry is a linear generator, a strand q = 0 that no
+    bound covers, so the table is rejected rather than checked.
     """
     if table.entry(0, 0) != 1 or any(p == 0 and q != 0 for p, q in table.entries):
         raise ValueError("malformed column 0: expected exactly one entry, 1 at (0, 0)")
+    if table.entry(1, 0):
+        raise ValueError("entry at cell (p=1, q=0): the ideal has a linear generator, "
+                         "and the strand bounds start at q = 1")
     rows = [q for p, q in table.entries if p == 1]
     return min(rows) if rows else None
 
 
 def _against_diagram(table: BettiTable, q: int, d: DegreeSequence) -> StrandReport:
     """Row q of the table against pi(d), read as the module docstring says; no notes."""
-    cells, den = _integer_diagram(d.degrees)
-    diagram = {cell: Fraction(n, den) for cell, n in cells.items() if cell != (0, 0)}
+    diagram = {cell: v for cell, v in hk_diagram(d).entries.items() if cell != (0, 0)}
     per_p = []
     for p in range(1, max(d.length, table.projective_dimension()) + 1):
         observed, bound = table.entry(p, q), diagram.get((p, q))

@@ -61,7 +61,7 @@ from itertools import combinations
 from math import comb
 from typing import Container, Iterator, Mapping, Sequence
 
-from .linalg import Field, Row, SparseMatrix, field, reduced_echelon
+from .linalg import PrimeField, Rationals, Row, SparseMatrix, field, reduced_echelon
 from .polyring import Ideal, Monomial, mono_degree, mono_times_var, monomials_of_degree
 from .tables import BettiTable
 
@@ -188,7 +188,8 @@ def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
     return _Ring(ideal)[q]
 
 
-def _multiplication(source: GradedPiece, target: GradedPiece, var: int, F: Field) -> list[Row]:
+def _multiplication(source: GradedPiece, target: GradedPiece, var: int,
+                   F: Rationals | PrimeField) -> list[Row]:
     """The rows of x_var: M_q -> M_{q+1}, one per standard monomial m of M_q.
 
     Row i reads x_var * m from the rewrite rules of `target`, or as itself when standard.

@@ -112,11 +112,10 @@ class PrimeField:
         return row
 
 
-Field = Union[Rationals, PrimeField]
 RATIONALS = Rationals()
 
 
-def field(char_p: int | None) -> Field:
+def field(char_p: int | None) -> Rationals | PrimeField:
     """The rationals for char_p None, else GF(char_p)."""
     return RATIONALS if char_p is None else PrimeField(char_p)
 
@@ -158,7 +157,7 @@ class SparseMatrix:
         return len(_echelon(map(F.row, self.rows), F))
 
 
-def _echelon(rows: Iterable[dict], F: Field) -> dict[int, dict]:
+def _echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, dict]:
     """Forward elimination of rows normalized by `F.row`: {leading column: its row}."""
     pivots: dict[int, dict] = {}
     for row in rows:
@@ -172,7 +171,7 @@ def _echelon(rows: Iterable[dict], F: Field) -> dict[int, dict]:
     return pivots
 
 
-def reduced_echelon(rows: Iterable[dict], F: Field) -> dict[int, Row]:
+def reduced_echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, Row]:
     """Fully reduced row echelon form of rows normalized by `F.row`.
 
     Returned as {pivot column: its row}.  Pivot rows are normalized to leading

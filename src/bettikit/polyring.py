@@ -61,10 +61,6 @@ def mono_times_var(mono: Monomial, var: int) -> Monomial:
     return mono[:var] + (mono[var] + 1,) + mono[var + 1:]
 
 
-def poly_degree(poly: Poly) -> int:
-    return max((mono_degree(m) for m in poly), default=-1)
-
-
 def is_homogeneous(poly: Poly) -> bool:
     degrees = {mono_degree(m) for m in poly}
     return len(degrees) <= 1

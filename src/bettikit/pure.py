@@ -10,10 +10,12 @@ in column p at row d_p - p.  Its multiplicity is
 
     e(d) = (1 / l!) * prod over k >= 1 of (d_k - d_0).
 
-`hk_diagram` returns pi(d) as a BettiTable and `multiplicity` returns e(d);
-the peel and the bound checks read pi(d) as integers over one denominator from
-`_integer_diagram`.  Also here: the extremal families behind the first-strand
-bounds and the closed-form bound values they realize.
+`hk_diagram` returns pi(d) as a BettiTable of Fractions, which the bound
+checks read, and `multiplicity` returns e(d).  The peel and
+`Decomposition.reconstruct` read pi(d) as integers over one denominator from
+`_integer_diagram`, the integers `hk_diagram` divides into Fractions.  Also
+here: the extremal families behind the first-strand bounds and the
+closed-form bound values they realize.
 """
 
 from __future__ import annotations

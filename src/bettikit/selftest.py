@@ -110,9 +110,9 @@ def sweep_dual_multiplicity(e_max: int = 5, q_max: int = 4) -> Sweep:
     for e in range(1, e_max + 1):
         for q in range(1, q_max + 1):
             bound = comb(e + q, q)
+            # a strictly increasing tail drawn from 1..q+e has tail[k] <= q+k+1, so the
+            # range gives exactly the sequences with d_k <= q+k
             for tail in combinations(range(1, q + e + 1), e):
-                if any(tail[k] > q + k + 1 for k in range(e)):
-                    continue
                 cases += 1
                 d = DegreeSequence((0,) + tail)
                 if multiplicity(d) > bound:

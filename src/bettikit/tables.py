@@ -100,14 +100,6 @@ def load(path: str, parse):
                          getattr(exc, "column", 1), path) from None
 
 
-def _coerce(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"table entries must be rational, got {type(value).__name__}")
-
-
 def _json_int(item: dict, key: str, index: int) -> int:
     """The int at item[key]: a JSON integer, or a string of one as `to_json_dict` writes."""
     if key not in item:
@@ -126,16 +118,16 @@ class BettiTable:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[Cell, RationalLike]):
-        store: dict[Cell, Fraction] = {}
-        for (p, q), raw in entries.items():
+        self._entries: dict[Cell, Fraction] = {}
+        for (p, q), value in entries.items():
             if not (isinstance(p, int) and isinstance(q, int)) or p < 0 or q < 0:
                 raise ValueError(f"cell indices must be nonnegative integers, got ({p}, {q})")
-            value = _coerce(raw)
-            if value < 0:
+            if not isinstance(value, (Fraction, int)):
+                raise TypeError(f"table entries must be rational, got {type(value).__name__}")
+            if value.numerator < 0:
                 raise ValueError(f"negative entry at cell (p={p}, q={q}) (value {value})")
-            if value != 0:
-                store[(p, q)] = value
-        object.__setattr__(self, "_entries", store)
+            if value:
+                self._entries[(p, q)] = value if isinstance(value, Fraction) else Fraction(value)
 
     @property
     def entries(self) -> Mapping[Cell, Fraction]:
@@ -179,20 +171,15 @@ class BettiTable:
         Requires every entry to be an integer.  Returns the dense coefficient
         list [c_0, c_1, ...] with trailing zeros trimmed; the zero table gives [].
         """
-        coeffs: dict[int, int] = {}
+        coeffs: list[int] = []
         for (p, q), value in self._entries.items():
             if value.denominator != 1:
                 raise ValueError(f"non-integer entry {value} at (p={p}, q={q})")
-            sign = -1 if p % 2 else 1
-            coeffs[p + q] = coeffs.get(p + q, 0) + sign * value.numerator
-        if not coeffs:
-            return []
-        out = [0] * (max(coeffs) + 1)
-        for degree, c in coeffs.items():
-            out[degree] = c
-        while out and out[-1] == 0:
-            out.pop()
-        return out
+            coeffs += [0] * (p + q + 1 - len(coeffs))
+            coeffs[p + q] += -value.numerator if p % 2 else value.numerator
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return coeffs
 
     def cleared(self) -> tuple["BettiTable", int]:
         """Integer-cleared view: (table * m, m) with m the lcm of denominators."""

@@ -24,6 +24,14 @@ def test_first_nontrivial_strand_examples():
     assert first_nontrivial_strand(BettiTable({(0, 0): 1})) is None
 
 
+def test_first_nontrivial_strand_rejects_a_linear_generator():
+    linear = BettiTable({(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 1): 1})
+    for check in (first_nontrivial_strand,
+                  lambda table: check_next_to_max(table, Assumptions(codim_e=2))):
+        with pytest.raises(ValueError, match=r"cell \(p=1, q=0\): the ideal has a linear"):
+            check(linear)
+
+
 def test_first_nontrivial_strand_malformed_column():
     with pytest.raises(ValueError):
         first_nontrivial_strand(BettiTable({(0, 0): 2}))

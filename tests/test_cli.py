@@ -8,7 +8,7 @@ import pytest
 
 from bettikit import selftest
 from bettikit.cli import main
-from bettikit.fixtures import fixture_path
+from bettikit.fixtures import fixture_path, load_text
 from bettikit.tables import BettiTable
 
 
@@ -401,7 +401,7 @@ def test_no_subcommand_usage(capsys):
 
 def test_emit_parse_round_trip_on_fixture_files(capsys):
     for name in ("veronese_projection.table", "cubic_conic_union.table"):
-        text = open(fixture_path(name)).read()
+        text = load_text(name)
         table = BettiTable.from_text(text)
         assert table.to_text() == text
         assert BettiTable.from_json(table.to_json()) == table
@@ -482,6 +482,7 @@ ERROR_CASES = {
     "composite-field-line": (["betti", "{file}", "--qmax", "2"],
                              "vars 2\nfield gf 9\n3*x0^2 + x1^2\nx0^2\n"),
     "constant-generator": (["betti", "{file}", "--qmax", "2"], "vars 2\n  1\n"),
+    "missing-vars-header": (["betti", "{file}", "--qmax", "2"], "# only a comment\n"),
     "zero-denominator-ideal": (["betti", "{file}", "--qmax", "2"],
                                "vars 2\nfield rational\nx0*x1 + 1/0*x0^2\n"),
     "zero-denominator-table": (["decompose", "{file}"], "0: 1\n1: . 1/0\n"),
@@ -510,6 +511,7 @@ ERROR_CASES = {
     "negative-entry": (["check", "{file}", "--codim", "1"], "0: 1\n1: -2\n"),
     "duplicate-row": (["decompose", "{file}"], "0: 1\n2: . 7\n2: . . 10 5 1\n"),
     "next-to-max-no-strand": (["check", "{file}", "--codim", "2", "--next-to-max"], "0: 1\n"),
+    "check-linear-generator": (["check", "{file}", "--codim", "2"], "0: 1 1\n1: . 1 1\n"),
     "missing-file": (["decompose", "/nonexistent/t.table"], None),
 }
 

@@ -4,7 +4,7 @@ import shutil
 import pytest
 
 from bettikit.cli import main
-from bettikit.fixtures import FIXTURES, fixture_path, run_all, run_fixture
+from bettikit.fixtures import FIXTURES, fixture_path, load_text, run_all, run_fixture
 
 
 def test_every_fixture_file_exists():
@@ -19,7 +19,7 @@ def test_corpus_reproduces_expected_outputs():
 
 def test_fixtures_dir_override(tmp_path, monkeypatch):
     entry = FIXTURES[0]
-    content = open(fixture_path(entry.filename)).read()
+    content = load_text(entry.filename)
     (tmp_path / entry.filename).write_text(content)
     monkeypatch.setenv("FIXTURES_DIR", str(tmp_path))
     assert fixture_path(entry.filename).startswith(str(tmp_path))

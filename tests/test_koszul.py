@@ -300,6 +300,13 @@ def test_betti_table_rejects_bad_qmax():
         betti_table(TWISTED_CUBIC, 0)
 
 
+def test_negative_degrees_are_rejected():
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+        graded_piece(TWISTED_CUBIC, -1)
+    with pytest.raises(ValueError, match="need p >= 0 and q >= 0, got p=-1, q=0"):
+        koszul_differential(TWISTED_CUBIC, -1, 0, [])
+
+
 def test_gf_denominator_collision():
     ideal = ideal_from(2, ["1/7*x0^2"], char_p=7)
     with pytest.raises(ValueError):

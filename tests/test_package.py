@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +38,24 @@ def test_runtime_has_no_assert():
     for path in sorted(Path(bettikit.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} uses assert"
+
+
+RELOAD_THREE_TIMES = """
+import gc, importlib, sys
+sys.path.insert(0, sys.argv[1])
+for _ in range(3):
+    for name in [m for m in sys.modules if m == "bettikit" or m.startswith("bettikit.")]:
+        del sys.modules[name]
+    importlib.import_module("bettikit")
+gc.collect()
+print(sum(isinstance(o, type) and o.__name__ == "SparseMatrix" for o in gc.get_objects()))
+"""
+
+
+def test_a_fresh_import_frees_the_previous_one():
+    # a module-level reference cached outside the package (a typing alias over
+    # its own classes, say) would keep every dropped copy of bettikit alive
+    src = str(Path(bettikit.__file__).parent.parent)
+    child = subprocess.run([sys.executable, "-c", RELOAD_THREE_TIMES, src],
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "1\n"

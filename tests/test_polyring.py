@@ -16,6 +16,9 @@ def test_monomial_enumeration_order():
     assert monomials_of_degree(2, 2) == ((2, 0), (1, 1), (0, 2))
     assert monomials_of_degree(3, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert len(monomials_of_degree(4, 3)) == 20  # C(6, 3)
+    for num_vars, degree in ((0, 1), (2, -1)):
+        with pytest.raises(ValueError, match="need num_vars >= 1 and degree >= 0"):
+            monomials_of_degree(num_vars, degree)
 
 
 def test_parse_polynomial_basics():
@@ -178,6 +181,7 @@ def test_poly_to_str_canonical():
     poly = parse_polynomial("- x1^2 + x0*x2", 3)
     assert poly_to_str(poly) == "x0*x2 - x1^2"
     assert parse_polynomial(poly_to_str(poly), 3) == poly
+    assert poly_to_str({}) == "0"
 
 
 def test_ideal_round_trip_random():

@@ -82,6 +82,8 @@ def test_family_tilde():
     assert family_tilde(2, 1) == DegreeSequence((0, 2, 4))
     with pytest.raises(ValueError):
         family_tilde(1, 1)
+    with pytest.raises(ValueError, match="need q >= 1"):
+        family_tilde(3, 0)
 
 
 def test_kappa_max_values():
@@ -91,6 +93,8 @@ def test_kappa_max_values():
     # vanishing ranges
     assert kappa_max(3, 2, 2) == 0
     assert kappa_max(0, 2, 2) == 0
+    with pytest.raises(ValueError, match="need e >= 1, q >= 1, p >= 0"):
+        kappa_max(1, 0, 1)
 
 
 def test_kappa_max_cross_checks_diagram():
@@ -106,6 +110,8 @@ def test_kappa_next_max_values():
     assert kappa_next_max(3, 3) == 0
     assert kappa_next_max(5, 3) == 0
     assert hk_diagram(family_tilde(3, 1)).entry(1, 1) == kappa_next_max(1, 3)
+    with pytest.raises(ValueError, match="need e >= 2 and p >= 1"):
+        kappa_next_max(1, 1)
 
 
 def test_multiplicity_function():

@@ -12,8 +12,12 @@ def table(cells):
 
 def test_constructor_drops_zeros_and_rejects_negatives():
     assert table({(0, 0): 0, (1, 1): 2}) == table({(1, 1): 2})
+    bools = table({(0, 0): True, (1, 1): False})
+    assert bools.entries == {(0, 0): 1} and type(bools.entry(0, 0)) is Fraction
     with pytest.raises(ValueError, match=r"negative entry at cell \(p=0, q=0\) \(value -1\)"):
         table({(0, 0): -1})
+    with pytest.raises(TypeError, match="table entries must be rational, got float"):
+        table({(0, 0): 1.5})
 
 
 def test_dimensions():
@@ -25,6 +29,7 @@ def test_dimensions():
 
 def test_hilbert_numerator_unit():
     assert table({(0, 0): 1}).hilbert_numerator() == [1]
+    assert table({}).hilbert_numerator() == []
 
 
 def test_hilbert_numerator_twisted_cubic():
@@ -40,6 +45,13 @@ def test_hilbert_numerator_projected_veronese():
 def test_hilbert_numerator_needs_integers():
     with pytest.raises(ValueError):
         table({(0, 0): Fraction(1, 2)}).hilbert_numerator()
+
+
+def test_equality_hash_and_truth():
+    assert hash(table({(0, 0): 1, (1, 1): 3})) == hash(table({(1, 1): Fraction(3), (0, 0): 1}))
+    assert (table({(0, 0): 1}) == 1) is False
+    assert not table({})
+    assert table({(0, 0): 1})
 
 
 def random_table(rng):
@@ -184,6 +196,8 @@ def test_degree_sequence_validation():
         DegreeSequence((3, 1))
     with pytest.raises(ValueError):
         DegreeSequence(())
+    with pytest.raises(ValueError, match="degrees must be integers"):
+        DegreeSequence((0, 1.5))
     d = DegreeSequence((0, 3, 4, 5))
     assert d.length == 3
     assert list(d) == [0, 3, 4, 5]
