@@ -165,13 +165,16 @@ def degree_bounds(e: int, q: int) -> int:
     return int(multiplicity(family_deq(e, q)))
 
 
-def check_next_to_max(table: BettiTable, assumptions: Assumptions) -> StrandReport:
+def check_next_to_max(table: BettiTable, assumptions: Assumptions,
+                      complete: bool = True) -> StrandReport:
     """Compare row 1 against pi(family_tilde(e, 1)): the bound p*C(e+1, p+1) - C(e, p-1).
 
     Applies to tables whose first nontrivial strand is q = 1, with asserted
     codimension e >= 2; columns from e on must vanish in row 1.  When every
     column attains the bound, the almost-minimal degree e + 2 and the shape
-    with a single extra generator at (e, 2) are reported.
+    with a single extra generator at (e, 2) are reported.  The degree of the
+    decomposition is compared with e + 2 only for a `complete` table, since
+    missing rows change the decomposition.
     """
     e = assumptions.codim_e
     if e < 2:
@@ -190,7 +193,7 @@ def check_next_to_max(table: BettiTable, assumptions: Assumptions) -> StrandRepo
         notes.append("linearly-general-position was not asserted; "
                      "the bound need not apply to this table")
     almost_minimal = multiplicity(d)
-    observed_degree = _degree_from_table(table, e)
+    observed_degree = _degree_from_table(table, e) if complete else None
     if observed_degree is not None:
         if observed_degree < almost_minimal:
             notes.append(f"decomposition gives degree {observed_degree} < {almost_minimal}, "

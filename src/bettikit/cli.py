@@ -28,7 +28,7 @@ from .koszul import betti_table
 from .polyring import parse_field, parse_ideal
 from .pure import hk_diagram, multiplicity
 from .selftest import run_all as run_sweeps
-from .tables import BettiTable, DegreeSequence, ParseError, integer, load
+from .tables import BettiTable, DegreeSequence, ParseError, integer, json_payload, load
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -43,24 +43,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_table(text: str) -> BettiTable:
-    if text.lstrip().startswith("{"):
-        return BettiTable.from_json(text)
-    return BettiTable.from_text(text)
+def _parse_table(text: str) -> tuple[BettiTable, bool]:
+    """The table and whether it is complete: false only where JSON from `betti` says so."""
+    if not text.lstrip().startswith("{"):
+        return BettiTable.from_text(text), True
+    payload = json_payload(text)
+    table = BettiTable.from_json_dict(payload)
+    complete = payload.get("complete", True)
+    if not isinstance(complete, bool):
+        raise ValueError(f"'complete' in the JSON table is {complete!r}, not true or false")
+    return table, complete
 
 
-def _load_table(path: str) -> BettiTable:
-    table = load(path, _parse_table)
+def _load_table(path: str) -> tuple[BettiTable, bool]:
+    table, complete = load(path, _parse_table)
     # shift rows so the minimum generator degree (column 0) sits at (0, 0)
     generator_rows = [q for p, q in table.entries if p == 0]
     if not generator_rows:
-        return table
+        return table, complete
     shift = min(generator_rows)
     if shift <= 0 or any(q < shift for _, q in table.entries):
-        return table
+        return table, complete
     print(f"note: rows shifted down by {shift} so the first generator sits at (0, 0)",
           file=sys.stderr)
-    return BettiTable({(p, q - shift): v for (p, q), v in table.entries.items()})
+    return BettiTable({(p, q - shift): v for (p, q), v in table.entries.items()}), complete
 
 
 def cmd_pure(args) -> int:
@@ -85,7 +91,7 @@ def cmd_pure(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    decomposition = bs_decompose(_load_table(args.table_file))
+    decomposition = bs_decompose(_load_table(args.table_file)[0])
     degree = (None if args.codim is None
               else multiplicity_from_decomposition(decomposition, args.codim))
     terms = decomposition.sorted_terms()
@@ -129,7 +135,14 @@ def cmd_betti(args) -> int:
 
 
 def cmd_check(args) -> int:
-    table = _load_table(args.table_file)
+    """Check a table against the strand bounds, stating nothing its missing rows could change.
+
+    Its rows through qmax are exact, so a verdict, a predicted degree and a
+    failing pattern or shape stand.  The degree upper bound, the degree of
+    the decomposition, N_{d,m} holding and the pure resolution shape holding
+    need every row, and are dropped.
+    """
+    table, complete = _load_table(args.table_file)
     assumptions = Assumptions(codim_e=args.codim, nd_q=args.assert_nd, lgp=args.assert_lgp)
     strand = first_nontrivial_strand(table)
     ndm_holds = None if args.ndm is None else check_Ndm(table, *args.ndm)
@@ -137,9 +150,11 @@ def cmd_check(args) -> int:
     payload: dict = {"codim": args.codim, "nd_q": args.assert_nd, "lgp": args.assert_lgp}
     report = None
     if args.next_to_max:
-        report = check_next_to_max(table, assumptions)
+        report = check_next_to_max(table, assumptions, complete)
     elif strand is not None:
         report = check_first_strand(table, assumptions, strand)
+    if report is not None and report.shape_ok and not complete:
+        report = replace(report, shape_ok=None)
     if report is None:
         lines.append("no nontrivial strand: nothing to check")
     else:
@@ -166,14 +181,19 @@ def cmd_check(args) -> int:
         if args.assert_nd:
             lines.append(f"degree >= {bound} (asserted vanishing hypothesis)")
             payload["degree_lower"] = bound
-        if check_Ndm(table, strand + 1, args.codim):
+        if complete and check_Ndm(table, strand + 1, args.codim):
             lines.append(f"degree <= {bound} (table satisfies the N_{{{strand + 1},{args.codim}}} "
                          "vanishing pattern)")
             payload["degree_upper"] = bound
-    if args.ndm is not None:
+    if args.ndm is not None and (complete or not ndm_holds):
         d, m = args.ndm
         lines.append(f"property N_{{{d},{m}}}: {'holds' if ndm_holds else 'fails'}")
         payload[f"ndm_{d}_{m}"] = ndm_holds
+    if not complete:
+        lines.append("note: the table is marked incomplete, so rows past its qmax may hold "
+                     "entries: the degree upper bound, the degree of its decomposition, and "
+                     "N_{d,m} and the pure resolution shape holding are not stated")
+        payload["complete"] = False
     if args.out == "json":
         print(json.dumps(payload))
     else:

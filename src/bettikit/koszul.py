@@ -244,12 +244,16 @@ def _betti_entries(ideal: Ideal, pieces: Sequence[GradedPiece] | _Ring,
                    q_max: int) -> BettiTable:
     """Rows 0..q_max of the betti table of `ideal` in all its variables.
 
-    `pieces` holds M_0 through M_{q_max+1} by degree.  Each of the
-    (n+1)(q_max+1) differentials is built once: a cell (p, q) also needs the
-    rank at (p+1, q-1), which lies in the grid or is zero.
+    `pieces` holds M_0 through M_{q_max+1} by degree.  A cell (p, q) needs
+    the ranks at (p, q) and (p+1, q-1), which lie in the grid or are zero.
+    The rank of delta_1: V (x) M_q -> M_{q+1} is dim M_{q+1}, since it is
+    onto: it sends e_v (x) f to x_v * f, and S_1 * M_q = M_{q+1} for any
+    quotient M = S/I, which is generated in degree 0.  So only the
+    n(q_max+1) differentials with p != 1 are built, each once.
     """
     n = ideal.num_vars
-    ranks = {(p, q): koszul_differential(ideal, p, q, pieces).rank(ideal.char_p)
+    ranks = {(p, q): pieces[q + 1].dim if p == 1
+             else koszul_differential(ideal, p, q, pieces).rank(ideal.char_p)
              for q in range(q_max + 1) for p in range(n + 1)}
     entries = {}
     for (p, q), rank in ranks.items():

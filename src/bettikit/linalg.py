@@ -8,10 +8,13 @@ elimination step, and the forms of a stored pivot row and of an output row.
 
 One forward elimination (`_echelon`) serves `SparseMatrix.rank`, the number
 of echelon rows, and `reduced_echelon`, which back-substitutes the echelon.
-It reduces each new row against the pivot rows found so far; the leading
-column of a row is its smallest index.  Rows enter it normalized, each once:
-`rank` normalizes its input, and `koszul._next_piece` hands over rows it has
-normalized itself.  Over the rationals elimination is
+It takes the rows shortest first, Markowitz's rule (Management Sci. 3, 1957)
+for limiting fill-in, and reduces each against the pivot rows found so far;
+the leading column of a row is its smallest index.  The order is free: the
+rank does not depend on it, and neither does the fully reduced echelon, which
+is unique for a fixed span in a fixed column order.  Rows enter normalized,
+each once: `rank` normalizes its input, and `koszul._next_piece` hands over
+rows it has normalized itself.  Over the rationals elimination is
 fraction-free: rows are primitive integer vectors, eliminated by
 cross-multiplication and divided by their gcd content, and a Fraction appears
 only in an output row.  Mod p, pivot rows are monic.
@@ -158,9 +161,13 @@ class SparseMatrix:
 
 
 def _echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, dict]:
-    """Forward elimination of rows normalized by `F.row`: {leading column: its row}."""
+    """Forward elimination of rows normalized by `F.row`: {leading column: its row}.
+
+    Rows are taken shortest first, so the pivot rows stay sparse.  Which
+    pivots are found does not depend on the order, only their rows do.
+    """
     pivots: dict[int, dict] = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

@@ -259,8 +259,12 @@ class BettiTable:
 
     @classmethod
     def from_json(cls, text: str) -> "BettiTable":
-        return cls.from_json_dict(json.loads(text, parse_int=lambda digits: integer(
-            digits, "JSON integer")))
+        return cls.from_json_dict(json_payload(text))
+
+
+def json_payload(text: str):
+    """The JSON value in `text`, its integers read by `integer`."""
+    return json.loads(text, parse_int=lambda digits: integer(digits, "JSON integer"))
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,21 @@ TABLES = {
     "tilde-corner-2": "0: 1\n1: . 5 5\n2: . . . 2\n",
     "mixed-first-strand": "0: 1\n1: . 3 1\n",
     "mixed-next-to-max": "0: 1\n1: . 5 4\n",
+    # `betti ci_quadric_cubic.ideal --qmax 1 --out json`: rows 0..1 of
+    # (x0^2, x1^3), whose degree is 6; its row 2 is missing
+    "ci-quadric-cubic-qmax1": ('{"entries": [{"p": 0, "q": 0, "num": "1", "den": "1"}, '
+                               '{"p": 1, "q": 1, "num": "1", "den": "1"}], '
+                               '"field": "gf 32003", "qmax": 1, "complete": false}'),
+    # the twisted cubic's AllMax table marked incomplete: no shape is stated
+    "twisted-cubic-incomplete": ('{"entries": [{"p": 0, "q": 0, "num": "1", "den": "1"}, '
+                                 '{"p": 1, "q": 1, "num": "3", "den": "1"}, '
+                                 '{"p": 2, "q": 1, "num": "2", "den": "1"}], '
+                                 '"complete": false}'),
 }
 CODIMS = {"veronese-projection": (2,), "cubic-conic-union": (3,), "twisted-cubic": (2, 3),
           "pi-0235": (3,), "all-max-extra-row": (2,), "tilde-corner-2": (3,),
-          "mixed-first-strand": (2,), "mixed-next-to-max": (3,)}
+          "mixed-first-strand": (2,), "mixed-next-to-max": (3,),
+          "ci-quadric-cubic-qmax1": (2,), "twisted-cubic-incomplete": (2,)}
 FLAGS = {"assert-nd": ["--assert-nd"], "next-to-max-lgp": ["--next-to-max", "--assert-lgp"],
          "ndm-2-3": ["--ndm", "2,3"]}
 CASES = [f"{name}-codim{e}-{flag}-{out}" for name in TABLES for e in CODIMS[name]

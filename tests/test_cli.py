@@ -496,6 +496,9 @@ ERROR_CASES = {
     "json-float-index": (["decompose", "{file}"],
                          '{"entries": [{"p": 1.5, "q": 0, "num": "1", "den": "1"}]}'),
     "json-syntax": (["decompose", "{file}"], '{"entries": ['),
+    "json-complete-not-boolean": (["check", "{file}", "--codim", "2"],
+                                  '{"entries": [{"p": 0, "q": 0, "num": "1", "den": "1"}], '
+                                  '"complete": "false"}'),
     "json-duplicate-zero-cell": (["decompose", "{file}"],
                                  '{"entries": [{"p": 1, "q": 1, "num": "0", "den": "1"}, '
                                  '{"p": 0, "q": 0, "num": "1", "den": "1"}, '

@@ -197,11 +197,25 @@ def test_each_differential_is_built_once(monkeypatch):
     monkeypatch.setattr(koszul, "koszul_differential", counting)
     betti_table(TWISTED_CUBIC, 3)
     # the cut ring of the twisted cubic has 2 variables, and the certificate
-    # fires at m = 2, so only rows 0..1 are computed
-    assert len(built) == len(set(built)) == (2 + 1) * (1 + 1)
+    # fires at m = 2, so only rows 0..1 are computed; delta_1 is never built,
+    # its rank is read as dim M_{q+1}
+    assert len(built) == len(set(built))
+    assert set(built) == {(2, p, q) for p in (0, 2) for q in (0, 1)}
     built.clear()
     uncut_table(TWISTED_CUBIC, 3)
-    assert len(built) == len(set(built)) == (4 + 1) * (3 + 1)
+    assert len(built) == len(set(built))
+    assert set(built) == {(4, p, q) for p in (0, 2, 3, 4) for q in range(4)}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 10**6), char_p=st.sampled_from((None, 32003, 2)))
+def test_delta_1_is_onto(seed, char_p):
+    # the identity `_betti_entries` reads instead of building delta_1:
+    # S_1 * M_q = M_{q+1}, so rank delta_1 = dim M_{q+1}
+    ideal = replace(random_ideal(random.Random(seed), max_generators=4), char_p=char_p)
+    ring = koszul._Ring(ideal)
+    for q in range(4):
+        assert koszul_differential(ideal, 1, q, ring).rank(char_p) == ring[q + 1].dim
 
 
 def test_betti_table_twisted_cubic():

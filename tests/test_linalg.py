@@ -120,6 +120,18 @@ def test_rank_matches_dense_oracle(matrix):
     assert got == len(dense_rref(rows, ncols, char_p))
 
 
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(matrix=sparse_matrices(), data=st.data())
+def test_rank_and_rref_do_not_depend_on_row_order(matrix, data):
+    # the elimination takes rows shortest first; any order gives the same answer
+    char_p, ncols, rows = matrix
+    shuffled = data.draw(st.permutations(rows))
+    assert (SparseMatrix(len(rows), ncols, [dict(row) for row in shuffled]).rank(char_p)
+            == SparseMatrix(len(rows), ncols, [dict(row) for row in rows]).rank(char_p))
+    assert rref([dict(row) for row in shuffled], char_p) == rref([dict(row) for row in rows],
+                                                                 char_p)
+
+
 def random_rows(rng, nrows, ncols, rational=False):
     rows = []
     for _ in range(nrows):
