@@ -125,12 +125,15 @@ def _against_diagram(table: BettiTable, q: int, d: DegreeSequence) -> StrandRepo
                         degree_predicted=degree_predicted, shape_ok=shape_ok, notes=())
 
 
-def check_first_strand(table: BettiTable, assumptions: Assumptions, q: int) -> StrandReport:
+def check_first_strand(table: BettiTable, assumptions: Assumptions, q: int,
+                       complete: bool = True) -> StrandReport:
     """Compare row q against pi(family_deq(e, q)): the bound C(p+q-1, q) * C(e+q, p+q).
 
     Columns beyond the codimension must vanish; when every column attains the
     bound, the predicted degree C(e+q, q) and the pure-resolution shape test
-    are reported as well.  Violations are verdicts, never exceptions.
+    are reported as well.  Violations are verdicts, never exceptions.  A
+    table width below e is noted only for a `complete` table, since missing
+    rows can widen it.
     """
     e = assumptions.codim_e
     if q < 1:
@@ -145,8 +148,9 @@ def check_first_strand(table: BettiTable, assumptions: Assumptions, q: int) -> S
     if report.verdict == VERDICT_MIXED and assumptions.nd_q:
         notes.append("some but not all columns attain the maximum, which cannot "
                      "happen under the asserted hypothesis")
-    if table.projective_dimension() != e:
-        notes.append(f"table width {table.projective_dimension()} differs from asserted "
+    width = table.projective_dimension()
+    if width > e or complete and width != e:
+        notes.append(f"table width {width} differs from asserted "
                      f"codimension {e} (width is the unverified suggestion for ACM input)")
     return replace(report, notes=tuple(notes))
 

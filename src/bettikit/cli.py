@@ -91,7 +91,9 @@ def cmd_pure(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    decomposition = bs_decompose(_load_table(args.table_file)[0])
+    """Decompose a table, with no multiplicity for one marked incomplete: missing rows change it."""
+    table, complete = _load_table(args.table_file)
+    decomposition = bs_decompose(table)
     degree = (None if args.codim is None
               else multiplicity_from_decomposition(decomposition, args.codim))
     terms = decomposition.sorted_terms()
@@ -103,14 +105,19 @@ def cmd_decompose(args) -> int:
     if args.format == "json":
         payload = {"terms": [{"coefficient": str(c), "degrees": list(d.degrees)}
                              for c, d in terms]}
-        if degree is not None:
+        if degree is not None and complete:
             payload["multiplicity"] = str(degree)
+        if not complete:
+            payload["complete"] = False
         print(json.dumps(payload))
     else:
         for coefficient, d in terms:
             print(f"{coefficient}  {d}")
-        if degree is not None:
+        if degree is not None and complete:
             print(f"multiplicity (length {args.codim} part): {degree}")
+        if not complete:
+            print("note: the table is marked incomplete, so rows past its qmax may hold "
+                  "entries: the decomposition is of the rows given, and no multiplicity is stated")
     return EXIT_OK
 
 
@@ -152,7 +159,7 @@ def cmd_check(args) -> int:
     if args.next_to_max:
         report = check_next_to_max(table, assumptions, complete)
     elif strand is not None:
-        report = check_first_strand(table, assumptions, strand)
+        report = check_first_strand(table, assumptions, strand, complete)
     if report is not None and report.shape_ok and not complete:
         report = replace(report, shape_ok=None)
     if report is None:
@@ -207,11 +214,8 @@ def cmd_fixtures(args) -> int:
     failures = 0
     for entry in FIXTURES:
         problems = run_fixture(entry)
-        status = "PASS" if not problems else "FAIL"
-        if problems:
-            failures += 1
-        detail = f" [{entry.filename}]"
-        print(f"{status} {entry.name}{detail}")
+        failures += bool(problems)
+        print(f"{'FAIL' if problems else 'PASS'} {entry.name} [{entry.filename}]")
         for problem in problems:
             print(f"     {problem}")
     print(f"{len(FIXTURES) - failures}/{len(FIXTURES)} fixtures passed")
@@ -221,11 +225,9 @@ def cmd_fixtures(args) -> int:
 def cmd_selftest(args) -> int:
     failed = 0
     for name, cases, failures in run_sweeps():
-        if failures:
-            failed += 1
-            print(f"FAIL {name} ({cases} cases): {failures[0]}")
-        else:
-            print(f"PASS {name} ({cases} cases)")
+        failed += bool(failures)
+        print(f"FAIL {name} ({cases} cases): {failures[0]}" if failures
+              else f"PASS {name} ({cases} cases)")
     return EXIT_OK if failed == 0 else EXIT_INPUT
 
 

@@ -45,19 +45,29 @@ So when the certificate fires the table is exact in every row and `complete`
 is true.  `graded_piece`, `koszul_differential` and `selftest.uncut_table`
 never cut.
 
+A cut ring is read off the ring below it, not built from an ideal: its
+piece q is M_q / x_v * M_{q-1}, whose rules come from E, the fully reduced
+echelon of x_v: M_{q-1} -> M_q on the ring below, and from the rules of M_q
+with E substituted (`_cut_pieces`).  These are the pieces of the cut ideal,
+value for value: its degree-q part with x_v kept is W = I_q + x_v * S_{q-1},
+and in(W) is in(I_q) together with the pivots of E, disjoint, because a
+normal form modulo I_q keeps a standard lead.  So no `Ideal` is built inside
+the engine, and the cut ring row-reduces no Macaulay matrix.
+
 All that differs between QQ and GF(p) is the field object `linalg.field`.
 A piece is a plain value: only the chain `graded_pieces` steps degrees, and
 it hands each step the rewrite rules of the piece two below.  A `_Ring`,
-local to the computation that makes it, holds an ideal's pieces by degree;
-`_multiplication` reads x_v: M_q -> M_{q+1} for both `koszul_differential`
-and `_injective`.
+local to the computation that makes it, holds a ring's pieces by degree,
+stepped by `_next_piece` for S/I and by `_cut_pieces` for a cut ring;
+`_multiplication` reads x_v: M_q -> M_{q+1} for `koszul_differential`,
+`_injective` and `_cut_pieces`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 from typing import Container, Iterator, Mapping, Sequence
 
@@ -86,6 +96,14 @@ class GradedPiece:
     @property
     def ideal_dim(self) -> int:
         return len(self.rewrite)
+
+    @classmethod
+    def quotient(cls, q: int, basis: Sequence[Monomial], pivots: Mapping[int, Row],
+                 F: Rationals | PrimeField) -> GradedPiece:
+        """span(basis) / span(pivots), for `pivots` fully reduced, its columns indexing `basis`."""
+        return cls(q=q, standard=tuple(m for i, m in enumerate(basis) if i not in pivots),
+                   rewrite={basis[lead]: {basis[col]: F.coeff(-value) for col, value in row.items()
+                                          if col != lead} for lead, row in pivots.items()})
 
 
 def _next_piece(ideal: Ideal, below: GradedPiece,
@@ -146,12 +164,7 @@ def _next_piece(ideal: Ideal, below: GradedPiece,
     for g in ideal.generators:
         if mono_degree(next(iter(g))) == q:
             rows.append({index[mono]: value for mono, value in F.row(g).items()})
-    pivots = reduced_echelon(rows, F)
-    standard = tuple(m for i, m in enumerate(basis) if i not in pivots)
-    rewrite = {basis[lead]: {basis[col]: F.coeff(-value)
-                             for col, value in row.items() if col != lead}
-               for lead, row in pivots.items()}
-    return GradedPiece(q=q, standard=standard, rewrite=rewrite)
+    return GradedPiece.quotient(q, basis, reduced_echelon(rows, F), F)
 
 
 def graded_pieces(ideal: Ideal) -> Iterator[GradedPiece]:
@@ -168,17 +181,68 @@ def graded_pieces(ideal: Ideal) -> Iterator[GradedPiece]:
 
 
 class _Ring:
-    """One ideal's pieces by degree: `ring[q]` is M_q, the chain stepped up to q as needed."""
+    """One ring's pieces by degree: `ring[q]` is M_q, the chain stepped up to q as needed.
 
-    def __init__(self, ideal: Ideal):
-        self.ideal = ideal
-        self.chain = graded_pieces(ideal)
+    `_Ring(ideal)` is S/I, stepped by `graded_pieces`; `_Ring(below, var)` is
+    the cut ring below / x_var * below, in the variables but x_var, read off
+    the ring below by `_cut_pieces`.  A ring carries only its number of
+    variables and its characteristic, all `koszul_differential` reads of an ideal.
+    """
+
+    def __init__(self, source: Ideal | _Ring, var: int | None = None):
+        self.num_vars, self.char_p = source.num_vars - (var is not None), source.char_p
+        self.chain = graded_pieces(source) if var is None else _cut_pieces(source, var)
         self.pieces: list[GradedPiece] = []
 
     def __getitem__(self, q: int) -> GradedPiece:
         while len(self.pieces) <= q:
             self.pieces.append(next(self.chain))
         return self.pieces[q]
+
+
+def _cut_pieces(below: _Ring, var: int) -> Iterator[GradedPiece]:
+    """M'_0, M'_1, ... of M' = M / x_var * M, for M the ring `below`.
+
+    M'_q = M_q / x_var * M_{q-1} is read off M_{q-1} and M_q.  Let E be the
+    fully reduced echelon of the rows of x_var: M_{q-1} -> M_q
+    (`_multiplication`), whose columns are the standard monomials of M_q in
+    their order.  The standard monomials of M'_q are those of M_q that are not
+    pivots of E.  Each rule of M_q and each row of E whose lead has no x_var
+    gives a rule of M'_q, with E's rows substituted into it in one pass, since
+    E's tails avoid its pivots; a lead with x_var is dropped, and x_var is
+    deleted from every monomial kept.
+
+    These are, value for value, the pieces of I + (x_var) / (x_var).  In
+    degree q the cut ring's ideal, with x_var kept, is
+    W = I_q + x_var * S_{q-1}.  Let NF be the normal form modulo I_q.  NF(W)
+    is the span of E's rows, since x_var * I_{q-1} lies in I_q, and it lies
+    in W, since I_q does; so W = I_q + NF(W), a direct sum, and
+    in(W) = in(I_q) + in(NF(W)), disjoint: both lie in in(W), a normal form
+    keeps a standard lead, so in(NF(W)), the pivots of E, are standard, and
+    the sizes add up to dim W.  Every monomial with x_var lies in W, so no
+    standard monomial of W has x_var.  The cut ideal's piece q is the part of
+    W without x_var, so a lead without x_var has the same rule there as in W:
+    the rule, lead minus normal form, lies in W and has no x_var.  Deleting
+    x_var keeps the lex column order among the monomials without it, and the
+    fully reduced echelon of a fixed span is unique.
+    """
+    F, source = field(below.char_p), GradedPiece(q=-1, standard=(), rewrite={})
+    for q in count():
+        target = below[q]
+        echelon = reduced_echelon(map(F.row, _multiplication(source, target, var, F)), F)
+        quotient = GradedPiece.quotient(q, target.standard, echelon, F)
+        rewrite = {}
+        for lead, rule in (*target.rewrite.items(), *quotient.rewrite.items()):
+            if not lead[var]:
+                total: dict[Monomial, Fraction | int] = {}
+                for mono, value in rule.items():
+                    for m, factor in quotient.rewrite.get(mono, {mono: F.one}).items():
+                        total[m] = total.get(m, 0) + value * factor
+                rewrite[lead[:var] + lead[var + 1:]] = {
+                    m[:var] + m[var + 1:]: c for m, v in total.items() if (c := F.coeff(v))}
+        standard = tuple(m[:var] + m[var + 1:] for m in quotient.standard)
+        yield GradedPiece(q=q, standard=standard, rewrite=rewrite)
+        source = target
 
 
 def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
@@ -202,15 +266,17 @@ def _multiplication(source: GradedPiece, target: GradedPiece, var: int,
     return rows
 
 
-def koszul_differential(ideal: Ideal, p: int, q: int,
+def koszul_differential(ideal: Ideal | _Ring, p: int, q: int,
                         pieces: Sequence[GradedPiece] | Mapping[int, GradedPiece]) -> SparseMatrix:
     """Matrix of wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, rows = domain basis.
 
-    M_q and M_{q+1} are read as `pieces[q]` and `pieces[q + 1]`, from
-    anything that holds the pieces of `ideal` by degree: a list, a dict or,
-    inside the engine, a `_Ring`.  The images of x_v are read by `_multiplication`.  For a fixed
-    wedge the j-th terms land in distinct codomain wedges, so no two terms of
-    a row share a column and nothing cancels.
+    Of `ideal` only the number of variables and the characteristic are read,
+    so inside the engine it is a `_Ring`.  M_q and M_{q+1} are read as
+    `pieces[q]` and `pieces[q + 1]`, from anything that holds the pieces by
+    degree: a list, a dict or a `_Ring`.  The images of x_v are read by
+    `_multiplication`.  For a fixed wedge the j-th terms land in distinct
+    codomain wedges, so no two terms of a row share a column and nothing
+    cancels.
     """
     if p < 0 or q < 0:
         raise ValueError(f"need p >= 0 and q >= 0, got p={p}, q={q}")
@@ -240,24 +306,23 @@ def koszul_differential(ideal: Ideal, p: int, q: int,
     return SparseMatrix(nrows, ncols, rows)
 
 
-def _betti_entries(ideal: Ideal, pieces: Sequence[GradedPiece] | _Ring,
-                   q_max: int) -> BettiTable:
-    """Rows 0..q_max of the betti table of `ideal` in all its variables.
+def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
+    """Rows 0..q_max of the betti table of `ring` in all its variables.
 
-    `pieces` holds M_0 through M_{q_max+1} by degree.  A cell (p, q) needs
+    The ring's pieces M_0 through M_{q_max+1} are read.  A cell (p, q) needs
     the ranks at (p, q) and (p+1, q-1), which lie in the grid or are zero.
     The rank of delta_1: V (x) M_q -> M_{q+1} is dim M_{q+1}, since it is
     onto: it sends e_v (x) f to x_v * f, and S_1 * M_q = M_{q+1} for any
     quotient M = S/I, which is generated in degree 0.  So only the
     n(q_max+1) differentials with p != 1 are built, each once.
     """
-    n = ideal.num_vars
-    ranks = {(p, q): pieces[q + 1].dim if p == 1
-             else koszul_differential(ideal, p, q, pieces).rank(ideal.char_p)
+    n = ring.num_vars
+    ranks = {(p, q): ring[q + 1].dim if p == 1
+             else koszul_differential(ring, p, q, ring).rank(ring.char_p)
              for q in range(q_max + 1) for p in range(n + 1)}
     entries = {}
     for (p, q), rank in ranks.items():
-        kappa = comb(n, p) * pieces[q].dim - rank - ranks.get((p + 1, q - 1), 0)
+        kappa = comb(n, p) * ring[q].dim - rank - ranks.get((p + 1, q - 1), 0)
         if kappa < 0:
             raise RuntimeError(f"negative cohomology dimension at (p={p}, q={q})")
         if kappa:
@@ -265,27 +330,18 @@ def _betti_entries(ideal: Ideal, pieces: Sequence[GradedPiece] | _Ring,
     return BettiTable(entries)
 
 
-def _cut(ideal: Ideal, var: int) -> Ideal:
-    """I + (x_var) / (x_var), as an ideal of the ring without x_var."""
-    generators = []
-    for g in ideal.generators:
-        cut = {mono[:var] + mono[var + 1:]: coeff for mono, coeff in g.items() if not mono[var]}
-        if cut:
-            generators.append(cut)
-    return Ideal(ideal.num_vars - 1, tuple(generators), ideal.char_p)
-
-
 def _injective(ring: _Ring, var: int, j: int) -> bool:
     """Whether x_var: M_{j-1} -> M_j on `ring` has full rank dim M_{j-1}, for j >= 1."""
     source, target = ring[j - 1], ring[j]
-    rows = _multiplication(source, target, var, field(ring.ideal.char_p))
-    return SparseMatrix(source.dim, target.dim, rows).rank(ring.ideal.char_p) == source.dim
+    rows = _multiplication(source, target, var, field(ring.char_p))
+    return SparseMatrix(source.dim, target.dim, rows).rank(ring.char_p) == source.dim
 
 
-def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[GradedPiece], bool]:
+def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[tuple[int, ...], _Ring, int, bool]:
     """Cut by variables injective on M = S/I through degree m + 1, raising m until certified.
 
-    Returns the cut ideal, its graded pieces M'_0 .. M'_m, and whether the
+    Returns the cut path (the variables cut, in order, each indexed in the
+    ring it is cut from), the cut ring, the degree m, and whether the
     Bayer-Stillman certificate fired.  Rows q <= m - 1 of the cut ring's
     betti table equal those of `ideal`; when certified, every row of `ideal`
     from m on is zero, and otherwise m = q_max + 1.  At least one variable
@@ -339,7 +395,14 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[Graded
     through m + 1; a cut that passed at an earlier m is tested again through
     the new degree m + 1, and when it fails there the next variable that
     passes takes its place.  A ring inside the chain never has piece m zero,
-    since the variable cut from it injects M_0 = k into piece m.
+    since the variable cut from it injects M_0 = k into piece m.  A cut ring
+    is made from the ring below and the variable, not from an ideal: its
+    piece q is M_q / x_v * M_{q-1} of the ring below (`_cut_pieces`), the
+    same, value for value, as the cut ideal's, since for W = I_q + x_v *
+    S_{q-1} the leads in(W) are in(I_q) and, disjoint from them, the leads of
+    the normal forms NF(W), which are standard.  The gate has already stepped
+    the ring below through m + 1, so reading the cut ring's pieces 0..m + 1
+    steps no further piece below.
 
     The certificate fires when the last ring's piece m is 0, or when its one
     variable is injective through m + 1: cutting that leaves the field k,
@@ -354,21 +417,21 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[Ideal, list[Graded
     rings = {(): _Ring(ideal)}
     for m in range(min(max(1, top), q_max + 1), q_max + 2):
         path, last = (), rings[()]
-        while (last.ideal.num_vars > 1 and last[m].dim
+        while (last.num_vars > 1 and last[m].dim
                and all(last[j - 1].dim <= last[j].dim for j in range(1, m + 2))):
-            for var in range(last.ideal.num_vars):
+            for var in range(last.num_vars):
                 if all(_injective(last, var, j) for j in range(1, m + 2)):
                     path += (var,)
                     if path not in rings:
-                        rings[path] = _Ring(_cut(last.ideal, var))
+                        rings[path] = _Ring(last, var)
                     last = rings[path]
                     break
             else:
                 break
-        zero = not last[m].dim or last.ideal.num_vars == 1 and last[m + 1].dim == 1
+        zero = not last[m].dim or last.num_vars == 1 and last[m + 1].dim == 1
         if zero:
             break
-    return last.ideal, last.pieces[:m + 1], zero and m >= top
+    return path, last, m, zero and m >= top
 
 
 def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:
@@ -391,8 +454,8 @@ def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:
     """
     if q_max < 1:
         raise ValueError(f"need q_max >= 1, got {q_max}")
-    ideal, pieces, certified = _cut_regular_variables(ideal, q_max)
-    return _betti_entries(ideal, pieces, len(pieces) - 2), certified
+    _, ring, m, certified = _cut_regular_variables(ideal, q_max)
+    return _betti_entries(ring, m - 1), certified
 
 
 def hilbert_consistency(ideal: Ideal, table: BettiTable, q_max: int) -> bool:
@@ -406,10 +469,5 @@ def hilbert_consistency(ideal: Ideal, table: BettiTable, q_max: int) -> bool:
                       if p + q <= q_max}).hilbert_numerator()
     lhs += [0] * (q_max + 1 - len(lhs))
     ring, n = _Ring(ideal), ideal.num_vars
-    rhs = []
-    for j in range(q_max + 1):
-        total = 0
-        for i in range(min(j, n) + 1):
-            total += (-1 if i % 2 else 1) * comb(n, i) * ring[j - i].dim
-        rhs.append(total)
-    return lhs == rhs
+    return lhs == [sum((-1) ** i * comb(n, i) * ring[j - i].dim for i in range(min(j, n) + 1))
+                   for j in range(q_max + 1)]

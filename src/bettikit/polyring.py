@@ -61,11 +61,6 @@ def mono_times_var(mono: Monomial, var: int) -> Monomial:
     return mono[:var] + (mono[var] + 1,) + mono[var + 1:]
 
 
-def is_homogeneous(poly: Poly) -> bool:
-    degrees = {mono_degree(m) for m in poly}
-    return len(degrees) <= 1
-
-
 def is_prime(n: int) -> bool:
     """Exact primality for 0 <= n < PRIME_LIMIT (deterministic Miller-Rabin)."""
     if n >= PRIME_LIMIT:
@@ -133,7 +128,7 @@ def _check_generator(g: Poly, num_vars: int, line: int | None = None) -> None:
         raise ParseError("generator reduces to zero", line)
     if any(len(m) != num_vars for m in g):
         raise ParseError("generator arity does not match num_vars", line)
-    if not is_homogeneous(g):
+    if len({mono_degree(m) for m in g}) > 1:
         raise ParseError(f"generator {poly_to_str(g)} is not homogeneous", line)
     if mono_degree(next(iter(g))) < 1:
         raise ParseError("generators must have degree >= 1", line)

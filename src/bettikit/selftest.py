@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .decompose import Decomposition, bs_decompose
@@ -158,15 +158,9 @@ def sweep_hilbert_divisibility(e_max: int = 5, q_max: int = 3, slack: int = 2) -
 
 def _divide_by_one_minus_t(coeffs: list[int]) -> list[int] | None:
     """Exact quotient by (1 - t), or None when the remainder is nonzero."""
-    if not coeffs:
-        return []
-    quotient = []
-    carry = 0
-    for c in coeffs[:-1]:
-        carry += c
-        quotient.append(carry)
-    if carry + coeffs[-1] != 0:
+    if sum(coeffs):
         return None
+    quotient = list(accumulate(coeffs[:-1]))
     while quotient and quotient[-1] == 0:
         quotient.pop()
     return quotient
@@ -207,7 +201,7 @@ def sweep_square_zero(trials: int = 10, seed: int = 20240, q_max: int = 4) -> Sw
 
 def uncut_table(ideal: Ideal, q_max: int) -> BettiTable:
     """Rows 0..q_max computed in all of the ideal's variables, with no cut."""
-    return _betti_entries(ideal, _Ring(ideal), q_max)
+    return _betti_entries(_Ring(ideal), q_max)
 
 
 def sweep_cut_agrees_with_uncut(trials: int = 100, seed: int = 31, q_max: int = 3) -> Sweep:

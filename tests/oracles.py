@@ -6,7 +6,7 @@ pytest collects only `test_*.py`, so nothing here runs as a test by itself.
 from fractions import Fraction
 
 from bettikit.linalg import field, reduced_echelon
-from bettikit.polyring import poly_to_str
+from bettikit.polyring import Ideal, poly_to_str
 from bettikit.pure import hk_diagram
 from bettikit.tables import BettiTable
 
@@ -20,6 +20,23 @@ def normal_form(piece, poly, char_p):
         for target, factor in piece.rewrite.get(mono, {mono: F.one}).items():
             out[target] = out.get(target, 0) + coeff * factor
     return {m: c for m, v in out.items() if (c := F.coeff(v))}
+
+
+def cut_ideal(ideal, *path):
+    """I + (x_v) / (x_v) as an ideal of the ring without x_v, for each v of `path` in turn.
+
+    Each v is indexed in the ring it is cut from, as in a cut path of
+    `koszul._cut_regular_variables`.
+    """
+    for var in path:
+        generators = []
+        for g in ideal.generators:
+            cut = {mono[:var] + mono[var + 1:]: coeff for mono, coeff in g.items()
+                   if not mono[var]}
+            if cut:
+                generators.append(cut)
+        ideal = Ideal(ideal.num_vars - 1, tuple(generators), ideal.char_p)
+    return ideal
 
 
 def rref(rows, char_p=None):

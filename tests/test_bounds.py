@@ -81,6 +81,20 @@ def test_check_first_strand_shape_breaks_with_extra_row():
     assert report.shape_ok is False
 
 
+def test_check_first_strand_width_note_on_an_incomplete_table():
+    # rows 0..1 of (x0^2, x1^3): the missing row 2 holds the cell that makes the width 2
+    rows = BettiTable({(0, 0): 1, (1, 1): 1})
+    width_notes = [note for note in check_first_strand(rows, Assumptions(codim_e=2), 1).notes
+                   if note.startswith("table width")]
+    assert width_notes == ["table width 1 differs from asserted codimension 2 "
+                           "(width is the unverified suggestion for ACM input)"]
+    assert check_first_strand(rows, Assumptions(codim_e=2), 1, complete=False).notes == ()
+    # missing rows only widen a table, so a width above e is noted either way
+    wide = check_first_strand(PROJECTED_VERONESE, Assumptions(codim_e=2), 2, complete=False)
+    assert wide.notes == check_first_strand(PROJECTED_VERONESE, Assumptions(codim_e=2), 2).notes
+    assert any(note.startswith("table width 4") for note in wide.notes)
+
+
 def test_check_first_strand_on_pure_family():
     for e in range(1, 5):
         for q in range(1, 4):

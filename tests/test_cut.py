@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import (_cut, _cut_regular_variables, _injective, _Ring, betti_table,
+from bettikit.koszul import (_cut_regular_variables, _injective, _Ring, betti_table,
                              graded_piece, hilbert_consistency)
 from bettikit.linalg import SparseMatrix
 from bettikit.polyring import (Ideal, mono_times_var, monomials_of_degree, parse_ideal,
@@ -18,7 +18,7 @@ from bettikit.polyring import (Ideal, mono_times_var, monomials_of_degree, parse
 from bettikit.pure import kappa_max
 from bettikit.selftest import sweep_cut_agrees_with_uncut, uncut_table
 from bettikit.tables import BettiTable
-from oracles import linear, normal_form, power
+from oracles import cut_ideal, linear, normal_form, power
 
 FIELDS = (None, 32003)
 
@@ -48,8 +48,16 @@ def rank_certified_cut(ideal, q_max):
                           for j in range(1, top + 1))]
         if not regular:
             break
-        ideal = _cut(ideal, regular[0])
+        ideal = cut_ideal(ideal, regular[0])
     return ideal
+
+
+def cut_chain(ideal, q_max):
+    """The cut ideal, rebuilt by the oracle from the cut path, its pieces M'_0 .. M'_m, the flag."""
+    path, ring, m, certified = _cut_regular_variables(ideal, q_max)
+    cut = cut_ideal(ideal, *path)
+    assert ring.num_vars == cut.num_vars
+    return cut, ring.pieces[:m + 1], certified
 
 
 def fixture_ideals():
@@ -70,7 +78,7 @@ DROPPED_CUT = ideal_from(4, ["-x0*x1 - x0*x2 - x1^2", "-2*x0^2 + 3*x0*x2 - x2*x3
 def test_cut_needs_injectivity_through_qmax_plus_two():
     # At q_max = 1 the certificate degree m stops at q_max + 1 = 2, the cut
     # is checked through degree m + 1 = 3, so x2 is cut and rows 0..1 still agree.
-    cut, _, certified = _cut_regular_variables(COUNTEREXAMPLE, 1)
+    cut, _, certified = cut_chain(COUNTEREXAMPLE, 1)
     assert cut.num_vars == 2
     assert not certified
     assert betti_table(COUNTEREXAMPLE, 1)[0] == uncut_table(COUNTEREXAMPLE, 1)
@@ -78,17 +86,18 @@ def test_cut_needs_injectivity_through_qmax_plus_two():
     # would add a wrong cell in row q_max.
     expected = BettiTable({(0, 0): 1, (1, 1): 1, (1, 2): 1})
     assert uncut_table(COUNTEREXAMPLE, 2) == expected
-    assert uncut_table(_cut(COUNTEREXAMPLE, 2), 2) == BettiTable({**expected.entries, (2, 2): 1})
-    cut, _, _ = _cut_regular_variables(COUNTEREXAMPLE, 2)
+    assert (uncut_table(cut_ideal(COUNTEREXAMPLE, 2), 2)
+            == BettiTable({**expected.entries, (2, 2): 1}))
+    cut, _, _ = cut_chain(COUNTEREXAMPLE, 2)
     assert cut.num_vars == 3
     assert betti_table(COUNTEREXAMPLE, 2)[0] == expected
 
 
 def test_cut_that_fails_a_degree_up_is_replaced():
     ideal = DROPPED_CUT
-    assert _cut_regular_variables(ideal, 1)[0] == _cut(ideal, 0)
-    cut, pieces, certified = _cut_regular_variables(ideal, 3)
-    assert (cut, len(pieces) - 1, certified) == (_cut(ideal, 3), 4, True)
+    assert cut_chain(ideal, 1)[0] == cut_ideal(ideal, 0)
+    cut, pieces, certified = cut_chain(ideal, 3)
+    assert (cut, len(pieces) - 1, certified) == (cut_ideal(ideal, 3), 4, True)
 
 
 @pytest.mark.parametrize("char_p", FIELDS)
@@ -116,8 +125,7 @@ VARIABLES_AFTER_CUT = {
 def test_variables_cut_per_fixture(char_p):
     got = {}
     for entry, ideal in fixture_ideals():
-        cut, pieces, certified = _cut_regular_variables(replace(ideal, char_p=char_p),
-                                                        entry.qmax)
+        cut, pieces, certified = cut_chain(replace(ideal, char_p=char_p), entry.qmax)
         assert certified, entry.name
         m = len(pieces) - 1
         got[entry.name] = (ideal.num_vars, cut.num_vars, m)
@@ -125,6 +133,30 @@ def test_variables_cut_per_fixture(char_p):
         assert all(pieces[q] == graded_piece(cut, q) for q in range(m + 1))
         assert pieces[m].dim == 0 or cut.num_vars == 1
     assert got == VARIABLES_AFTER_CUT
+
+
+@pytest.mark.parametrize("char_p", (None, 32003, 5, 2))
+def test_cut_ring_pieces_match_the_cut_ideal(char_p):
+    # A cut ring reads M'_q = M_q / x_v * M_{q-1} off the ring below; its
+    # pieces equal, value for value, those of the cut ideal's own chain.  Each
+    # variable injective through degree 3 is cut, the first, a middle and the
+    # last among them, and each cut ring is cut once more by its first variable.
+    positions = set()
+    for entry, ideal in fixture_ideals():
+        ideal = replace(ideal, char_p=char_p)
+        ring, n = _Ring(ideal), ideal.num_vars
+        for var in range(n):
+            if not all(_injective(ring, var, j) for j in range(1, 4)):
+                continue
+            positions.add("first" if var == 0 else "last" if var == n - 1 else "middle")
+            cut = _Ring(ring, var)
+            assert all(cut[q] == graded_piece(cut_ideal(ideal, var), q) for q in range(5)), \
+                (entry.name, var)
+            if cut.num_vars > 1:
+                twice = _Ring(cut, 0)
+                assert all(twice[q] == graded_piece(cut_ideal(ideal, var, 0), q)
+                           for q in range(4)), (entry.name, var)
+    assert positions == {"first", "middle", "last"}
 
 
 @pytest.mark.parametrize("char_p", FIELDS)
@@ -135,7 +167,7 @@ def test_cut_pieces_are_iterated_differences(char_p):
     for entry, ideal in fixture_ideals():
         ideal = replace(ideal, char_p=char_p)
         top = entry.qmax + 2
-        cut, pieces, _ = _cut_regular_variables(ideal, entry.qmax)
+        cut, pieces, _ = cut_chain(ideal, entry.qmax)
         dims = [graded_piece(ideal, j).dim for j in range(top + 1)]
         for _ in range(ideal.num_vars - cut.num_vars):
             dims = [dim - (dims[j - 1] if j else 0) for j, dim in enumerate(dims)]
@@ -181,7 +213,7 @@ def test_cut_matches_uncut_on_random_ideals(ideal, q_max):
     if certified:
         # the certificate proves that no row past q_max exists
         assert uncut_table(ideal, q_max + 3).regularity() <= q_max
-    cut, pieces, _ = _cut_regular_variables(ideal, q_max)
+    cut, pieces, _ = cut_chain(ideal, q_max)
     assert 2 <= len(pieces) <= q_max + 2
     assert all(pieces[q] == graded_piece(cut, q) for q in range(len(pieces)))
 
@@ -197,12 +229,12 @@ def test_dimension_certificate_matches_rank_oracle(ideal, q_max):
     pieces = [graded_piece(ideal, j) for j in range(top + 1)]
     ring = _Ring(ideal)
     for var in range(ideal.num_vars):
-        cut = _cut(ideal, var)
+        cut = cut_ideal(ideal, var)
         for j in range(1, top + 1):
             identity = graded_piece(cut, j).dim == pieces[j].dim - pieces[j - 1].dim
             oracle = multiplication_has_full_rank(ideal, pieces[j - 1], pieces[j], var)
             assert identity == oracle == _injective(ring, var, j)
-    assert _cut_regular_variables(ideal, q_max)[0] == rank_certified_cut(ideal, q_max)
+    assert cut_chain(ideal, q_max)[0] == rank_certified_cut(ideal, q_max)
 
 
 def rational_normal_curve(e, char_p):
@@ -215,16 +247,21 @@ def rational_normal_curve(e, char_p):
 @pytest.mark.parametrize("e", (4, 7))
 def test_rejected_variables_build_no_ring(e, char_p, monkeypatch):
     # Every variable but the last fails on S/I; its rank test builds no ring,
-    # so only the two rings of the chain are cut.
-    cuts = []
+    # so only the two rings of the chain are cut.  A cut ring is read off the
+    # ring below, so no Ideal is built either.
+    ideal, cuts, ideals = rational_normal_curve(e, char_p), [], []
 
-    def counted_cut(ideal, var):
-        cuts.append(var)
-        return _cut(ideal, var)
+    class CountedRing(_Ring):
+        def __init__(self, source, var=None):
+            if var is not None:
+                cuts.append(var)
+            super().__init__(source, var)
 
-    monkeypatch.setattr(koszul, "_cut", counted_cut)
-    table, certified = betti_table(rational_normal_curve(e, char_p), 3)
+    monkeypatch.setattr(koszul, "_Ring", CountedRing)
+    monkeypatch.setattr(Ideal, "__post_init__", lambda self: ideals.append(self))
+    table, certified = betti_table(ideal, 3)
     assert len(cuts) == 2
+    assert ideals == []
     assert certified
     assert table == BettiTable({(0, 0): 1, **{(p, 1): kappa_max(p, 1, e) for p in range(1, e + 1)}})
 
@@ -261,7 +298,7 @@ def test_lefschetz_cut_is_certified_one_degree_up(char_p):
     assert table == BettiTable({(0, 0): 1, (1, 2): 1, (1, 3): 1, (1, 4): 1,
                                 (2, 5): 1, (2, 6): 1, (2, 7): 1, (3, 9): 1})
     assert certified
-    cut, pieces, _ = _cut_regular_variables(ideal, 11)
+    cut, pieces, _ = cut_chain(ideal, 11)
     assert cut.num_vars == 3 and len(pieces) - 1 == 10
 
 
