@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .decompose import NotInConeError, bs_decompose, multiplicity_from_decomposition
-from .pure import family_deq, family_tilde, hk_diagram, multiplicity
+from .pure import _integer_diagram, family_deq, family_tilde, multiplicity
 from .tables import BettiTable, DegreeSequence
 
 VERDICT_ALL_MAX = "AllMax"
@@ -101,8 +101,13 @@ def first_nontrivial_strand(table: BettiTable) -> int | None:
 
 
 def _against_diagram(table: BettiTable, q: int, d: DegreeSequence) -> StrandReport:
-    """Row q of the table against pi(d), read as the module docstring says; no notes."""
-    diagram = {cell: v for cell, v in hk_diagram(d).entries.items() if cell != (0, 0)}
+    """Row q of the table against pi(d), read as the module docstring says; no notes.
+
+    pi(d)'s cells are read as integers over their denominator, with no
+    `BettiTable` built: d is one of the two families, which start at 0.
+    """
+    cells, den = _integer_diagram(d.degrees)
+    diagram = {cell: Fraction(n, den) for cell, n in cells.items() if cell != (0, 0)}
     per_p = []
     for p in range(1, max(d.length, table.projective_dimension()) + 1):
         observed, bound = table.entry(p, q), diagram.get((p, q))

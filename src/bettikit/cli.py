@@ -91,13 +91,16 @@ def cmd_pure(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    """Decompose a table, with no multiplicity for one marked incomplete: missing rows change it."""
+    """Decompose a table; one marked incomplete gets no multiplicity and no short-term warning.
+
+    Its missing rows could lengthen the terms and change the multiplicity.
+    """
     table, complete = _load_table(args.table_file)
     decomposition = bs_decompose(table)
     degree = (None if args.codim is None
               else multiplicity_from_decomposition(decomposition, args.codim))
     terms = decomposition.sorted_terms()
-    if args.codim is not None:
+    if args.codim is not None and complete:
         short = [d for _, d in terms if d.length < args.codim]
         if short:
             print(f"warning: {len(short)} term(s) shorter than codimension {args.codim}",

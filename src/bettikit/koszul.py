@@ -20,8 +20,8 @@ w < v: it is then x_w * r_{x_v m / x_w} plus products with smaller leads, so
 the rows kept span the same I_{q+1}.
 Everything is exact; the field is the rationals or GF(p) as recorded on the
 ideal, and no float appears anywhere.  Generators keep the ideal's rational
-coefficients: `_next_piece` maps each into the field where it reads it, so a
-generator that vanishes there adds nothing.
+coefficients until the ring of S/I reads each into the field, once, keyed by
+its degree; a generator that vanishes there is dropped.
 
 Wedge basis vectors are strictly increasing index tuples in lex order; the
 M_q basis is the standard monomials in descending graded-lex order.  This
@@ -48,19 +48,21 @@ never cut.
 A cut ring is read off the ring below it, not built from an ideal: its
 piece q is M_q / x_v * M_{q-1}, whose rules come from E, the fully reduced
 echelon of x_v: M_{q-1} -> M_q on the ring below, and from the rules of M_q
-with E substituted (`_cut_pieces`).  These are the pieces of the cut ideal,
+with E substituted (`_cut_piece`).  These are the pieces of the cut ideal,
 value for value: its degree-q part with x_v kept is W = I_q + x_v * S_{q-1},
 and in(W) is in(I_q) together with the pivots of E, disjoint, because a
 normal form modulo I_q keeps a standard lead.  So no `Ideal` is built inside
 the engine, and the cut ring row-reduces no Macaulay matrix.
 
 All that differs between QQ and GF(p) is the field object `linalg.field`.
-A piece is a plain value: only the chain `graded_pieces` steps degrees, and
-it hands each step the rewrite rules of the piece two below.  A `_Ring`,
-local to the computation that makes it, holds a ring's pieces by degree,
-stepped by `_next_piece` for S/I and by `_cut_pieces` for a cut ring;
-`_multiplication` reads x_v: M_q -> M_{q+1} for `koszul_differential`,
-`_injective` and `_cut_pieces`.
+A piece is a plain value, and a `_Ring`, local to the computation that makes
+it, is the one object that steps a ring: `ring[q]` builds piece q from the
+pieces the ring already holds, by `_next_piece` for S/I and by `_cut_piece`
+for a cut ring.  `ring.echelon(var, q)` eliminates the rows of
+x_var: M_{q-1} -> M_q once per ring, variable and degree, and serves both the
+walk's injectivity test and the piece q of the ring cut by x_var.
+`_multiplication` reads those rows, and x_v: M_q -> M_{q+1} for
+`koszul_differential`.
 """
 
 from __future__ import annotations
@@ -106,9 +108,9 @@ class GradedPiece:
                                           if col != lead} for lead, row in pivots.items()})
 
 
-def _next_piece(ideal: Ideal, below: GradedPiece,
+def _next_piece(ring: _Ring, below: GradedPiece,
                 leads_below: Container[Monomial]) -> GradedPiece:
-    """The piece of degree q + 1, given the piece `below` of degree q.
+    """The piece of degree q + 1 of the ring of S/I, given its piece `below` of degree q.
 
     Its rows are the generators of degree exactly q + 1 and the products
     x_v * r_m, where r_m = m - sum(rule) is a rewrite rule of `below` with
@@ -144,13 +146,14 @@ def _next_piece(ideal: Ideal, below: GradedPiece,
     also short: each has at most 1 + dim M_q terms, and above the socle
     every row is a single monomial.
 
-    Each rule and each generator is normalized by the field once (over the
-    rationals, to a primitive integer vector) and then shifted by the
-    variables, so `reduced_echelon` takes the rows as they are.
+    Each rule is normalized by the field once (over the rationals, to a
+    primitive integer vector) and then shifted by the variables, and the
+    generators are the ring's rows, normalized when the ring was made, so
+    `reduced_echelon` takes the rows as they are.
     """
     q = below.q + 1
-    n = ideal.num_vars
-    F = field(ideal.char_p)
+    n = ring.num_vars
+    F = field(ring.char_p)
     basis = monomials_of_degree(n, q)
     index = {mono: i for i, mono in enumerate(basis)}
     rows = []
@@ -161,50 +164,59 @@ def _next_piece(ideal: Ideal, below: GradedPiece,
         for var in range(last + 1):
             rows.append({index[mono_times_var(mono, var)]: value
                          for mono, value in terms.items()})
-    for g in ideal.generators:
-        if mono_degree(next(iter(g))) == q:
-            rows.append({index[mono]: value for mono, value in F.row(g).items()})
+    rows += [{index[mono]: value for mono, value in g.items()} for g in ring.generators.get(q, ())]
     return GradedPiece.quotient(q, basis, reduced_echelon(rows, F), F)
 
 
 def graded_pieces(ideal: Ideal) -> Iterator[GradedPiece]:
-    """M_0, M_1, M_2, ... of S/I, each stepped up from the one below.
-
-    The first step starts from S_{-1} = 0.  Each step is given the rewrite
-    rules of the piece two below, whose leads are in(I_{q-1}), so every step
-    applies the product criterion.
-    """
-    piece = below = GradedPiece(q=-1, standard=(), rewrite={})
-    while True:
-        piece, below = _next_piece(ideal, piece, below.rewrite), piece
-        yield piece
+    """M_0, M_1, M_2, ... of S/I, each stepped up from the ones below by one `_Ring`."""
+    return map(_Ring(ideal).__getitem__, count())
 
 
 class _Ring:
-    """One ring's pieces by degree: `ring[q]` is M_q, the chain stepped up to q as needed.
+    """One ring, stepped by itself: `ring[q]` is M_q, and 0 for q < 0.
 
-    `_Ring(ideal)` is S/I, stepped by `graded_pieces`; `_Ring(below, var)` is
-    the cut ring below / x_var * below, in the variables but x_var, read off
-    the ring below by `_cut_pieces`.  A ring carries only its number of
-    variables and its characteristic, all `koszul_differential` reads of an ideal.
+    `_Ring(ideal)` is S/I.  It reads each generator into the field once, as
+    `generators`, its nonzero rows by degree, and steps piece q by
+    `_next_piece` from pieces q - 1 and q - 2, so every step applies the
+    product criterion.  `_Ring(below, var)` is the cut ring below / x_var *
+    below, in the variables but x_var, whose piece q is `_cut_piece` of the
+    ring below.  `echelon(var, q)` is the fully reduced echelon of the rows
+    of x_var: M_{q-1} -> M_q, made at most once.  A ring carries its number
+    of variables and its characteristic, all `koszul_differential` reads of
+    an ideal.
     """
 
     def __init__(self, source: Ideal | _Ring, var: int | None = None):
         self.num_vars, self.char_p = source.num_vars - (var is not None), source.char_p
-        self.chain = graded_pieces(source) if var is None else _cut_pieces(source, var)
-        self.pieces: list[GradedPiece] = []
+        self.source, self.var = source, var
+        self.pieces, self.echelons = [], {}
+        if var is None:
+            self.generators: dict[int, list[dict]] = {}
+            for row in filter(None, map(field(self.char_p).row, source.generators)):
+                self.generators.setdefault(mono_degree(next(iter(row))), []).append(row)
 
     def __getitem__(self, q: int) -> GradedPiece:
         while len(self.pieces) <= q:
-            self.pieces.append(next(self.chain))
-        return self.pieces[q]
+            k = len(self.pieces)
+            self.pieces.append(_next_piece(self, self[k - 1], self[k - 2].rewrite)
+                               if self.var is None else _cut_piece(self.source, self.var, k))
+        return self.pieces[q] if q >= 0 else GradedPiece(q=q, standard=(), rewrite={})
+
+    def echelon(self, var: int, q: int) -> dict[int, Row]:
+        """The fully reduced echelon of x_var: M_{q-1} -> M_q; columns index M_q's standard monomials."""
+        if (var, q) not in self.echelons:
+            F = field(self.char_p)
+            rows = _multiplication(self[q - 1], self[q], var, F)
+            self.echelons[var, q] = reduced_echelon(map(F.row, rows), F)
+        return self.echelons[var, q]
 
 
-def _cut_pieces(below: _Ring, var: int) -> Iterator[GradedPiece]:
-    """M'_0, M'_1, ... of M' = M / x_var * M, for M the ring `below`.
+def _cut_piece(below: _Ring, var: int, q: int) -> GradedPiece:
+    """M'_q of M' = M / x_var * M, for M the ring `below`.
 
-    M'_q = M_q / x_var * M_{q-1} is read off M_{q-1} and M_q.  Let E be the
-    fully reduced echelon of the rows of x_var: M_{q-1} -> M_q
+    M'_q = M_q / x_var * M_{q-1} is read off M_q and E = `below.echelon(var, q)`,
+    the fully reduced echelon of the rows of x_var: M_{q-1} -> M_q
     (`_multiplication`), whose columns are the standard monomials of M_q in
     their order.  The standard monomials of M'_q are those of M_q that are not
     pivots of E.  Each rule of M_q and each row of E whose lead has no x_var
@@ -226,23 +238,19 @@ def _cut_pieces(below: _Ring, var: int) -> Iterator[GradedPiece]:
     x_var keeps the lex column order among the monomials without it, and the
     fully reduced echelon of a fixed span is unique.
     """
-    F, source = field(below.char_p), GradedPiece(q=-1, standard=(), rewrite={})
-    for q in count():
-        target = below[q]
-        echelon = reduced_echelon(map(F.row, _multiplication(source, target, var, F)), F)
-        quotient = GradedPiece.quotient(q, target.standard, echelon, F)
-        rewrite = {}
-        for lead, rule in (*target.rewrite.items(), *quotient.rewrite.items()):
-            if not lead[var]:
-                total: dict[Monomial, Fraction | int] = {}
-                for mono, value in rule.items():
-                    for m, factor in quotient.rewrite.get(mono, {mono: F.one}).items():
-                        total[m] = total.get(m, 0) + value * factor
-                rewrite[lead[:var] + lead[var + 1:]] = {
-                    m[:var] + m[var + 1:]: c for m, v in total.items() if (c := F.coeff(v))}
-        standard = tuple(m[:var] + m[var + 1:] for m in quotient.standard)
-        yield GradedPiece(q=q, standard=standard, rewrite=rewrite)
-        source = target
+    F, target = field(below.char_p), below[q]
+    quotient = GradedPiece.quotient(q, target.standard, below.echelon(var, q), F)
+    rewrite = {}
+    for lead, rule in (*target.rewrite.items(), *quotient.rewrite.items()):
+        if not lead[var]:
+            total: dict[Monomial, Fraction | int] = {}
+            for mono, value in rule.items():
+                for m, factor in quotient.rewrite.get(mono, {mono: F.one}).items():
+                    total[m] = total.get(m, 0) + value * factor
+            rewrite[lead[:var] + lead[var + 1:]] = {
+                m[:var] + m[var + 1:]: c for m, v in total.items() if (c := F.coeff(v))}
+    standard = tuple(m[:var] + m[var + 1:] for m in quotient.standard)
+    return GradedPiece(q=q, standard=standard, rewrite=rewrite)
 
 
 def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
@@ -330,13 +338,6 @@ def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
     return BettiTable(entries)
 
 
-def _injective(ring: _Ring, var: int, j: int) -> bool:
-    """Whether x_var: M_{j-1} -> M_j on `ring` has full rank dim M_{j-1}, for j >= 1."""
-    source, target = ring[j - 1], ring[j]
-    rows = _multiplication(source, target, var, field(ring.char_p))
-    return SparseMatrix(source.dim, target.dim, rows).rank(ring.char_p) == source.dim
-
-
 def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[tuple[int, ...], _Ring, int, bool]:
     """Cut by variables injective on M = S/I through degree m + 1, raising m until certified.
 
@@ -368,8 +369,10 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[tuple[int, ...], _
     suffice: for I = (x0^2, x1*x2^2 - x0*x1^2) at m = 3, x2 is injective
     through degree 3, but cutting it adds kappa_{2,2} = 1.
 
-    Injectivity in degree j is a rank on the ring below: the matrix of x_v
-    from M_{j-1} to M_j has full rank dim M_{j-1} (`_injective`).  The sequence
+    Injectivity in degree j is a rank on the ring below: the echelon of x_v
+    from M_{j-1} to M_j, `ring.echelon(v, j)`, has dim M_{j-1} rows.  The
+    ring makes it once and reads it again for the cut ring's piece j, so the
+    rows of x_v are eliminated once per ring, variable and degree.  The sequence
 
         M_{j-1} --x_v--> M_j --> M'_j --> 0
 
@@ -379,8 +382,9 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[tuple[int, ...], _
     has degree 0, so M_0 = k on every ring.
 
     The walk.  m starts at the top degree of a generator nonzero in the field
-    (at least 1; reading them all into the field rejects a denominator the
-    characteristic divides at any q_max), capped at q_max + 1.  At each m the
+    (at least 1), read off the generators of the ring of S/I, which reads them
+    all into the field when it is made and so rejects a denominator the
+    characteristic divides at any q_max; m is capped at q_max + 1.  At each m the
     chain is walked afresh from S/I: on each ring, the first variable in index
     order that is injective in every degree 1 <= j <= m + 1 is cut, and the
     walk stops on a ring whose piece m is 0, that has one variable, or on
@@ -391,18 +395,20 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[tuple[int, ...], _
     ring is a function of its path, and whether a variable passes on it in
     degree j never changes.  A ring is built only for a variable that has
     passed, so the memo holds only rings on some chain.  A variable is tested
-    by ranks on pieces of the ring below, which the gate has already stepped
-    through m + 1; a cut that passed at an earlier m is tested again through
-    the new degree m + 1, and when it fails there the next variable that
-    passes takes its place.  A ring inside the chain never has piece m zero,
-    since the variable cut from it injects M_0 = k into piece m.  A cut ring
+    by the echelons of the ring below, on pieces the gate has already stepped
+    through m + 1, each echelon made once and kept by that ring; a cut that
+    passed at an earlier m is tested again, with new work only in the new
+    degree m + 1, and when it fails there the next variable that passes takes
+    its place.  A ring inside the chain never has piece m zero, since the
+    variable cut from it injects M_0 = k into piece m.  A cut ring
     is made from the ring below and the variable, not from an ideal: its
-    piece q is M_q / x_v * M_{q-1} of the ring below (`_cut_pieces`), the
+    piece q is M_q / x_v * M_{q-1} of the ring below (`_cut_piece`), the
     same, value for value, as the cut ideal's, since for W = I_q + x_v *
     S_{q-1} the leads in(W) are in(I_q) and, disjoint from them, the leads of
     the normal forms NF(W), which are standard.  The gate has already stepped
-    the ring below through m + 1, so reading the cut ring's pieces 0..m + 1
-    steps no further piece below.
+    the ring below through m + 1, and the test has made the echelons of x_v
+    through m + 1, so reading the cut ring's pieces 0..m + 1 steps no further
+    piece below and eliminates nothing again.
 
     The certificate fires when the last ring's piece m is 0, or when its one
     variable is injective through m + 1: cutting that leaves the field k,
@@ -412,15 +418,14 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[tuple[int, ...], _
     certified through q_max + 2, rows 0..q_max agree, and the certificate is
     left unknown.
     """
-    F = field(ideal.char_p)
-    top = max((mono_degree(next(iter(g))) for g in ideal.generators if F.row(g)), default=0)
     rings = {(): _Ring(ideal)}
+    top = max(rings[()].generators, default=0)
     for m in range(min(max(1, top), q_max + 1), q_max + 2):
         path, last = (), rings[()]
         while (last.num_vars > 1 and last[m].dim
                and all(last[j - 1].dim <= last[j].dim for j in range(1, m + 2))):
             for var in range(last.num_vars):
-                if all(_injective(last, var, j) for j in range(1, m + 2)):
+                if all(len(last.echelon(var, j)) == last[j - 1].dim for j in range(1, m + 2)):
                     path += (var,)
                     if path not in rings:
                         rings[path] = _Ring(last, var)

@@ -105,6 +105,29 @@ def test_check_first_strand_on_pure_family():
             assert report.shape_ok is True
 
 
+def test_strand_checks_build_no_table(monkeypatch):
+    # each check reads pi(d) as integers over their denominator, not as a
+    # BettiTable; a complete next-to-max check also decomposes the table,
+    # which builds tables, so it is run as incomplete here
+    tables = [hk_diagram(family_deq(e, q)) for e in range(1, 6) for q in range(1, 4)]
+    tables += [PROJECTED_VERONESE, CUBIC_CONIC, TWISTED_CUBIC, VERONESE_P2]
+    built = []
+    init = BettiTable.__init__
+
+    def counting_init(self, entries):
+        built.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(BettiTable, "__init__", counting_init)
+    for table in tables:
+        for e in range(1, 6):
+            for q in range(1, 4):
+                check_first_strand(table, Assumptions(codim_e=e), q)
+            if e >= 2 and first_nontrivial_strand(table) == 1:
+                check_next_to_max(table, Assumptions(codim_e=e), complete=False)
+    assert built == []
+
+
 def test_check_ndm_examples():
     assert check_Ndm(PROJECTED_VERONESE, 3, 4) is True
     assert check_Ndm(CUBIC_CONIC, 2, 3) is False

@@ -115,20 +115,21 @@ def test_decompose_codim_warning(capsys):
 
 def test_decompose_states_no_multiplicity_for_an_incomplete_table(tmp_path, capsys):
     # rows 0..1 of (x0^2, x1^3), whose degree is 6: the missing row 2 would
-    # lengthen the decomposition, so its length-2 part, 0 here, is not stated
+    # lengthen the decomposition, so its length-2 part, 0 here, is not stated,
+    # and its term 0,2 is not reported as shorter than codimension 2
     table = tmp_path / "ci_quadric_cubic_qmax1.json"
     code, out, _ = run(capsys, "betti", fixture_path("ci_quadric_cubic.ideal"),
                        "--qmax", "1", "--out", "json")
     assert code == 0 and json.loads(out)["complete"] is False
     table.write_text(out)
-    code, out, _ = run(capsys, "decompose", str(table), "--codim", "2")
-    assert code == 0
+    code, out, err = run(capsys, "decompose", str(table), "--codim", "2")
+    assert (code, err) == (0, "")
     assert out == ("1  0,2\n"
                    "note: the table is marked incomplete, so rows past its qmax may hold "
                    "entries: the decomposition is of the rows given, and no multiplicity "
                    "is stated\n")
-    code, out, _ = run(capsys, "decompose", str(table), "--codim", "2", "--out", "json")
-    assert code == 0
+    code, out, err = run(capsys, "decompose", str(table), "--codim", "2", "--out", "json")
+    assert (code, err) == (0, "")
     assert json.loads(out) == {"terms": [{"coefficient": "1", "degrees": [0, 2]}],
                                "complete": False}
     # a negative codimension is still rejected

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import (_cut_regular_variables, _injective, _Ring, betti_table,
+from bettikit.koszul import (_cut_regular_variables, _Ring, betti_table,
                              graded_piece, hilbert_consistency)
-from bettikit.linalg import SparseMatrix
+from bettikit.linalg import PrimeField, Rationals, SparseMatrix
 from bettikit.polyring import (Ideal, mono_times_var, monomials_of_degree, parse_ideal,
                                parse_polynomial)
 from bettikit.pure import kappa_max
@@ -146,7 +146,7 @@ def test_cut_ring_pieces_match_the_cut_ideal(char_p):
         ideal = replace(ideal, char_p=char_p)
         ring, n = _Ring(ideal), ideal.num_vars
         for var in range(n):
-            if not all(_injective(ring, var, j) for j in range(1, 4)):
+            if not all(len(ring.echelon(var, j)) == ring[j - 1].dim for j in range(1, 4)):
                 continue
             positions.add("first" if var == 0 else "last" if var == n - 1 else "middle")
             cut = _Ring(ring, var)
@@ -233,7 +233,7 @@ def test_dimension_certificate_matches_rank_oracle(ideal, q_max):
         for j in range(1, top + 1):
             identity = graded_piece(cut, j).dim == pieces[j].dim - pieces[j - 1].dim
             oracle = multiplication_has_full_rank(ideal, pieces[j - 1], pieces[j], var)
-            assert identity == oracle == _injective(ring, var, j)
+            assert identity == oracle == (len(ring.echelon(var, j)) == pieces[j - 1].dim)
     assert cut_chain(ideal, q_max)[0] == rank_certified_cut(ideal, q_max)
 
 
@@ -264,6 +264,47 @@ def test_rejected_variables_build_no_ring(e, char_p, monkeypatch):
     assert ideals == []
     assert certified
     assert table == BettiTable({(0, 0): 1, **{(p, 1): kappa_max(p, 1, e) for p in range(1, e + 1)}})
+
+
+@pytest.mark.parametrize("char_p", FIELDS)
+@pytest.mark.parametrize("e", (4, 7))
+def test_walk_eliminates_each_multiplication_once(e, char_p, monkeypatch):
+    # The injectivity test and the cut ring's pieces read one echelon of
+    # x_v: M_{j-1} -> M_j, so its rows are built once per (ring, var, degree):
+    # a ring's piece j is one object, so (piece j, var) names the triple.
+    built = []
+    multiplication = koszul._multiplication
+
+    def recording(source, target, var, F):
+        built.append((target, var))
+        return multiplication(source, target, var, F)
+
+    monkeypatch.setattr(koszul, "_multiplication", recording)
+    path, _, _, certified = _cut_regular_variables(rational_normal_curve(e, char_p), 3)
+    assert len(path) == 2 and certified
+    assert len({(id(target), var) for target, var in built}) == len(built)
+
+
+@pytest.mark.parametrize("char_p", (None, 32003, 5, 2))
+def test_each_generator_is_read_into_the_field_once(char_p, monkeypatch):
+    # betti_table makes one ring of S/I, which reads each generator once,
+    # for its pieces and for the top generator degree alike
+    read = []
+
+    def recording(plain):
+        def row(self, values):
+            read.append(values)
+            return plain(self, values)
+        return row
+
+    for cls in (Rationals, PrimeField):
+        monkeypatch.setattr(cls, "row", recording(cls.row))
+    for entry, ideal in fixture_ideals():
+        ideal = replace(ideal, char_p=char_p)
+        read.clear()
+        betti_table(ideal, entry.qmax)
+        assert [sum(row is g for row in read) for g in ideal.generators] == \
+            [1] * len(ideal.generators), entry.name
 
 
 @pytest.mark.parametrize("char_p", (None, 5, 32003))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import GradedPiece, _next_piece, graded_piece, graded_pieces
+from bettikit.koszul import GradedPiece, _next_piece, _Ring, graded_piece, graded_pieces
 from bettikit.linalg import field, reduced_echelon
 from bettikit.polyring import Ideal, monomials_of_degree, parse_ideal, parse_polynomial
 from oracles import linear, mono_mul, power, rref
@@ -88,7 +88,7 @@ def test_graded_piece_matches_macaulay_matrix(ideal, q):
     oracle = macaulay_piece(ideal, q)
     assert graded_piece(ideal, q) == oracle
     # with no leads below, this step keeps every product
-    assert _next_piece(ideal, oracle, frozenset()) == graded_piece(ideal, q + 1)
+    assert _next_piece(_Ring(ideal), oracle, frozenset()) == graded_piece(ideal, q + 1)
 
 
 @pytest.mark.parametrize("char_p", FIELDS)
@@ -105,7 +105,7 @@ def test_next_piece_skips_products_explained_below(char_p, monkeypatch):
         return reduced_echelon(rows, *rest)
 
     monkeypatch.setattr(koszul, "reduced_echelon", counting_echelon)
-    piece = _next_piece(ideal, below, leads_below)
+    piece = _next_piece(_Ring(ideal), below, leads_below)
     assert given[0] < ideal.num_vars * below.ideal_dim
     assert piece == macaulay_piece(ideal, q + 1)
 
