@@ -100,11 +100,14 @@ def first_nontrivial_strand(table: BettiTable) -> int | None:
     return min(rows) if rows else None
 
 
-def _against_diagram(table: BettiTable, q: int, d: DegreeSequence) -> StrandReport:
+def _against_diagram(table: BettiTable, q: int, d: DegreeSequence,
+                     complete: bool) -> StrandReport:
     """Row q of the table against pi(d), read as the module docstring says; no notes.
 
     pi(d)'s cells are read as integers over their denominator, with no
-    `BettiTable` built: d is one of the two families, which start at 0.
+    `BettiTable` built: d is one of the two families, which start at 0.  A
+    shape that holds is stated only for a `complete` table, and is None
+    otherwise, since missing rows may hold entries; a failing shape stands.
     """
     cells, den = _integer_diagram(d.degrees)
     diagram = {cell: Fraction(n, den) for cell, n in cells.items() if cell != (0, 0)}
@@ -121,7 +124,8 @@ def _against_diagram(table: BettiTable, q: int, d: DegreeSequence) -> StrandRepo
     elif len(attained) == sum(row == q for _, row in diagram):
         verdict = VERDICT_ALL_MAX
         degree_predicted = multiplicity(d)
-        shape_ok = {cell: v for cell, v in table.entries.items() if cell != (0, 0)} == diagram
+        shape_ok = ({cell: v for cell, v in table.entries.items() if cell != (0, 0)} == diagram
+                    and (complete or None))
     elif attained:
         verdict, verdict_p = VERDICT_MIXED, attained[0]
     else:
@@ -137,13 +141,13 @@ def check_first_strand(table: BettiTable, assumptions: Assumptions, q: int,
     Columns beyond the codimension must vanish; when every column attains the
     bound, the predicted degree C(e+q, q) and the pure-resolution shape test
     are reported as well.  Violations are verdicts, never exceptions.  A
-    table width below e is noted only for a `complete` table, since missing
-    rows can widen it.
+    table width below e is noted, and a shape that holds is stated, only for
+    a `complete` table, since missing rows can widen it or add entries.
     """
     e = assumptions.codim_e
     if q < 1:
         raise ValueError(f"strand index must be >= 1, got {q}")
-    report = _against_diagram(table, q, family_deq(e, q))
+    report = _against_diagram(table, q, family_deq(e, q), complete)
     notes = []
     if report.shape_ok is False:
         notes.append("entries outside rows 0 and q prevent the pure resolution shape")
@@ -182,8 +186,8 @@ def check_next_to_max(table: BettiTable, assumptions: Assumptions,
     codimension e >= 2; columns from e on must vanish in row 1.  When every
     column attains the bound, the almost-minimal degree e + 2 and the shape
     with a single extra generator at (e, 2) are reported.  The degree of the
-    decomposition is compared with e + 2 only for a `complete` table, since
-    missing rows change the decomposition.
+    decomposition is compared with e + 2, and a shape that holds is stated,
+    only for a `complete` table, since missing rows change both.
     """
     e = assumptions.codim_e
     if e < 2:
@@ -194,7 +198,7 @@ def check_next_to_max(table: BettiTable, assumptions: Assumptions,
     if strand != 1:
         raise ValueError(f"first nontrivial strand is {strand}, the bound needs q = 1")
     d = family_tilde(e, 1)
-    report = _against_diagram(table, 1, d)
+    report = _against_diagram(table, 1, d, complete)
     notes = []
     if report.shape_ok is False:
         notes.append("shape with a single extra generator at (e, 2) does not hold")

@@ -30,7 +30,7 @@ class FixtureEntry:
     name: str
     filename: str
     qmax: int | None = None
-    expected_table: tuple[tuple[tuple[int, int], Fraction], ...] | None = None
+    expected_table: tuple[tuple[tuple[int, int], int], ...] | None = None  # (cell, value) pairs
     expected_terms: tuple[Term, ...] | None = None
     codim: int | None = None
     expected_multiplicity: Fraction | None = None
@@ -41,15 +41,9 @@ class FixtureEntry:
         return self.filename.endswith(".ideal")
 
 
-def _table(cells: dict[tuple[int, int], int | Fraction]) -> tuple:
-    return tuple(sorted((cell, Fraction(v)) for cell, v in cells.items()))
-
-
-def _pure_first_strand(kappas: dict[int, int]) -> dict[tuple[int, int], int]:
-    cells = {(0, 0): 1}
-    for p, v in kappas.items():
-        cells[(p, 1)] = v
-    return cells
+def _first_strand(*kappas: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The cells of the table with 1 at (0, 0) and kappas[p - 1] at (p, 1)."""
+    return ((0, 0), 1), *(((p, 1), kappa) for p, kappa in enumerate(kappas, 1))
 
 
 FIXTURES: tuple[FixtureEntry, ...] = (
@@ -85,7 +79,7 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         name="twisted-cubic",
         filename="twisted_cubic.ideal",
         qmax=3,
-        expected_table=_table(_pure_first_strand({1: 3, 2: 2})),
+        expected_table=_first_strand(3, 2),
         codim=2,
         expected_verdict="AllMax",
     ),
@@ -93,7 +87,7 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         name="veronese-p2",
         filename="veronese_p2.ideal",
         qmax=3,
-        expected_table=_table(_pure_first_strand({1: 6, 2: 8, 3: 3})),
+        expected_table=_first_strand(6, 8, 3),
         codim=3,
         expected_verdict="AllMax",
     ),
@@ -101,7 +95,7 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         name="rnc-conic",
         filename="rnc_e1.ideal",
         qmax=3,
-        expected_table=_table(_pure_first_strand({1: 1})),
+        expected_table=_first_strand(1),
         codim=1,
         expected_verdict="AllMax",
     ),
@@ -109,7 +103,7 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         name="rnc-quartic",
         filename="rnc_e3.ideal",
         qmax=3,
-        expected_table=_table(_pure_first_strand({1: 6, 2: 8, 3: 3})),
+        expected_table=_first_strand(6, 8, 3),
         codim=3,
         expected_verdict="AllMax",
     ),
@@ -117,7 +111,7 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         name="rnc-quintic",
         filename="rnc_e4.ideal",
         qmax=3,
-        expected_table=_table(_pure_first_strand({1: 10, 2: 20, 3: 15, 4: 4})),
+        expected_table=_first_strand(10, 20, 15, 4),
         codim=4,
         expected_verdict="AllMax",
     ),
@@ -125,7 +119,7 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         name="rnc-sextic",
         filename="rnc_e5.ideal",
         qmax=3,
-        expected_table=_table(_pure_first_strand({1: 15, 2: 40, 3: 45, 4: 24, 5: 5})),
+        expected_table=_first_strand(15, 40, 45, 24, 5),
         codim=5,
         expected_verdict="AllMax",
     ),
@@ -133,21 +127,21 @@ FIXTURES: tuple[FixtureEntry, ...] = (
         name="ci-two-quadrics",
         filename="ci_two_quadrics.ideal",
         qmax=4,
-        expected_table=_table({(0, 0): 1, (1, 1): 2, (2, 2): 1}),
+        expected_table=(((0, 0), 1), ((1, 1), 2), ((2, 2), 1)),
         codim=2,
     ),
     FixtureEntry(
         name="ci-quadric-cubic",
         filename="ci_quadric_cubic.ideal",
         qmax=5,
-        expected_table=_table({(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 3): 1}),
+        expected_table=(((0, 0), 1), ((1, 1), 1), ((1, 2), 1), ((2, 3), 1)),
         codim=2,
     ),
     FixtureEntry(
         name="hypersurface-cubic",
         filename="hypersurface_cubic.ideal",
         qmax=4,
-        expected_table=_table({(0, 0): 1, (1, 2): 1}),
+        expected_table=(((0, 0), 1), ((1, 2), 1)),
         codim=1,
     ),
 )

@@ -12,66 +12,42 @@ with the differential
 
 Each graded piece M_q is realized concretely: the monomials of degree q,
 the fully reduced row echelon of I_q among them, and the non-pivot
-("standard") monomials as a basis of M_q.  Pieces are built in increasing
-degree, each from the one below it: I_{q+1} is spanned by x_v times the pivot
-rows of I_q and the generators of degree q + 1 (see `_next_piece`).  A
-product x_v * r_m is skipped when m / x_w is a lead of I_{q-1} for some
-w < v: it is then x_w * r_{x_v m / x_w} plus products with smaller leads, so
-the rows kept span the same I_{q+1}.
+("standard") monomials as a basis of M_q.  A `_Ring` steps its pieces in
+increasing degree from the pieces it already holds: for S/I by `_next_piece`,
+which skips the products the product criterion explains, and for a ring cut
+by a variable by `_cut_piece`, which reads M_q / x_v * M_{q-1} off the ring
+below and row-reduces no Macaulay matrix.  Each step's docstring proves its
+piece equal, value for value, to the fully reduced echelon of I_q.
 Everything is exact; the field is the rationals or GF(p) as recorded on the
-ideal, and no float appears anywhere.  Generators keep the ideal's rational
-coefficients until the ring of S/I reads each into the field, once, keyed by
-its degree; a generator that vanishes there is dropped.
+ideal, and no float appears anywhere.  All that differs between them is the
+field object `linalg.field`, which a ring makes once.  Generators keep the
+ideal's rational coefficients until the ring of S/I reads each into that
+field, once, keyed by its degree; a generator that vanishes there is dropped.
 
 Wedge basis vectors are strictly increasing index tuples in lex order; the
 M_q basis is the standard monomials in descending graded-lex order.  This
 fixes every matrix reproducibly.
 
 `betti_table` computes the table on the ring cut by variables certified to
-be regular in low degrees (see `_cut_regular_variables`), so the
-differentials it builds live in fewer variables, and it stops at the
-regularity.  The certificate is Bayer and Stillman's criterion (Invent.
-Math. 87 (1987), Thm 1.10, direction (b) => (a), which needs no genericity
-and so holds over GF(p) too): if every generator of I has degree <= m, each
-cut form h_i satisfies ((I, h_<i) : h_i)_m = (I, h_<i)_m, and
-(I, h_1, ..., h_j)_m = S_m, then I is m-regular.  The colon condition is
-injectivity of h_i from degree m to m + 1 on the ring cut so far, and the
-last condition says the cut ring's piece m is 0.  Each cut is checked by the
-rank of multiplication by h_i on the ring cut so far, before the cut ring is
-built.  Rows q <= m - 1 of S/I and of the cut ring agree by the
-truncation triangle, and rows q >= m vanish on both sides: for S/I by
-m-regularity, for the cut ring because its pieces vanish from degree m on.
-So when the certificate fires the table is exact in every row and `complete`
-is true.  `graded_piece`, `koszul_differential` and `selftest.uncut_table`
-never cut.
+be regular in low degrees, so the differentials it builds live in fewer
+variables, and it stops at the regularity.  Why the rows agree, and when
+Bayer and Stillman's criterion certifies the table complete, is proved in
+`_cut_regular_variables`.  `graded_piece`, `koszul_differential` and
+`selftest.uncut_table` never cut.
 
-A cut ring is read off the ring below it, not built from an ideal: its
-piece q is M_q / x_v * M_{q-1}, whose rules come from E, the fully reduced
-echelon of x_v: M_{q-1} -> M_q on the ring below, and from the rules of M_q
-with E substituted (`_cut_piece`).  These are the pieces of the cut ideal,
-value for value: its degree-q part with x_v kept is W = I_q + x_v * S_{q-1},
-and in(W) is in(I_q) together with the pivots of E, disjoint, because a
-normal form modulo I_q keeps a standard lead.  So no `Ideal` is built inside
-the engine, and the cut ring row-reduces no Macaulay matrix.
-
-All that differs between QQ and GF(p) is the field object `linalg.field`.
-A piece is a plain value, and a `_Ring`, local to the computation that makes
-it, is the one object that steps a ring: `ring[q]` builds piece q from the
-pieces the ring already holds, by `_next_piece` for S/I and by `_cut_piece`
-for a cut ring.  `ring.echelon(var, q)` eliminates the rows of
-x_var: M_{q-1} -> M_q once per ring, variable and degree, and serves both the
-walk's injectivity test and the piece q of the ring cut by x_var.
-`_multiplication` reads those rows, and x_v: M_q -> M_{q+1} for
-`koszul_differential`.
+`ring.echelon(var, q)` eliminates the rows of x_var: M_{q-1} -> M_q once per
+ring, variable and degree, and serves both the walk's injectivity test and
+the piece q of the ring cut by x_var.  `_multiplication` reads those rows,
+and x_v: M_q -> M_{q+1} for `koszul_differential`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations
 from math import comb
-from typing import Container, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .linalg import PrimeField, Rationals, Row, SparseMatrix, field, reduced_echelon
 from .polyring import Ideal, Monomial, mono_degree, mono_times_var, monomials_of_degree
@@ -108,59 +84,57 @@ class GradedPiece:
                                           if col != lead} for lead, row in pivots.items()})
 
 
-def _next_piece(ring: _Ring, below: GradedPiece,
-                leads_below: Container[Monomial]) -> GradedPiece:
-    """The piece of degree q + 1 of the ring of S/I, given its piece `below` of degree q.
+def _next_piece(ring: _Ring, q: int) -> GradedPiece:
+    """Piece q of the ring of S/I, stepped up from its pieces q - 1 and q - 2.
 
-    Its rows are the generators of degree exactly q + 1 and the products
-    x_v * r_m, where r_m = m - sum(rule) is a rewrite rule of `below` with
+    Its rows are the generators of degree exactly q and the products
+    x_v * r_m, where r_m = m - sum(rule) is a rewrite rule of M_{q-1} with
     lead m, for v <= w(m): the smallest w with x_w | m and m / x_w in
-    in(I_{q-1}) (`leads_below`, any container of those leads), or n - 1 when
-    there is none.
+    in(I_{q-2}), the leads of the rules of piece q - 2 (`lower`), or n - 1
+    when there is none.
 
-    All products x_v * r_m and the generators of degree q + 1 span I_{q+1},
-    because I_{q+1} = S_1 * I_q + k * {generators of degree q + 1}: for
-    deg g <= q, S_{q+1-deg g} * g = S_1 * S_{q-deg g} * g lies in S_1 * I_q,
-    and the rules of `below` are a basis of I_q.  The skipped products add
+    All products x_v * r_m and the generators of degree q span I_q, because
+    I_q = S_1 * I_{q-1} + k * {generators of degree q}: for deg g < q,
+    S_{q-deg g} * g = S_1 * S_{q-1-deg g} * g lies in S_1 * I_{q-1}, and the
+    rules of M_{q-1} are a basis of I_{q-1}.  The skipped products add
     nothing.  The column order is lex, so lead(x_v * f) = x_v * lead(f), and
-    an element of I_q whose lead lies below m is a combination of rules with
-    leads below m.  Let W be the span of the kept rows, and show x_v * r_m in
-    W by induction on the pair (t, v), t = x_v * m, first on t in column
-    order, then on v.  A kept product is in W.  Otherwise w = w(m) < v and
-    u = m / x_w lies in in(I_{q-1}), so x_v * u lies in in(I_q), and
+    an element of I_{q-1} whose lead lies below m is a combination of rules
+    with leads below m.  Let W be the span of the kept rows, and show
+    x_v * r_m in W by induction on the pair (t, v), t = x_v * m, first on t
+    in column order, then on v.  A kept product is in W.  Otherwise
+    w = w(m) < v and u = m / x_w lies in in(I_{q-2}), so x_v * u lies in
+    in(I_{q-1}), and
 
-        x_w * r_u = r_m + (rules of I_q with leads below m),
-        x_v * r_u = r_{x_v u} + (rules of I_q with leads below x_v * u).
+        x_w * r_u = r_m + (rules of I_{q-1} with leads below m),
+        x_v * r_u = r_{x_v u} + (rules of I_{q-1} with leads below x_v * u).
 
     Multiplying the first by x_v and the second by x_w, x_v * r_m equals
     x_w * r_{x_v u} plus products whose leads lie below t, which are in W by
     induction on t; and x_w * r_{x_v u} has lead t and w < v, so it is in W
     by induction on v.  This is the product criterion of Gebauer and Moller
     (J. Symb. Comput. 6, 1988) read degree by degree, the trivial-syzygy rule
-    of Faugere's F5.  A subset of in(I_{q-1}) only raises w(m), so the
-    piece is still correct, with more rows.
+    of Faugere's F5.
 
     The fully reduced echelon of a fixed span in a fixed column order is
     unique, so `standard` and `rewrite` are the same, value for value, as
-    from row-reducing every m * g of degree q + 1.  The rows are
-    also short: each has at most 1 + dim M_q terms, and above the socle
-    every row is a single monomial.
+    from row-reducing every m * g of degree q.  The rows are also short: each
+    has at most 1 + dim M_{q-1} terms, and above the socle every row is a
+    single monomial.
 
     Each rule is normalized by the field once (over the rationals, to a
     primitive integer vector) and then shifted by the variables, and the
     generators are the ring's rows, normalized when the ring was made, so
     `reduced_echelon` takes the rows as they are.
     """
-    q = below.q + 1
-    n = ring.num_vars
-    F = field(ring.char_p)
+    n, F = ring.num_vars, ring.F
+    lower = ring[q - 2].rewrite
     basis = monomials_of_degree(n, q)
     index = {mono: i for i, mono in enumerate(basis)}
     rows = []
-    for lead, rule in below.rewrite.items():
+    for lead, rule in ring[q - 1].rewrite.items():
         terms = F.row({lead: F.one, **{mono: -value for mono, value in rule.items()}})
         last = next((w for w in range(n) if lead[w]
-                     and lead[:w] + (lead[w] - 1,) + lead[w + 1:] in leads_below), n - 1)
+                     and lead[:w] + (lead[w] - 1,) + lead[w + 1:] in lower), n - 1)
         for var in range(last + 1):
             rows.append({index[mono_times_var(mono, var)]: value
                          for mono, value in terms.items()})
@@ -168,54 +142,48 @@ def _next_piece(ring: _Ring, below: GradedPiece,
     return GradedPiece.quotient(q, basis, reduced_echelon(rows, F), F)
 
 
-def graded_pieces(ideal: Ideal) -> Iterator[GradedPiece]:
-    """M_0, M_1, M_2, ... of S/I, each stepped up from the ones below by one `_Ring`."""
-    return map(_Ring(ideal).__getitem__, count())
-
-
 class _Ring:
     """One ring, stepped by itself: `ring[q]` is M_q, and 0 for q < 0.
 
     `_Ring(ideal)` is S/I.  It reads each generator into the field once, as
     `generators`, its nonzero rows by degree, and steps piece q by
-    `_next_piece` from pieces q - 1 and q - 2, so every step applies the
-    product criterion.  `_Ring(below, var)` is the cut ring below / x_var *
-    below, in the variables but x_var, whose piece q is `_cut_piece` of the
-    ring below.  `echelon(var, q)` is the fully reduced echelon of the rows
-    of x_var: M_{q-1} -> M_q, made at most once.  A ring carries its number
-    of variables and its characteristic, all `koszul_differential` reads of
-    an ideal.
+    `_next_piece`.  `_Ring(below, var)` is the cut ring below / x_var *
+    below, in the variables but x_var, whose piece q is `_cut_piece`, read
+    off `source`, the ring below.  Each step takes the ring and q and reads
+    all else off the ring.  `F` is the ring's field, made once and used by
+    the generators, both steps and `echelon(var, q)`, the fully reduced
+    echelon of the rows of x_var: M_{q-1} -> M_q, made at most once.  A ring
+    carries its number of variables and its characteristic, all
+    `koszul_differential` reads of an ideal.
     """
 
     def __init__(self, source: Ideal | _Ring, var: int | None = None):
         self.num_vars, self.char_p = source.num_vars - (var is not None), source.char_p
-        self.source, self.var = source, var
+        self.source, self.var, self.F = source, var, field(self.char_p)
         self.pieces, self.echelons = [], {}
         if var is None:
             self.generators: dict[int, list[dict]] = {}
-            for row in filter(None, map(field(self.char_p).row, source.generators)):
+            for row in filter(None, map(self.F.row, source.generators)):
                 self.generators.setdefault(mono_degree(next(iter(row))), []).append(row)
 
     def __getitem__(self, q: int) -> GradedPiece:
         while len(self.pieces) <= q:
-            k = len(self.pieces)
-            self.pieces.append(_next_piece(self, self[k - 1], self[k - 2].rewrite)
-                               if self.var is None else _cut_piece(self.source, self.var, k))
+            step = _next_piece if self.var is None else _cut_piece
+            self.pieces.append(step(self, len(self.pieces)))
         return self.pieces[q] if q >= 0 else GradedPiece(q=q, standard=(), rewrite={})
 
     def echelon(self, var: int, q: int) -> dict[int, Row]:
         """The fully reduced echelon of x_var: M_{q-1} -> M_q; columns index M_q's standard monomials."""
         if (var, q) not in self.echelons:
-            F = field(self.char_p)
-            rows = _multiplication(self[q - 1], self[q], var, F)
-            self.echelons[var, q] = reduced_echelon(map(F.row, rows), F)
+            rows = _multiplication(self[q - 1], self[q], var, self.F)
+            self.echelons[var, q] = reduced_echelon(map(self.F.row, rows), self.F)
         return self.echelons[var, q]
 
 
-def _cut_piece(below: _Ring, var: int, q: int) -> GradedPiece:
-    """M'_q of M' = M / x_var * M, for M the ring `below`.
+def _cut_piece(ring: _Ring, q: int) -> GradedPiece:
+    """Piece q of the cut ring M' = M / x_var * M, for M = `ring.source` and var = `ring.var`.
 
-    M'_q = M_q / x_var * M_{q-1} is read off M_q and E = `below.echelon(var, q)`,
+    M'_q = M_q / x_var * M_{q-1} is read off M_q and E = `M.echelon(var, q)`,
     the fully reduced echelon of the rows of x_var: M_{q-1} -> M_q
     (`_multiplication`), whose columns are the standard monomials of M_q in
     their order.  The standard monomials of M'_q are those of M_q that are not
@@ -238,7 +206,8 @@ def _cut_piece(below: _Ring, var: int, q: int) -> GradedPiece:
     x_var keeps the lex column order among the monomials without it, and the
     fully reduced echelon of a fixed span is unique.
     """
-    F, target = field(below.char_p), below[q]
+    below, var, F = ring.source, ring.var, ring.F
+    target = below[q]
     quotient = GradedPiece.quotient(q, target.standard, below.echelon(var, q), F)
     rewrite = {}
     for lead, rule in (*target.rewrite.items(), *quotient.rewrite.items()):
@@ -402,19 +371,26 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[tuple[int, ...], _
     its place.  A ring inside the chain never has piece m zero, since the
     variable cut from it injects M_0 = k into piece m.  A cut ring
     is made from the ring below and the variable, not from an ideal: its
-    piece q is M_q / x_v * M_{q-1} of the ring below (`_cut_piece`), the
-    same, value for value, as the cut ideal's, since for W = I_q + x_v *
-    S_{q-1} the leads in(W) are in(I_q) and, disjoint from them, the leads of
-    the normal forms NF(W), which are standard.  The gate has already stepped
+    piece q is M_q / x_v * M_{q-1} of the ring below, the cut ideal's piece
+    value for value (`_cut_piece`).  The gate has already stepped
     the ring below through m + 1, and the test has made the echelons of x_v
     through m + 1, so reading the cut ring's pieces 0..m + 1 steps no further
     piece below and eliminates nothing again.
 
-    The certificate fires when the last ring's piece m is 0, or when its one
-    variable is injective through m + 1: cutting that leaves the field k,
-    whose piece m is 0, and rows q <= m - 1 of k and of k[x]/(x^d),
-    d >= m + 2, are both (0, 0) alone.  It also needs m at least the top
-    generator degree.  Otherwise m is raised; at m = q_max + 1 the cut is
+    The certificate is Bayer and Stillman's criterion (Invent. Math. 87
+    (1987), Thm 1.10, direction (b) => (a), which needs no genericity and so
+    holds over GF(p) too): if every generator of I has degree <= m, each cut
+    form h_i satisfies ((I, h_<i) : h_i)_m = (I, h_<i)_m, and
+    (I, h_1, ..., h_j)_m = S_m, then I is m-regular.  The colon condition is
+    injectivity of h_i from degree m to m + 1 on the ring cut so far, which
+    the walk has checked, and the last condition says the last ring's piece m
+    is 0.  The certificate also fires when the last ring's one variable is
+    injective through m + 1: cutting that leaves the field k, whose piece m
+    is 0, and rows q <= m - 1 of k and of k[x]/(x^d), d >= m + 2, are both
+    (0, 0) alone.  When it fires, rows q <= m - 1 of S/I are the cut ring's,
+    and rows q >= m vanish on both sides: for S/I by m-regularity, for the
+    cut ring because its pieces vanish from degree m on.  So the table is
+    exact in every row.  Otherwise m is raised; at m = q_max + 1 the cut is
     certified through q_max + 2, rows 0..q_max agree, and the certificate is
     left unknown.
     """
@@ -447,15 +423,10 @@ def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:
     is.  The table is computed on the ideal cut by certified regular
     variables (see `_cut_regular_variables`), which has the same rows.
 
-    The flag is True exactly when the Bayer-Stillman certificate fired at
-    some m <= q_max + 1: the generators have degree <= m, each cut form h_i
-    is injective on S/(I, h_<i) from degree m to m + 1 (the colon condition
-    ((I, h_<i) : h_i)_m = (I, h_<i)_m), and (I, h_1, ..., h_j)_m = S_m.
-    Then I is m-regular, so S/I has no row from m on, and the table is
-    complete: rows up to m - 1 agree with the cut ring's, and rows from m on
-    vanish for S/I by regularity and for the cut ring because its pieces
-    vanish from degree m on.  False means unknown, not incomplete; the rows
-    through q_max are exact either way.
+    The flag is True exactly when the Bayer-Stillman certificate of
+    `_cut_regular_variables` fired at some m <= q_max + 1; then I is
+    m-regular and the table is complete.  False means unknown, not
+    incomplete; the rows through q_max are exact either way.
     """
     if q_max < 1:
         raise ValueError(f"need q_max >= 1, got {q_max}")

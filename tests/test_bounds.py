@@ -95,6 +95,26 @@ def test_check_first_strand_width_note_on_an_incomplete_table():
     assert any(note.startswith("table width 4") for note in wide.notes)
 
 
+def test_strand_checks_state_no_holding_shape_for_an_incomplete_table():
+    # missing rows may hold entries outside pi(d), so a shape that holds is
+    # not stated; one that fails already fails in the rows given
+    tilde = hk_diagram(DegreeSequence((0, 2, 3, 5)))
+    cases = [
+        (lambda table, complete: check_first_strand(table, Assumptions(codim_e=2), 1, complete),
+         TWISTED_CUBIC, BettiTable({**TWISTED_CUBIC.entries, (1, 3): 1})),
+        (lambda table, complete: check_next_to_max(table, Assumptions(codim_e=3), complete),
+         tilde, BettiTable({**tilde.entries, (2, 3): 1})),
+    ]
+    for check, holds, fails in cases:
+        assert check(holds, True).shape_ok is True
+        assert check(holds, False).shape_ok is None
+        for complete in (True, False):
+            report = check(fails, complete)
+            assert report.verdict == "AllMax"
+            assert report.shape_ok is False
+            assert report.notes[0].endswith(("pure resolution shape", "does not hold"))
+
+
 def test_check_first_strand_on_pure_family():
     for e in range(1, 5):
         for q in range(1, 4):

@@ -12,7 +12,7 @@ from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
 from bettikit.koszul import (_cut_regular_variables, _Ring, betti_table,
                              graded_piece, hilbert_consistency)
-from bettikit.linalg import PrimeField, Rationals, SparseMatrix
+from bettikit.linalg import PrimeField, Rationals, SparseMatrix, field
 from bettikit.polyring import (Ideal, mono_times_var, monomials_of_degree, parse_ideal,
                                parse_polynomial)
 from bettikit.pure import kappa_max
@@ -283,6 +283,30 @@ def test_walk_eliminates_each_multiplication_once(e, char_p, monkeypatch):
     path, _, _, certified = _cut_regular_variables(rational_normal_curve(e, char_p), 3)
     assert len(path) == 2 and certified
     assert len({(id(target), var) for target, var in built}) == len(built)
+
+
+@pytest.mark.parametrize("char_p", FIELDS)
+@pytest.mark.parametrize("e", (4, 7))
+def test_each_ring_makes_its_field_once(e, char_p, monkeypatch):
+    # The generator read, both piece steps and every echelon use the field
+    # the ring made: one field per ring, the root and its two cuts.
+    rings, made = [], []
+
+    class CountedRing(_Ring):
+        def __init__(self, source, var=None):
+            rings.append(var)
+            super().__init__(source, var)
+
+    def counting_field(char_p):
+        made.append(char_p)
+        return field(char_p)
+
+    monkeypatch.setattr(koszul, "_Ring", CountedRing)
+    monkeypatch.setattr(koszul, "field", counting_field)
+    path, _, _, certified = _cut_regular_variables(rational_normal_curve(e, char_p), 3)
+    assert len(path) == 2 and certified
+    assert len(rings) == 3
+    assert made == [char_p] * 3
 
 
 @pytest.mark.parametrize("char_p", (None, 32003, 5, 2))

@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import GradedPiece, _next_piece, _Ring, graded_piece, graded_pieces
+from bettikit.koszul import GradedPiece, _Ring, graded_piece
 from bettikit.linalg import field, reduced_echelon
 from bettikit.polyring import Ideal, monomials_of_degree, parse_ideal, parse_polynomial
 from oracles import linear, mono_mul, power, rref
@@ -87,8 +86,10 @@ def homogeneous_ideals(draw):
 def test_graded_piece_matches_macaulay_matrix(ideal, q):
     oracle = macaulay_piece(ideal, q)
     assert graded_piece(ideal, q) == oracle
-    # with no leads below, this step keeps every product
-    assert _next_piece(_Ring(ideal), oracle, frozenset()) == graded_piece(ideal, q + 1)
+    # a ring holding the oracle's pieces 0..q steps piece q + 1 from them
+    ring = _Ring(ideal)
+    ring.pieces[:] = [macaulay_piece(ideal, j) for j in range(q + 1)]
+    assert ring[q + 1] == macaulay_piece(ideal, q + 1)
 
 
 @pytest.mark.parametrize("char_p", FIELDS)
@@ -96,8 +97,8 @@ def test_next_piece_skips_products_explained_below(char_p, monkeypatch):
     entry = next(e for e in FIXTURES if e.name == "rnc-quintic")
     ideal = replace(parse_ideal(load_text(entry.filename)), char_p=char_p)
     q = entry.qmax + 1
-    below = graded_piece(ideal, q)
-    leads_below = frozenset(graded_piece(ideal, q - 1).rewrite)
+    ring = _Ring(ideal)
+    ring.pieces[:] = [macaulay_piece(ideal, j) for j in range(q + 1)]
     given = []
 
     def counting_echelon(rows, *rest):
@@ -105,14 +106,15 @@ def test_next_piece_skips_products_explained_below(char_p, monkeypatch):
         return reduced_echelon(rows, *rest)
 
     monkeypatch.setattr(koszul, "reduced_echelon", counting_echelon)
-    piece = _next_piece(_Ring(ideal), below, leads_below)
-    assert given[0] < ideal.num_vars * below.ideal_dim
+    piece = ring[q + 1]
+    assert len(given) == 1
+    assert given[0] < ideal.num_vars * ring[q].ideal_dim
     assert piece == macaulay_piece(ideal, q + 1)
 
 
 @pytest.mark.parametrize("char_p", FIELDS)
 def test_graded_pieces_chain_skips_products_explained_below(char_p, monkeypatch):
-    # the chain itself hands each step the leads below, not only a direct call
+    # stepped from degree 0, each step reads the leads below off the ring
     entry = next(e for e in FIXTURES if e.name == "rnc-quintic")
     ideal = replace(parse_ideal(load_text(entry.filename)), char_p=char_p)
     given = []
@@ -122,7 +124,8 @@ def test_graded_pieces_chain_skips_products_explained_below(char_p, monkeypatch)
         return reduced_echelon(rows, *rest)
 
     monkeypatch.setattr(koszul, "reduced_echelon", counting_echelon)
-    pieces = list(islice(graded_pieces(ideal), entry.qmax + 3))
+    ring = _Ring(ideal)
+    pieces = [ring[q] for q in range(entry.qmax + 3)]
     assert len(given) == entry.qmax + 3
     assert given[-1] < ideal.num_vars * pieces[-2].ideal_dim
     assert pieces[-1] == macaulay_piece(ideal, entry.qmax + 2)
@@ -133,7 +136,8 @@ def test_complete_intersection_345_pieces(char_p):
     # powers of the rows of a unimodular matrix: a complete intersection in every field
     ideal = Ideal(num_vars=3, char_p=char_p, generators=(
         power(linear(1, 1, 1), 3), power(linear(1, 2, 2), 4), power(linear(1, 2, 3), 5)))
-    pieces = list(islice(graded_pieces(ideal), 14))
+    ring = _Ring(ideal)
+    pieces = [ring[q] for q in range(14)]
     assert [piece.q for piece in pieces] == list(range(14))
     assert [piece.dim for piece in pieces[:10]] == [1, 3, 6, 9, 11, 11, 9, 6, 3, 1]
     for piece in pieces[10:]:
