@@ -6,8 +6,12 @@ Each check reads its bound off one extremal pure diagram pi(d): d is
 next-to-maximal bound on row 1.  Column p's bound is pi(d)'s entry at (p, q),
 0 where it has none; pi(d)'s cells in row q are the columns that must attain
 it; the predicted degree is e(d); and the pure resolution shape holds when
-the table equals pi(d) away from (0, 0).  `bettikit selftest` checks the
-closed forms `kappa_max` and `kappa_next_max` in `pure` against these diagrams.
+the table equals pi(d) away from (0, 0).  The cells are read from the closed
+forms in `pure`, which `bettikit selftest` proves equal to these diagrams:
+`kappa_max(p, q, e)` in row q of pi(family_deq(e, q)), and
+`kappa_next_max(p, e)` in row 1 of pi(family_tilde(e, 1)), plus 1 at (e, 2).
+Each form is a product of binomials, so a check costs about e binomials, where
+multiplying out pi(d) costs about e^2 products of e-digit integers.
 
 Geometric hypotheses (the vanishing-on-sections property behind the main
 bound, linearly general position behind the next-to-maximal bound, and the
@@ -24,8 +28,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .decompose import NotInConeError, bs_decompose, multiplicity_from_decomposition
-from .pure import _integer_diagram, family_deq, family_tilde, multiplicity
-from .tables import BettiTable, DegreeSequence
+from .pure import family_deq, family_tilde, kappa_max, kappa_next_max, multiplicity
+from .tables import BettiTable, Cell, DegreeSequence
 
 VERDICT_ALL_MAX = "AllMax"
 VERDICT_NONE_MAX = "NoneMax"
@@ -100,21 +104,19 @@ def first_nontrivial_strand(table: BettiTable) -> int | None:
     return min(rows) if rows else None
 
 
-def _against_diagram(table: BettiTable, q: int, d: DegreeSequence,
+def _against_diagram(table: BettiTable, q: int, d: DegreeSequence, diagram: dict[Cell, int],
                      complete: bool) -> StrandReport:
     """Row q of the table against pi(d), read as the module docstring says; no notes.
 
-    pi(d)'s cells are read as integers over their denominator, with no
-    `BettiTable` built: d is one of the two families, which start at 0.  A
+    `diagram` is pi(d)'s cells but (0, 0), each an integer, as the caller
+    reads them off the family's closed forms; no `BettiTable` is built.  A
     shape that holds is stated only for a `complete` table, and is None
     otherwise, since missing rows may hold entries; a failing shape stands.
     """
-    cells, den = _integer_diagram(d.degrees)
-    diagram = {cell: Fraction(n, den) for cell, n in cells.items() if cell != (0, 0)}
     per_p = []
     for p in range(1, max(d.length, table.projective_dimension()) + 1):
         observed, bound = table.entry(p, q), diagram.get((p, q))
-        per_p.append(ColumnComparison(p=p, observed=observed, bound=int(bound or 0),
+        per_p.append(ColumnComparison(p=p, observed=observed, bound=bound or 0,
                                       attains_max=observed == bound))
     exceeded = [c.p for c in per_p if c.observed > c.bound]
     attained = [c.p for c in per_p if c.attains_max]
@@ -147,7 +149,8 @@ def check_first_strand(table: BettiTable, assumptions: Assumptions, q: int,
     e = assumptions.codim_e
     if q < 1:
         raise ValueError(f"strand index must be >= 1, got {q}")
-    report = _against_diagram(table, q, family_deq(e, q), complete)
+    diagram = {(p, q): kappa_max(p, q, e) for p in range(1, e + 1)}
+    report = _against_diagram(table, q, family_deq(e, q), diagram, complete)
     notes = []
     if report.shape_ok is False:
         notes.append("entries outside rows 0 and q prevent the pure resolution shape")
@@ -198,7 +201,9 @@ def check_next_to_max(table: BettiTable, assumptions: Assumptions,
     if strand != 1:
         raise ValueError(f"first nontrivial strand is {strand}, the bound needs q = 1")
     d = family_tilde(e, 1)
-    report = _against_diagram(table, 1, d, complete)
+    diagram = {(p, 1): kappa_next_max(p, e) for p in range(1, e)}
+    diagram[e, 2] = 1
+    report = _against_diagram(table, 1, d, diagram, complete)
     notes = []
     if report.shape_ok is False:
         notes.append("shape with a single extra generator at (e, 2) does not hold")

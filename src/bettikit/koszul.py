@@ -12,17 +12,26 @@ with the differential
 
 Each graded piece M_q is realized concretely: the monomials of degree q,
 the fully reduced row echelon of I_q among them, and the non-pivot
-("standard") monomials as a basis of M_q.  A `_Ring` steps its pieces in
+("standard") monomials as a basis of M_q.  A piece keeps the echelon in basis
+coordinates, as the elimination kernel leaves it: each row keyed by column
+indices into `monomials_of_degree(n, q)` and held in the field's own form (a
+primitive integer vector over the rationals, monic residues mod p), as the
+index-based Macaulay matrices of Faugere's F4 (J. Pure Appl. Algebra 139,
+1999) are.  Its monomials and Fractions, `standard` and `rewrite`, are read
+off those rows only when asked for.  A `_Ring` steps its pieces in
 increasing degree from the pieces it already holds: for S/I by `_next_piece`,
-which skips the products the product criterion explains, and for a ring cut
-by a variable by `_cut_piece`, which reads M_q / x_v * M_{q-1} off the ring
-below and row-reduces no Macaulay matrix.  Each step's docstring proves its
-piece equal, value for value, to the fully reduced echelon of I_q.
-Everything is exact; the field is the rationals or GF(p) as recorded on the
-ideal, and no float appears anywhere.  All that differs between them is the
-field object `linalg.field`, which a ring makes once.  Generators keep the
-ideal's rational coefficients until the ring of S/I reads each into that
-field, once, keyed by its degree; a generator that vanishes there is dropped.
+which shifts the kept rows of M_{q-1} by the index maps x_v: S_{q-1} -> S_q
+(`polyring.index_maps`, built once per number of variables and degree) and
+skips the products the product criterion explains, and for a ring cut by a
+variable by `_cut_piece`, which reads M_q / x_v * M_{q-1} off the ring below
+and row-reduces no Macaulay matrix.  Each step's docstring proves its piece
+equal, value for value, to the fully reduced echelon of I_q.  Everything is
+exact; the field is the rationals or GF(p) as recorded on the ideal, and no
+float appears anywhere.  All that differs between them is the field object
+`linalg.field`, which a ring makes once and uses for everything it computes,
+ranks included.  Generators keep the ideal's rational coefficients until the
+ring of S/I reads each into that field, once, keyed by its degree; a
+generator that vanishes there is dropped.
 
 Wedge basis vectors are strictly increasing index tuples in lex order; the
 M_q basis is the standard monomials in descending graded-lex order.  This
@@ -35,53 +44,85 @@ Bayer and Stillman's criterion certifies the table complete, is proved in
 `_cut_regular_variables`.  `graded_piece`, `koszul_differential` and
 `selftest.uncut_table` never cut.
 
-`ring.echelon(var, q)` eliminates the rows of x_var: M_{q-1} -> M_q once per
-ring, variable and degree, and serves both the walk's injectivity test and
-the piece q of the ring cut by x_var.  `_multiplication` reads those rows,
-and x_v: M_q -> M_{q+1} for `koszul_differential`.
+`ring.image(var, q)` builds the images of x_var: M_q -> M_{q+1}
+(`_multiplication`), with their negatives, once per ring, variable and
+degree.  They serve every differential `_betti_entries` builds at q
+(`_differential`) and `ring.echelon(var, q + 1)`, which eliminates them once
+for both the walk's injectivity test and the piece q + 1 of the ring cut by
+x_var.  `koszul_differential` builds its own images from the pieces it is
+given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
 
-from .linalg import PrimeField, Rationals, Row, SparseMatrix, field, reduced_echelon
-from .polyring import Ideal, Monomial, mono_degree, mono_times_var, monomials_of_degree
+from .linalg import PrimeField, Rationals, Row, SparseMatrix, field, rank, reduced_echelon
+from .polyring import Ideal, Monomial, index_maps, mono_degree, monomials_of_degree
 from .tables import BettiTable
 
 
-@dataclass(frozen=True)
 class GradedPiece:
     """The degree-q slice M_q = S_q / I_q with a reduction rule into it.
 
-    `standard` is the non-pivot monomials of S_q, a basis of M_q, and
-    `rewrite` sends each pivot monomial, a lead of I_q, to its normal form (a
-    combination of standard monomials).  dim M_q = dim S_q - rank I_q.
+    `rows` is the fully reduced echelon of I_q as `linalg.reduced_echelon`
+    leaves it, {lead: row}: every lead and column is an index into `basis`,
+    `monomials_of_degree(num_vars, q)`, and every row is in the form of the
+    field `F`, a primitive integer vector over the rationals or monic
+    residues mod p.  `free` is the non-pivot columns in order.  The piece's
+    value, the one `==` compares, is q and two views of the rows: `standard`,
+    the monomials of `free`, a basis of M_q, and `rewrite`, which sends each
+    pivot monomial, a lead of I_q, to its normal form (a combination of
+    standard monomials).  Both are read off the rows when first asked for;
+    the engine reads the rows, `position` and `normal_forms` instead.
+    dim M_q = dim S_q - rank I_q.
     """
 
-    q: int
-    standard: tuple[Monomial, ...]
-    rewrite: dict[Monomial, dict[Monomial, Fraction | int]]
+    def __init__(self, q: int, num_vars: int, F: Rationals | PrimeField, rows: dict[int, dict]):
+        self.q, self.num_vars, self.F, self.rows = q, num_vars, F, rows
+        self.basis = monomials_of_degree(num_vars, q) if q >= 0 else ()
+        self.free = [col for col in range(len(self.basis)) if col not in rows]
 
     @property
     def dim(self) -> int:
-        return len(self.standard)
+        return len(self.free)
 
     @property
     def ideal_dim(self) -> int:
-        return len(self.rewrite)
+        return len(self.rows)
 
-    @classmethod
-    def quotient(cls, q: int, basis: Sequence[Monomial], pivots: Mapping[int, Row],
-                 F: Rationals | PrimeField) -> GradedPiece:
-        """span(basis) / span(pivots), for `pivots` fully reduced, its columns indexing `basis`."""
-        return cls(q=q, standard=tuple(m for i, m in enumerate(basis) if i not in pivots),
-                   rewrite={basis[lead]: {basis[col]: F.coeff(-value) for col, value in row.items()
-                                          if col != lead} for lead, row in pivots.items()})
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Each free column's place in `free`: its coordinate in M_q."""
+        return {col: i for i, col in enumerate(self.free)}
+
+    @cached_property
+    def normal_forms(self) -> dict[int, Row]:
+        """{lead: the normal form of its monomial in the coordinates of M_q}."""
+        normal_form, position = self.F.normal_form, self.position
+        return {lead: normal_form(row, lead, position) for lead, row in self.rows.items()}
+
+    @cached_property
+    def standard(self) -> tuple[Monomial, ...]:
+        return tuple(self.basis[col] for col in self.free)
+
+    @cached_property
+    def rewrite(self) -> dict[Monomial, dict[Monomial, Fraction | int]]:
+        basis, standard = self.basis, self.standard
+        return {basis[lead]: {standard[i]: value for i, value in form.items()}
+                for lead, form in self.normal_forms.items()}
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedPiece):
+            return NotImplemented
+        return (self.q, self.standard, self.rewrite) == (other.q, other.standard, other.rewrite)
+
+    def __repr__(self):
+        return f"GradedPiece(q={self.q}, standard={self.standard!r}, rewrite={self.rewrite!r})"
 
 
 def _next_piece(ring: _Ring, q: int) -> GradedPiece:
@@ -90,8 +131,8 @@ def _next_piece(ring: _Ring, q: int) -> GradedPiece:
     Its rows are the generators of degree exactly q and the products
     x_v * r_m, where r_m = m - sum(rule) is a rewrite rule of M_{q-1} with
     lead m, for v <= w(m): the smallest w with x_w | m and m / x_w in
-    in(I_{q-2}), the leads of the rules of piece q - 2 (`lower`), or n - 1
-    when there is none.
+    in(I_{q-2}), the leads of the rules of piece q - 2, or n - 1 when there
+    is none.
 
     All products x_v * r_m and the generators of degree q span I_q, because
     I_q = S_1 * I_{q-1} + k * {generators of degree q}: for deg g < q,
@@ -121,61 +162,70 @@ def _next_piece(ring: _Ring, q: int) -> GradedPiece:
     has at most 1 + dim M_{q-1} terms, and above the socle every row is a
     single monomial.
 
-    Each rule is normalized by the field once (over the rationals, to a
-    primitive integer vector) and then shifted by the variables, and the
-    generators are the ring's rows, normalized when the ring was made, so
-    `reduced_echelon` takes the rows as they are.
+    Everything is read in basis coordinates, as in Faugere's F4 (J. Pure
+    Appl. Algebra 139, 1999): x_v * r_m is the kept row of r_m with its
+    columns sent through the index map x_v: S_{q-1} -> S_q, and w(m) is read
+    off the leads of piece q - 2 sent through x_w: S_{q-2} -> S_{q-1}, the
+    smallest w written last.  The kept rows are in the field's form, and so
+    are the generators, read when the ring was made, so `reduced_echelon`
+    takes the rows as they are.
     """
-    n, F = ring.num_vars, ring.F
-    lower = ring[q - 2].rewrite
-    basis = monomials_of_degree(n, q)
-    index = {mono: i for i, mono in enumerate(basis)}
+    n = ring.num_vars
+    up, shift = index_maps(n, q - 2), index_maps(n, q - 1)
+    first = {up[w][u]: w for w in range(n - 1, -1, -1) for u in ring[q - 2].rows}
     rows = []
-    for lead, rule in ring[q - 1].rewrite.items():
-        terms = F.row({lead: F.one, **{mono: -value for mono, value in rule.items()}})
-        last = next((w for w in range(n) if lead[w]
-                     and lead[:w] + (lead[w] - 1,) + lead[w + 1:] in lower), n - 1)
-        for var in range(last + 1):
-            rows.append({index[mono_times_var(mono, var)]: value
-                         for mono, value in terms.items()})
-    rows += [{index[mono]: value for mono, value in g.items()} for g in ring.generators.get(q, ())]
-    return GradedPiece.quotient(q, basis, reduced_echelon(rows, F), F)
+    for lead, row in ring[q - 1].rows.items():
+        for image in shift[:first.get(lead, n - 1) + 1]:
+            rows.append({image[col]: value for col, value in row.items()})
+    rows += ring.generators.get(q, ())
+    return GradedPiece(q, n, ring.F, reduced_echelon(rows, ring.F))
 
 
 class _Ring:
     """One ring, stepped by itself: `ring[q]` is M_q, and 0 for q < 0.
 
     `_Ring(ideal)` is S/I.  It reads each generator into the field once, as
-    `generators`, its nonzero rows by degree, and steps piece q by
-    `_next_piece`.  `_Ring(below, var)` is the cut ring below / x_var *
-    below, in the variables but x_var, whose piece q is `_cut_piece`, read
-    off `source`, the ring below.  Each step takes the ring and q and reads
-    all else off the ring.  `F` is the ring's field, made once and used by
-    the generators, both steps and `echelon(var, q)`, the fully reduced
-    echelon of the rows of x_var: M_{q-1} -> M_q, made at most once.  A ring
-    carries its number of variables and its characteristic, all
-    `koszul_differential` reads of an ideal.
+    `generators`, its nonzero rows by degree in basis coordinates, and steps
+    piece q by `_next_piece`.  `_Ring(below, var)` is the cut ring below /
+    x_var * below, in the variables but x_var, whose piece q is `_cut_piece`,
+    read off `source`, the ring below.  Each step takes the ring and q and
+    reads all else off the ring.  `F` is the ring's field, made once and used
+    by the generators, both steps, `image(var, q)`, the signed images of
+    x_var: M_q -> M_{q+1}, and `echelon(var, q)`, the fully reduced echelon
+    of the images of x_var: M_{q-1} -> M_q, each made at most once.  A ring
+    carries its number of variables and its characteristic.
     """
 
     def __init__(self, source: Ideal | _Ring, var: int | None = None):
         self.num_vars, self.char_p = source.num_vars - (var is not None), source.char_p
         self.source, self.var, self.F = source, var, field(self.char_p)
-        self.pieces, self.echelons = [], {}
+        self.pieces, self.images, self.echelons = [], {}, {}
         if var is None:
-            self.generators: dict[int, list[dict]] = {}
+            by_degree: dict[int, list[dict]] = {}
             for row in filter(None, map(self.F.row, source.generators)):
-                self.generators.setdefault(mono_degree(next(iter(row))), []).append(row)
+                by_degree.setdefault(mono_degree(next(iter(row))), []).append(row)
+            self.generators: dict[int, list[dict]] = {}
+            for degree, rows in by_degree.items():
+                index = {mono: i for i, mono in enumerate(monomials_of_degree(self.num_vars, degree))}
+                self.generators[degree] = [{index[mono]: value for mono, value in row.items()}
+                                           for row in rows]
 
     def __getitem__(self, q: int) -> GradedPiece:
         while len(self.pieces) <= q:
             step = _next_piece if self.var is None else _cut_piece
             self.pieces.append(step(self, len(self.pieces)))
-        return self.pieces[q] if q >= 0 else GradedPiece(q=q, standard=(), rewrite={})
+        return self.pieces[q] if q >= 0 else GradedPiece(q, self.num_vars, self.F, {})
 
-    def echelon(self, var: int, q: int) -> dict[int, Row]:
+    def image(self, var: int, q: int) -> tuple[list[Row], list[Row]]:
+        """x_var: M_q -> M_{q+1} as its rows and their negatives (`_signed`), made once."""
+        if (var, q) not in self.images:
+            self.images[var, q] = _signed(_multiplication(self[q], self[q + 1], var), self.F)
+        return self.images[var, q]
+
+    def echelon(self, var: int, q: int) -> dict[int, dict]:
         """The fully reduced echelon of x_var: M_{q-1} -> M_q; columns index M_q's standard monomials."""
         if (var, q) not in self.echelons:
-            rows = _multiplication(self[q - 1], self[q], var, self.F)
+            rows, _ = self.image(var, q - 1)
             self.echelons[var, q] = reduced_echelon(map(self.F.row, rows), self.F)
         return self.echelons[var, q]
 
@@ -187,10 +237,10 @@ def _cut_piece(ring: _Ring, q: int) -> GradedPiece:
     the fully reduced echelon of the rows of x_var: M_{q-1} -> M_q
     (`_multiplication`), whose columns are the standard monomials of M_q in
     their order.  The standard monomials of M'_q are those of M_q that are not
-    pivots of E.  Each rule of M_q and each row of E whose lead has no x_var
-    gives a rule of M'_q, with E's rows substituted into it in one pass, since
-    E's tails avoid its pivots; a lead with x_var is dropped, and x_var is
-    deleted from every monomial kept.
+    pivots of E.  Each kept row of M_q and each row of E whose lead has no
+    x_var gives a kept row of M'_q, with E's rows eliminated from it in one
+    pass, since E's tails avoid its pivots; a lead with x_var is dropped, and
+    the columns kept are renamed into the cut ring's basis.
 
     These are, value for value, the pieces of I + (x_var) / (x_var).  In
     degree q the cut ring's ideal, with x_var kept, is
@@ -203,23 +253,25 @@ def _cut_piece(ring: _Ring, q: int) -> GradedPiece:
     standard monomial of W has x_var.  The cut ideal's piece q is the part of
     W without x_var, so a lead without x_var has the same rule there as in W:
     the rule, lead minus normal form, lies in W and has no x_var.  Deleting
-    x_var keeps the lex column order among the monomials without it, and the
-    fully reduced echelon of a fixed span is unique.
+    x_var keeps the lex column order among the monomials without it, so the
+    k-th monomial of S_q without x_var is the k-th of the cut ring's basis,
+    and the fully reduced echelon of a fixed span is unique.  Elimination
+    keeps each row in the field's form.
     """
     below, var, F = ring.source, ring.var, ring.F
     target = below[q]
-    quotient = GradedPiece.quotient(q, target.standard, below.echelon(var, q), F)
-    rewrite = {}
-    for lead, rule in (*target.rewrite.items(), *quotient.rewrite.items()):
-        if not lead[var]:
-            total: dict[Monomial, Fraction | int] = {}
-            for mono, value in rule.items():
-                for m, factor in quotient.rewrite.get(mono, {mono: F.one}).items():
-                    total[m] = total.get(m, 0) + value * factor
-            rewrite[lead[:var] + lead[var + 1:]] = {
-                m[:var] + m[var + 1:]: c for m, v in total.items() if (c := F.coeff(v))}
-    standard = tuple(m[:var] + m[var + 1:] for m in quotient.standard)
-    return GradedPiece(q=q, standard=standard, rewrite=rewrite)
+    free = target.free
+    cuts = {free[lead]: {free[col]: value for col, value in row.items()}
+            for lead, row in below.echelon(var, q).items()}
+    rename = {col: k for k, col in enumerate(
+        col for col, mono in enumerate(target.basis) if not mono[var])}
+    rows = {}
+    for lead, row in (*target.rows.items(), *cuts.items()):
+        if lead in rename:
+            for col in [col for col in row if col != lead and col in cuts]:
+                row = F.eliminate(row, cuts[col], col)
+            rows[rename[lead]] = {rename[col]: value for col, value in row.items()}
+    return GradedPiece(q, ring.num_vars, F, rows)
 
 
 def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
@@ -229,17 +281,40 @@ def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
     return _Ring(ideal)[q]
 
 
-def _multiplication(source: GradedPiece, target: GradedPiece, var: int,
-                   F: Rationals | PrimeField) -> list[Row]:
+def _multiplication(source: GradedPiece, target: GradedPiece, var: int) -> list[Row]:
     """The rows of x_var: M_q -> M_{q+1}, one per standard monomial m of M_q.
 
-    Row i reads x_var * m from the rewrite rules of `target`, or as itself when standard.
+    Row i is x_var * m in the coordinates of M_{q+1}: the normal form of the
+    column x_var sends m to, or that column itself when it is free.
     """
-    index = {mono: i for i, mono in enumerate(target.standard)}
+    image = index_maps(source.num_vars, source.q)[var]
+    forms, position, one = target.normal_forms, target.position, target.F.one
+    return [forms[t] if (t := image[col]) in forms else {position[t]: one} for col in source.free]
+
+
+def _signed(rows: list[Row], F: Rationals | PrimeField) -> tuple[list[Row], list[Row]]:
+    """The rows and their negatives: the images of x_v at even and odd places of a wedge."""
+    return rows, [{col: F.coeff(-value) for col, value in row.items()} for row in rows]
+
+
+def _wedge_rows(n: int, p: int, width: int, images: Sequence[tuple[list[Row], list[Row]]]
+                ) -> list[Row]:
+    """The rows of wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, p >= 1.
+
+    `images[v]` is x_v: M_q -> M_{q+1} signed by `_signed`, and `width` is
+    dim M_{q+1}.  Rows are the domain wedges in lex order, each with a row
+    per standard monomial of M_q.  For a fixed wedge the j-th terms land in
+    distinct codomain wedges, so no two terms of a row share a column and
+    nothing cancels.
+    """
+    codomain = {wedge: i * width for i, wedge in enumerate(combinations(range(n), p - 1))}
     rows = []
-    for mono in source.standard:
-        product = mono_times_var(mono, var)
-        rows.append({index[m]: v for m, v in target.rewrite.get(product, {product: F.one}).items()})
+    for wedge in combinations(range(n), p):
+        terms = [(codomain[wedge[:j] + wedge[j + 1:]], images[var][j % 2])
+                 for j, var in enumerate(wedge)]
+        for i in range(len(terms[0][1])):
+            rows.append({base + col: value for base, image in terms
+                         for col, value in image[i].items()})
     return rows
 
 
@@ -247,40 +322,34 @@ def koszul_differential(ideal: Ideal | _Ring, p: int, q: int,
                         pieces: Sequence[GradedPiece] | Mapping[int, GradedPiece]) -> SparseMatrix:
     """Matrix of wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, rows = domain basis.
 
-    Of `ideal` only the number of variables and the characteristic are read,
-    so inside the engine it is a `_Ring`.  M_q and M_{q+1} are read as
-    `pieces[q]` and `pieces[q + 1]`, from anything that holds the pieces by
-    degree: a list, a dict or a `_Ring`.  The images of x_v are read by
-    `_multiplication`.  For a fixed wedge the j-th terms land in distinct
-    codomain wedges, so no two terms of a row share a column and nothing
-    cancels.
+    Of `ideal` only the number of variables is read.  M_q and M_{q+1} are
+    read as `pieces[q]` and `pieces[q + 1]`, from anything that holds the
+    pieces by degree: a list, a dict or a `_Ring`, and the images of x_v are
+    built from them by `_multiplication`, in the pieces' field.  The engine
+    builds its differentials by `_differential` instead, from images its
+    ring holds.
     """
     if p < 0 or q < 0:
         raise ValueError(f"need p >= 0 and q >= 0, got p={p}, q={q}")
     n = ideal.num_vars
     source, target = pieces[q], pieces[q + 1]
-    domain_wedges = list(combinations(range(n), p))
-    codomain_wedges = list(combinations(range(n), p - 1)) if p >= 1 else []
-    nrows = len(domain_wedges) * source.dim
-    ncols = len(codomain_wedges) * target.dim
+    nrows = comb(n, p) * source.dim
+    ncols = comb(n, p - 1) * target.dim if p >= 1 else 0
     if nrows == 0 or ncols == 0:
         return SparseMatrix(nrows, ncols)
-    F = field(ideal.char_p)
-    wedge_index = {w: i for i, w in enumerate(codomain_wedges)}
-    # images[j % 2][var][i]: (-1)^j times the image of x_var times the i-th monomial of M_q
-    plus = [_multiplication(source, target, var, F) for var in range(n)]
-    images = (plus, [[{col: F.coeff(-v) for col, v in row.items()} for row in rows]
-                     for rows in plus])
-    rows = []
-    for wedge in domain_wedges:
-        bases = [wedge_index[wedge[:j] + wedge[j + 1:]] * target.dim for j in range(p)]
-        for i in range(source.dim):
-            row: Row = {}
-            for j, var in enumerate(wedge):
-                for col, value in images[j % 2][var][i].items():
-                    row[bases[j] + col] = value
-            rows.append(row)
-    return SparseMatrix(nrows, ncols, rows)
+    images = [_signed(_multiplication(source, target, var), target.F) for var in range(n)]
+    return SparseMatrix(nrows, ncols, _wedge_rows(n, p, target.dim, images))
+
+
+def _differential(ring: _Ring, p: int, q: int) -> list[Row]:
+    """The rows of `koszul_differential(ring, p, q, ring)`, read off the ring's images of x_v.
+
+    No row is built when the matrix has no row or no column.
+    """
+    n = ring.num_vars
+    if not (p and ring[q].dim and ring[q + 1].dim):
+        return []
+    return _wedge_rows(n, p, ring[q + 1].dim, [ring.image(var, q) for var in range(n)])
 
 
 def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
@@ -291,15 +360,16 @@ def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
     The rank of delta_1: V (x) M_q -> M_{q+1} is dim M_{q+1}, since it is
     onto: it sends e_v (x) f to x_v * f, and S_1 * M_q = M_{q+1} for any
     quotient M = S/I, which is generated in degree 0.  So only the
-    n(q_max+1) differentials with p != 1 are built, each once.
+    n(q_max+1) differentials with p != 1 are built, each once, from the
+    images of x_v: M_q -> M_{q+1} the ring makes once per variable and
+    degree, and ranked in the ring's field.
     """
     n = ring.num_vars
-    ranks = {(p, q): ring[q + 1].dim if p == 1
-             else koszul_differential(ring, p, q, ring).rank(ring.char_p)
+    ranks = {(p, q): ring[q + 1].dim if p == 1 else rank(_differential(ring, p, q), ring.F)
              for q in range(q_max + 1) for p in range(n + 1)}
     entries = {}
-    for (p, q), rank in ranks.items():
-        kappa = comb(n, p) * ring[q].dim - rank - ranks.get((p + 1, q - 1), 0)
+    for (p, q), r in ranks.items():
+        kappa = comb(n, p) * ring[q].dim - r - ranks.get((p + 1, q - 1), 0)
         if kappa < 0:
             raise RuntimeError(f"negative cohomology dimension at (p={p}, q={q})")
         if kappa:

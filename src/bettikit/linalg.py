@@ -4,20 +4,22 @@ Matrices are stored row-sparse: a list of {column: coefficient} dicts plus an
 explicit column count.  Coefficients are Fractions over the rationals and
 plain integers in [0, p) mod a prime p.  All that differs between the two is
 the field object `field(char_p)`: its coefficient map, row normalization,
-elimination step, and the forms of a stored pivot row and of an output row.
+elimination step, the form of a stored pivot row, and the normal form a kept
+row gives.
 
-One forward elimination (`_echelon`) serves `SparseMatrix.rank`, the number
-of echelon rows, and `reduced_echelon`, which back-substitutes the echelon.
+One forward elimination (`_echelon`) serves `rank` (and `SparseMatrix.rank`),
+the number of echelon rows, and `reduced_echelon`, which back-substitutes the echelon.
 It takes the rows shortest first, Markowitz's rule (Management Sci. 3, 1957)
 for limiting fill-in, and reduces each against the pivot rows found so far;
 the leading column of a row is its smallest index.  The order is free: the
 rank does not depend on it, and neither does the fully reduced echelon, which
 is unique for a fixed span in a fixed column order.  Rows enter normalized,
 each once: `rank` normalizes its input, and `koszul._next_piece` hands over
-rows it has normalized itself.  Over the rationals elimination is
+rows that are already normalized.  Over the rationals elimination is
 fraction-free: rows are primitive integer vectors, eliminated by
-cross-multiplication and divided by their gcd content, and a Fraction appears
-only in an output row.  Mod p, pivot rows are monic.
+cross-multiplication and divided by their gcd content.  Mod p, pivot rows
+are monic.  `reduced_echelon` returns its rows in that form, which
+`koszul` keeps; a Fraction appears only in a normal form read off them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ Row = dict[int, Coeff]
 
 
 class Rationals:
-    """QQ: rows are eliminated as primitive integer vectors, output as Fractions."""
+    """QQ: rows are eliminated as primitive integer vectors, read out as Fractions."""
 
     one = Fraction(1)
 
@@ -67,8 +69,10 @@ class Rationals:
     def pivot(self, row: dict, lead) -> dict:
         return row
 
-    def output(self, row: dict, lead) -> Row:
-        return {j: Fraction(v, row[lead]) for j, v in row.items()}
+    def normal_form(self, row: dict, lead, key) -> Row:
+        """-tail / lead of a kept row, as Fractions, its columns renamed by `key`."""
+        a = row[lead]
+        return {key[j]: Fraction(-v, a) for j, v in row.items() if j != lead}
 
 
 class PrimeField:
@@ -111,8 +115,10 @@ class PrimeField:
         inv = pow(row[lead], -1, p)
         return {j: v * inv % p for j, v in row.items()}
 
-    def output(self, row: dict, lead) -> Row:
-        return row
+    def normal_form(self, row: dict, lead, key) -> Row:
+        """-tail of a kept (monic) row, its columns renamed by `key`."""
+        p = self.char_p
+        return {key[j]: p - v for j, v in row.items() if j != lead}
 
 
 RATIONALS = Rationals()
@@ -156,8 +162,12 @@ class SparseMatrix:
         return SparseMatrix(self.nrows, other.ncols, out)
 
     def rank(self, char_p: int | None = None) -> int:
-        F = field(char_p)
-        return len(_echelon(map(F.row, self.rows), F))
+        return rank(self.rows, field(char_p))
+
+
+def rank(rows: Iterable[dict], F: Rationals | PrimeField) -> int:
+    """The rank of any rows over `F`, each normalized by `F.row` once."""
+    return len(_echelon(map(F.row, rows), F))
 
 
 def _echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, dict]:
@@ -178,12 +188,13 @@ def _echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, dict]
     return pivots
 
 
-def reduced_echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, Row]:
+def reduced_echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, dict]:
     """Fully reduced row echelon form of rows normalized by `F.row`.
 
-    Returned as {pivot column: its row}.  Pivot rows are normalized to leading
-    coefficient 1 and their tails are supported only on non-pivot columns, so
-    a single substitution pass reduces any vector to normal form.
+    Returned as {pivot column: its row}, each row in the field's own form: a
+    primitive integer vector over the rationals, monic residues mod p.  Tails
+    are supported only on non-pivot columns, so a single substitution pass
+    reduces any vector to normal form.
     """
     pivots = _echelon(rows, F)
     # Back-substitute, highest pivot first, so every tail is supported on
@@ -193,4 +204,4 @@ def reduced_echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int
         for col in [j for j in row if j != lead and j in pivots]:
             row = F.eliminate(row, pivots[col], col)
         pivots[lead] = row
-    return {lead: F.output(row, lead) for lead, row in pivots.items()}
+    return pivots

@@ -53,6 +53,22 @@ def monomials_of_degree(num_vars: int, degree: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def index_maps(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Multiplication by each variable as an index map: maps[v][i] is the index of x_v * m_i.
+
+    m_i is `monomials_of_degree(num_vars, degree)[i]`, and the index is into
+    `monomials_of_degree(num_vars, degree + 1)`.  S_degree = 0 for a
+    negative degree, so each of its maps is empty.
+    """
+    if degree < 0:
+        return ((),) * num_vars
+    index = {mono: i for i, mono in enumerate(monomials_of_degree(num_vars, degree + 1))}
+    source = monomials_of_degree(num_vars, degree)
+    return tuple(tuple(index[mono_times_var(mono, var)] for mono in source)
+                 for var in range(num_vars))
+
+
 def mono_degree(mono: Monomial) -> int:
     return sum(mono)
 

@@ -41,9 +41,21 @@ def cut_ideal(ideal, *path):
 
 
 def rref(rows, char_p=None):
-    """`reduced_echelon` of any rows over the rationals or GF(char_p)."""
+    """`reduced_echelon` of any rows over the rationals or GF(char_p), each row made monic.
+
+    Over the rationals the kernel keeps primitive integer rows, read here as
+    Fractions over their lead; mod p its rows are monic already.
+    """
     F = field(char_p)
-    return reduced_echelon(map(F.row, rows), F)
+    return monic(reduced_echelon(map(F.row, rows), F), char_p)
+
+
+def monic(pivots, char_p):
+    """Kept echelon rows, {lead: row}, each divided by its lead."""
+    if char_p is not None:
+        return pivots
+    return {lead: {col: Fraction(value, row[lead]) for col, value in row.items()}
+            for lead, row in pivots.items()}
 
 
 def chain_check(decomposition):

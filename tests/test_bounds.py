@@ -148,6 +148,28 @@ def test_strand_checks_build_no_table(monkeypatch):
     assert built == []
 
 
+def test_checks_at_codimension_2000():
+    # Bounds and verdicts read off the closed forms at a codimension where
+    # multiplying out pi(d) took seconds; C(2002, 3) = 1335334000 and
+    # 1999 * C(2001, 2000) - C(2000, 1998) = 2000999.
+    e = 2000
+    veronese = check_first_strand(PROJECTED_VERONESE, Assumptions(codim_e=e), 2)
+    assert [c.p for c in veronese.per_p] == list(range(1, e + 1))
+    assert [c.bound for c in veronese.per_p[:2]] == [1335334000, 3 * 2002 * 2001 * 2000 * 1999 // 24]
+    assert veronese.per_p[-1].bound == 2001 * 2000 // 2
+    assert not any(c.attains_max for c in veronese.per_p)
+    assert (veronese.verdict, veronese.verdict_p, veronese.degree_predicted,
+            veronese.shape_ok) == ("NoneMax", None, None, None)
+    assert veronese.notes == ("table width 4 differs from asserted codimension 2000 "
+                              "(width is the unverified suggestion for ACM input)",)
+    tilde = check_next_to_max(CUBIC_CONIC, Assumptions(codim_e=e, lgp=True))
+    assert [c.bound for c in tilde.per_p[:2]] == [2001 * 2000 // 2 - 1, 2 * 2001 * 2000 * 1999 // 6 - 2000]
+    assert [c.bound for c in tilde.per_p[-2:]] == [2000999, 0]
+    assert (tilde.verdict, tilde.verdict_p, tilde.shape_ok) == ("NoneMax", None, None)
+    assert tilde.notes == ("decomposition gives degree 0 < 2002, so the almost-minimal-degree "
+                           "hypothesis fails",)
+
+
 def test_check_ndm_examples():
     assert check_Ndm(PROJECTED_VERONESE, 3, 4) is True
     assert check_Ndm(CUBIC_CONIC, 2, 3) is False

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bettikit import koszul
+from bettikit import koszul, linalg
 from bettikit.fixtures import FIXTURES, load_text
 from bettikit.koszul import (_cut_regular_variables, _Ring, betti_table,
                              graded_piece, hilbert_consistency)
@@ -275,9 +275,9 @@ def test_walk_eliminates_each_multiplication_once(e, char_p, monkeypatch):
     built = []
     multiplication = koszul._multiplication
 
-    def recording(source, target, var, F):
+    def recording(source, target, var):
         built.append((target, var))
-        return multiplication(source, target, var, F)
+        return multiplication(source, target, var)
 
     monkeypatch.setattr(koszul, "_multiplication", recording)
     path, _, _, certified = _cut_regular_variables(rational_normal_curve(e, char_p), 3)
@@ -285,11 +285,49 @@ def test_walk_eliminates_each_multiplication_once(e, char_p, monkeypatch):
     assert len({(id(target), var) for target, var in built}) == len(built)
 
 
+def complete_intersection_345(char_p):
+    """Powers of the rows of a unimodular matrix: a complete intersection in every field."""
+    return Ideal(num_vars=3, char_p=char_p, generators=(
+        power(linear(1, 1, 1), 3), power(linear(1, 2, 2), 4), power(linear(1, 2, 3), 5)))
+
+
+@pytest.mark.parametrize("char_p", FIELDS)
+@pytest.mark.parametrize("case", ("rnc4", "rnc7", "ci345"))
+def test_each_image_is_built_once(case, char_p, monkeypatch):
+    # The walk's echelons and every differential of the table read one set of
+    # images of x_v: M_q -> M_{q+1} per ring: no (ring, var, q) is built
+    # twice, though the n - 1 differentials with p >= 2 at q all need them.
+    if case == "ci345":
+        ideal = complete_intersection_345(char_p)
+        # the Koszul complex: kappa_{p,q} counts the p-subsets of (3, 4, 5) of sum p + q
+        expected = {}
+        for p in range(4):
+            for subset in combinations((3, 4, 5), p):
+                expected[p, sum(subset) - p] = expected.get((p, sum(subset) - p), 0) + 1
+    else:
+        e = int(case[3:])
+        ideal = rational_normal_curve(e, char_p)
+        expected = {(0, 0): 1, **{(p, 1): kappa_max(p, 1, e) for p in range(1, e + 1)}}
+    built = []
+    multiplication = koszul._multiplication
+
+    def recording(source, target, var):
+        built.append((source, var))
+        return multiplication(source, target, var)
+
+    monkeypatch.setattr(koszul, "_multiplication", recording)
+    table, certified = betti_table(ideal, 9)
+    assert certified and table == BettiTable(expected)
+    # a ring's piece q is one object, so (piece q, var) names (ring, var, q)
+    assert built and len({(id(source), var) for source, var in built}) == len(built)
+
+
 @pytest.mark.parametrize("char_p", FIELDS)
 @pytest.mark.parametrize("e", (4, 7))
 def test_each_ring_makes_its_field_once(e, char_p, monkeypatch):
-    # The generator read, both piece steps and every echelon use the field
-    # the ring made: one field per ring, the root and its two cuts.
+    # The generator read, both piece steps, every echelon, image and
+    # differential, and every rank use the field the ring made: one field per
+    # ring, the root and its two cuts, through the whole table.
     rings, made = [], []
 
     class CountedRing(_Ring):
@@ -303,8 +341,10 @@ def test_each_ring_makes_its_field_once(e, char_p, monkeypatch):
 
     monkeypatch.setattr(koszul, "_Ring", CountedRing)
     monkeypatch.setattr(koszul, "field", counting_field)
-    path, _, _, certified = _cut_regular_variables(rational_normal_curve(e, char_p), 3)
-    assert len(path) == 2 and certified
+    monkeypatch.setattr(linalg, "field", counting_field)
+    table, certified = betti_table(rational_normal_curve(e, char_p), 3)
+    assert certified
+    assert table == BettiTable({(0, 0): 1, **{(p, 1): kappa_max(p, 1, e) for p in range(1, e + 1)}})
     assert len(rings) == 3
     assert made == [char_p] * 3
 

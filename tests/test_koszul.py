@@ -190,12 +190,13 @@ def test_betti_numbers_complete_intersection():
 
 def test_each_differential_is_built_once(monkeypatch):
     built = []
+    differential = koszul._differential
 
-    def counting(ideal, p, q, pieces):
-        built.append((ideal.num_vars, p, q))
-        return koszul_differential(ideal, p, q, pieces)
+    def counting(ring, p, q):
+        built.append((ring.num_vars, p, q))
+        return differential(ring, p, q)
 
-    monkeypatch.setattr(koszul, "koszul_differential", counting)
+    monkeypatch.setattr(koszul, "_differential", counting)
     betti_table(TWISTED_CUBIC, 3)
     # the cut ring of the twisted cubic has 2 variables, and the certificate
     # fires at m = 2, so only rows 0..1 are computed; delta_1 is never built,
@@ -351,7 +352,7 @@ def test_generator_vanishing_in_the_field_does_not_delay_the_certificate():
 
 def test_negative_kappa_raises(monkeypatch):
     # a rank larger than the domain can only come from a faulty rank
-    monkeypatch.setattr(SparseMatrix, "rank", lambda self, char_p=None: 100)
+    monkeypatch.setattr(koszul, "rank", lambda rows, F: 100)
     with pytest.raises(RuntimeError, match="negative"):
         uncut_table(TWISTED_CUBIC, 1)
 

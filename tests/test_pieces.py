@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import GradedPiece, _Ring, graded_piece
+from bettikit.koszul import GradedPiece, _cut_regular_variables, _Ring, graded_piece
 from bettikit.linalg import field, reduced_echelon
 from bettikit.polyring import Ideal, monomials_of_degree, parse_ideal, parse_polynomial
-from oracles import linear, mono_mul, power, rref
+from oracles import linear, monic, mono_mul, power
 
 FIELDS = (None, 32003)
 
@@ -35,26 +36,32 @@ def with_constant(num_vars, lines, constant, char_p=None):
 
 
 def macaulay_piece(ideal, q):
-    """Reference piece: row-reduce every m * g of degree q at once (the Macaulay matrix)."""
+    """Reference piece: row-reduce every m * g of degree q at once (the Macaulay matrix).
+
+    It is built from the kernel's rows by the engine's constructor, and its
+    standard monomials and rules are checked against the monic echelon read
+    out here.
+    """
     basis = monomials_of_degree(ideal.num_vars, q)
     index = {mono: i for i, mono in enumerate(basis)}
-    coeff = field(ideal.char_p).coeff
+    F = field(ideal.char_p)
     rows = []
     for g in ideal.generators:
         dg = sum(next(iter(g)))  # generators are homogeneous
         if dg > q:
             continue
         for multiplier in monomials_of_degree(ideal.num_vars, q - dg):
-            rows.append({index[mono_mul(multiplier, mono)]: coeff(value)
+            rows.append({index[mono_mul(multiplier, mono)]: F.coeff(value)
                          for mono, value in g.items()})
-    pivots = rref(rows, ideal.char_p)
-    standard = tuple(m for i, m in enumerate(basis) if i not in pivots)
-    rewrite = {}
-    for lead, row in pivots.items():
-        rewrite[basis[lead]] = {
-            basis[col]: (-value) if ideal.char_p is None else (-value) % ideal.char_p
-            for col, value in row.items() if col != lead}
-    return GradedPiece(q=q, standard=standard, rewrite=rewrite)
+    kept = reduced_echelon(map(F.row, rows), F)
+    piece = GradedPiece(q, ideal.num_vars, F, kept)
+    pivots = monic(kept, ideal.char_p)
+    assert piece.standard == tuple(m for i, m in enumerate(basis) if i not in pivots)
+    assert piece.rewrite == {
+        basis[lead]: {basis[col]: (-value) if ideal.char_p is None else (-value) % ideal.char_p
+                      for col, value in row.items() if col != lead}
+        for lead, row in pivots.items()}
+    return piece
 
 
 @st.composite
@@ -90,6 +97,29 @@ def test_graded_piece_matches_macaulay_matrix(ideal, q):
     ring = _Ring(ideal)
     ring.pieces[:] = [macaulay_piece(ideal, j) for j in range(q + 1)]
     assert ring[q + 1] == macaulay_piece(ideal, q + 1)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(ideal=homogeneous_ideals(), q=st.integers(1, 5))
+def test_kept_rows_are_normalized(ideal, q):
+    # `_next_piece` shifts the kept rows of piece q - 1 as they are, with no
+    # `F.row`: over QQ each is a primitive integer vector, mod p it is monic
+    # with residues in [0, p).  The rings the walk cuts keep theirs in the
+    # same form.
+    _, ring, _, _ = _cut_regular_variables(ideal, q)
+    while isinstance(ring, _Ring):
+        assert ring.pieces
+        for piece in ring.pieces:
+            for lead, row in piece.rows.items():
+                assert lead == min(row)
+                if ideal.char_p is None:
+                    assert all(type(value) is int for value in row.values())
+                    assert gcd(*row.values()) == 1
+                else:
+                    assert row[lead] == 1
+                    assert all(type(value) is int and 0 < value < ideal.char_p
+                               for value in row.values())
+        ring = ring.source
 
 
 @pytest.mark.parametrize("char_p", FIELDS)
