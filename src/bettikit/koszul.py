@@ -44,13 +44,21 @@ Bayer and Stillman's criterion certifies the table complete, is proved in
 `_cut_regular_variables`.  `graded_piece`, `koszul_differential` and
 `selftest.uncut_table` never cut.
 
-`ring.image(var, q)` builds the images of x_var: M_q -> M_{q+1}
-(`_multiplication`), with their negatives, once per ring, variable and
-degree.  They serve every differential `_betti_entries` builds at q
+The layer from the pieces to the ranks stays in the field's own integers.
+`ring.image(var, q)` builds the rows of x_var: M_q -> M_{q+1}
+(`_multiplication`) once per ring, variable and degree, each read straight
+off a kept row of M_{q+1} as one denominator over integer numerators
+(`F.rule`).  They serve every differential `_betti_entries` builds at q
 (`_differential`) and `ring.echelon(var, q + 1)`, which eliminates them once
 for both the walk's injectivity test and the piece q + 1 of the ring cut by
-x_var.  `koszul_differential` builds its own images from the pieces it is
-given.
+x_var.  Each row handed to elimination is made in one step, already in the
+field's form (`F.combine`: scaled to one denominator, signed, and made
+primitive over the rationals), so no row is normalized again.
+`koszul_differential` builds its images by the same `_multiplication` from
+the pieces it is given, and reads its entries out as Fractions over the
+rationals and residues mod p.  Row 0 of the table is read off dim M_1, and
+the rank of delta_1 off dim M_{q+1}, so `_betti_entries` builds neither
+(the proofs are in its docstring).
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
 
-from .linalg import PrimeField, Rationals, Row, SparseMatrix, field, rank, reduced_echelon
+from .linalg import PrimeField, Rationals, Row, Rule, SparseMatrix, field, rank, reduced_echelon
 from .polyring import Ideal, Monomial, index_maps, mono_degree, monomials_of_degree
 from .tables import BettiTable
 
@@ -77,8 +85,8 @@ class GradedPiece:
     value, the one `==` compares, is q and two views of the rows: `standard`,
     the monomials of `free`, a basis of M_q, and `rewrite`, which sends each
     pivot monomial, a lead of I_q, to its normal form (a combination of
-    standard monomials).  Both are read off the rows when first asked for;
-    the engine reads the rows, `position` and `normal_forms` instead.
+    standard monomials).  Both are read off `rules` when first asked for;
+    the engine reads the rows, `position` and `rules` instead.
     dim M_q = dim S_q - rank I_q.
     """
 
@@ -101,10 +109,14 @@ class GradedPiece:
         return {col: i for i, col in enumerate(self.free)}
 
     @cached_property
-    def normal_forms(self) -> dict[int, Row]:
-        """{lead: the normal form of its monomial in the coordinates of M_q}."""
-        normal_form, position = self.F.normal_form, self.position
-        return {lead: normal_form(row, lead, position) for lead, row in self.rows.items()}
+    def rules(self) -> dict[int, Rule]:
+        """{lead: the normal form of its monomial in the coordinates of M_q, in the field's form}.
+
+        A rule is (denominator, {coordinate: integer numerator}): |lead| over
+        -+tail over the rationals, 1 over p - v mod p (`F.rule`).
+        """
+        rule, position = self.F.rule, self.position
+        return {lead: rule(row, lead, position) for lead, row in self.rows.items()}
 
     @cached_property
     def standard(self) -> tuple[Monomial, ...]:
@@ -112,9 +124,9 @@ class GradedPiece:
 
     @cached_property
     def rewrite(self) -> dict[Monomial, dict[Monomial, Fraction | int]]:
-        basis, standard = self.basis, self.standard
-        return {basis[lead]: {standard[i]: value for i, value in form.items()}
-                for lead, form in self.normal_forms.items()}
+        basis, standard, coeff = self.basis, self.standard, self.F.coeff
+        return {basis[lead]: {standard[i]: coeff(Fraction(v, den)) for i, v in nums.items()}
+                for lead, (den, nums) in self.rules.items()}
 
     def __eq__(self, other):
         if not isinstance(other, GradedPiece):
@@ -190,10 +202,12 @@ class _Ring:
     x_var * below, in the variables but x_var, whose piece q is `_cut_piece`,
     read off `source`, the ring below.  Each step takes the ring and q and
     reads all else off the ring.  `F` is the ring's field, made once and used
-    by the generators, both steps, `image(var, q)`, the signed images of
-    x_var: M_q -> M_{q+1}, and `echelon(var, q)`, the fully reduced echelon
-    of the images of x_var: M_{q-1} -> M_q, each made at most once.  A ring
-    carries its number of variables and its characteristic.
+    by the generators, both steps, `image(var, q)`, the rows of
+    x_var: M_q -> M_{q+1} in the field's form, read off the kept rows of
+    piece q + 1, and `echelon(var, q)`, the fully reduced echelon of the
+    images of x_var: M_{q-1} -> M_q, each made at most once, and by every
+    differential and rank of the table.  A ring carries its number of
+    variables and its characteristic.
     """
 
     def __init__(self, source: Ideal | _Ring, var: int | None = None):
@@ -216,17 +230,18 @@ class _Ring:
             self.pieces.append(step(self, len(self.pieces)))
         return self.pieces[q] if q >= 0 else GradedPiece(q, self.num_vars, self.F, {})
 
-    def image(self, var: int, q: int) -> tuple[list[Row], list[Row]]:
-        """x_var: M_q -> M_{q+1} as its rows and their negatives (`_signed`), made once."""
+    def image(self, var: int, q: int) -> list[Rule]:
+        """The rows of x_var: M_q -> M_{q+1}, in the field's form (`_multiplication`), made once."""
         if (var, q) not in self.images:
-            self.images[var, q] = _signed(_multiplication(self[q], self[q + 1], var), self.F)
+            self.images[var, q] = _multiplication(self[q], self[q + 1], var)
         return self.images[var, q]
 
     def echelon(self, var: int, q: int) -> dict[int, dict]:
         """The fully reduced echelon of x_var: M_{q-1} -> M_q; columns index M_q's standard monomials."""
         if (var, q) not in self.echelons:
-            rows, _ = self.image(var, q - 1)
-            self.echelons[var, q] = reduced_echelon(map(self.F.row, rows), self.F)
+            # x_var on its own is delta_1 of the Koszul complex on the one variable x_var
+            rows = _wedge_rows(1, 1, 0, [self.image(var, q - 1)], self.F.combine)
+            self.echelons[var, q] = reduced_echelon(rows, self.F)
         return self.echelons[var, q]
 
 
@@ -281,40 +296,36 @@ def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
     return _Ring(ideal)[q]
 
 
-def _multiplication(source: GradedPiece, target: GradedPiece, var: int) -> list[Row]:
-    """The rows of x_var: M_q -> M_{q+1}, one per standard monomial m of M_q.
+def _multiplication(source: GradedPiece, target: GradedPiece, var: int) -> list[Rule]:
+    """The rows of x_var: M_q -> M_{q+1}, one per standard monomial m of M_q, in the field's form.
 
-    Row i is x_var * m in the coordinates of M_{q+1}: the normal form of the
-    column x_var sends m to, or that column itself when it is free.
+    Row i is x_var * m in the coordinates of M_{q+1}: the rule of the column
+    x_var sends m to, read straight off its kept row (`target.rules`), or
+    (1, {that column: 1}) when it is free.
     """
     image = index_maps(source.num_vars, source.q)[var]
-    forms, position, one = target.normal_forms, target.position, target.F.one
-    return [forms[t] if (t := image[col]) in forms else {position[t]: one} for col in source.free]
+    rules, position = target.rules, target.position
+    return [rules[t] if (t := image[col]) in rules else (1, {position[t]: 1})
+            for col in source.free]
 
 
-def _signed(rows: list[Row], F: Rationals | PrimeField) -> tuple[list[Row], list[Row]]:
-    """The rows and their negatives: the images of x_v at even and odd places of a wedge."""
-    return rows, [{col: F.coeff(-value) for col, value in row.items()} for row in rows]
-
-
-def _wedge_rows(n: int, p: int, width: int, images: Sequence[tuple[list[Row], list[Row]]]
-                ) -> list[Row]:
+def _wedge_rows(n: int, p: int, width: int, images: Sequence[list[Rule]], combine) -> list[Row]:
     """The rows of wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, p >= 1.
 
-    `images[v]` is x_v: M_q -> M_{q+1} signed by `_signed`, and `width` is
+    `images[v]` is x_v: M_q -> M_{q+1} (`_multiplication`), and `width` is
     dim M_{q+1}.  Rows are the domain wedges in lex order, each with a row
     per standard monomial of M_q.  For a fixed wedge the j-th terms land in
     distinct codomain wedges, so no two terms of a row share a column and
-    nothing cancels.
+    nothing cancels.  `combine(places, rules)` makes each row in one step
+    from its terms, each rule placed at its codomain wedge's (base, odd),
+    negated at odd j: `F.combine` for a row in the field's form, or a read
+    of the entries' values.
     """
     codomain = {wedge: i * width for i, wedge in enumerate(combinations(range(n), p - 1))}
     rows = []
     for wedge in combinations(range(n), p):
-        terms = [(codomain[wedge[:j] + wedge[j + 1:]], images[var][j % 2])
-                 for j, var in enumerate(wedge)]
-        for i in range(len(terms[0][1])):
-            rows.append({base + col: value for base, image in terms
-                         for col, value in image[i].items()})
+        places = [(codomain[wedge[:j] + wedge[j + 1:]], j % 2) for j in range(p)]
+        rows += [combine(places, rules) for rules in zip(*[images[var] for var in wedge])]
     return rows
 
 
@@ -325,9 +336,11 @@ def koszul_differential(ideal: Ideal | _Ring, p: int, q: int,
     Of `ideal` only the number of variables is read.  M_q and M_{q+1} are
     read as `pieces[q]` and `pieces[q + 1]`, from anything that holds the
     pieces by degree: a list, a dict or a `_Ring`, and the images of x_v are
-    built from them by `_multiplication`, in the pieces' field.  The engine
-    builds its differentials by `_differential` instead, from images its
-    ring holds.
+    built from them by `_multiplication`, in the pieces' field, as the
+    engine's are.  The entries are read out as values of the field:
+    Fractions over the rationals, residues mod p.  The engine builds its
+    differentials by `_differential` instead, in the field's form, from
+    images its ring holds.
     """
     if p < 0 or q < 0:
         raise ValueError(f"need p >= 0 and q >= 0, got p={p}, q={q}")
@@ -337,19 +350,29 @@ def koszul_differential(ideal: Ideal | _Ring, p: int, q: int,
     ncols = comb(n, p - 1) * target.dim if p >= 1 else 0
     if nrows == 0 or ncols == 0:
         return SparseMatrix(nrows, ncols)
-    images = [_signed(_multiplication(source, target, var), target.F) for var in range(n)]
-    return SparseMatrix(nrows, ncols, _wedge_rows(n, p, target.dim, images))
+    coeff = target.F.coeff
+
+    def entries(places, rules):
+        return {base + col: coeff(Fraction(-v if odd else v, den))
+                for (base, odd), (den, nums) in zip(places, rules) for col, v in nums.items()}
+
+    images = [_multiplication(source, target, var) for var in range(n)]
+    return SparseMatrix(nrows, ncols, _wedge_rows(n, p, target.dim, images, entries))
 
 
 def _differential(ring: _Ring, p: int, q: int) -> list[Row]:
-    """The rows of `koszul_differential(ring, p, q, ring)`, read off the ring's images of x_v.
+    """The rows of `koszul_differential(ring, p, q, ring)`, each in the field's form.
 
-    No row is built when the matrix has no row or no column.
+    They are built from the ring's images of x_v, and each spans the line
+    of that matrix's row as `F.combine` makes it: a primitive integer vector
+    over the rationals, residues mod p.  No row is built when the matrix has
+    no row or no column.
     """
     n = ring.num_vars
     if not (p and ring[q].dim and ring[q + 1].dim):
         return []
-    return _wedge_rows(n, p, ring[q + 1].dim, [ring.image(var, q) for var in range(n)])
+    images = [ring.image(var, q) for var in range(n)]
+    return _wedge_rows(n, p, ring[q + 1].dim, images, ring.F.combine)
 
 
 def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
@@ -357,16 +380,34 @@ def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
 
     The ring's pieces M_0 through M_{q_max+1} are read.  A cell (p, q) needs
     the ranks at (p, q) and (p+1, q-1), which lie in the grid or are zero.
+    Two families of ranks are fixed by the complex and read, not built.
+
     The rank of delta_1: V (x) M_q -> M_{q+1} is dim M_{q+1}, since it is
     onto: it sends e_v (x) f to x_v * f, and S_1 * M_q = M_{q+1} for any
-    quotient M = S/I, which is generated in degree 0.  So only the
-    n(q_max+1) differentials with p != 1 are built, each once, from the
-    images of x_v: M_q -> M_{q+1} the ring makes once per variable and
-    degree, and ranked in the ring's field.
+    quotient M = S/I, which is generated in degree 0.
+
+    The rank of delta_p: wedge^p V (x) M_0 -> wedge^{p-1} V (x) M_1 is
+    C(n, p) - C(n - dim M_1, p), for every p.  M_0 = k, since no generator
+    has degree 0 (`Ideal` admits none, and a cut ring keeps M_0), and
+    M_1 = V / W with W = I_1, of dimension n - dim M_1.  Write V = W (+) U,
+    so U maps isomorphically onto M_1; the differential does not depend on
+    the basis of V.  Multiplication by an element of W is 0 from M_0 to M_1,
+    so on wedge^a W (x) wedge^b U, a + b = p, delta_p is +-1 on wedge^a W
+    tensored with the Koszul map wedge^b U -> wedge^{b-1} U (x) U of Sym U
+    in degree b, and distinct (a, b) land in distinct summands.  That map is
+    injective for b >= 1 over any field: the Koszul complex of Sym U is
+    exact away from (0, 0), and nothing maps into wedge^b U (x) Sym^0 U.  So
+    the kernel is wedge^p W, in any characteristic, and
+    kappa_{p,0} = C(dim I_1, p).  This covers p = 0 and p = 1 as well.
+
+    So only the differentials with p != 1 and q >= 1 are built, each once,
+    from the images of x_v: M_q -> M_{q+1} the ring makes once per variable
+    and degree, in the field's form, and ranked in the ring's field.
     """
     n = ring.num_vars
-    ranks = {(p, q): ring[q + 1].dim if p == 1 else rank(_differential(ring, p, q), ring.F)
-             for q in range(q_max + 1) for p in range(n + 1)}
+    ranks = {(p, 0): comb(n, p) - comb(n - ring[1].dim, p) for p in range(n + 1)}
+    ranks.update({(p, q): ring[q + 1].dim if p == 1 else rank(_differential(ring, p, q), ring.F)
+                  for q in range(1, q_max + 1) for p in range(n + 1)})
     entries = {}
     for (p, q), r in ranks.items():
         kappa = comb(n, p) * ring[q].dim - r - ranks.get((p + 1, q - 1), 0)

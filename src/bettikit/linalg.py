@@ -4,8 +4,8 @@ Matrices are stored row-sparse: a list of {column: coefficient} dicts plus an
 explicit column count.  Coefficients are Fractions over the rationals and
 plain integers in [0, p) mod a prime p.  All that differs between the two is
 the field object `field(char_p)`: its coefficient map, row normalization,
-elimination step, the form of a stored pivot row, and the normal form a kept
-row gives.
+elimination step, the form of a stored pivot row, the rule a kept row gives,
+and the one step that lays rules out as a normalized row.
 
 One forward elimination (`_echelon`) serves `rank` (and `SparseMatrix.rank`),
 the number of echelon rows, and `reduced_echelon`, which back-substitutes the echelon.
@@ -14,12 +14,16 @@ for limiting fill-in, and reduces each against the pivot rows found so far;
 the leading column of a row is its smallest index.  The order is free: the
 rank does not depend on it, and neither does the fully reduced echelon, which
 is unique for a fixed span in a fixed column order.  Rows enter normalized,
-each once: `rank` normalizes its input, and `koszul._next_piece` hands over
-rows that are already normalized.  Over the rationals elimination is
+each once: `SparseMatrix.rank` normalizes its rows, and `rank` and
+`reduced_echelon` take rows already in the field's form, which `koszul`
+builds in that form from the start.  Over the rationals elimination is
 fraction-free: rows are primitive integer vectors, eliminated by
 cross-multiplication and divided by their gcd content.  Mod p, pivot rows
-are monic.  `reduced_echelon` returns its rows in that form, which
-`koszul` keeps; a Fraction appears only in a normal form read off them.
+are monic.  `reduced_echelon` returns its rows in that form, which `koszul`
+keeps.  A kept row gives its rule, the normal form of its lead, as one
+denominator over integer numerators (`F.rule`), and `F.combine` lays such
+rules side by side, signed, as one normalized row; a Fraction appears only
+where a caller reads a value out.
 """
 
 from __future__ import annotations
@@ -31,12 +35,12 @@ from typing import Iterable, Union
 
 Coeff = Union[Fraction, int]
 Row = dict[int, Coeff]
+# A rule in the field's form: (denominator, {column: integer numerator}).
+Rule = tuple[int, dict[int, int]]
 
 
 class Rationals:
     """QQ: rows are eliminated as primitive integer vectors, read out as Fractions."""
-
-    one = Fraction(1)
 
     def coeff(self, value: Coeff) -> Coeff:
         return value
@@ -44,11 +48,7 @@ class Rationals:
     def row(self, row: dict) -> dict:
         """The primitive integer vector spanning the line of `row`; zeros dropped."""
         scale = lcm(*[v.denominator for v in row.values()])
-        ints = {j: v.numerator * (scale // v.denominator) for j, v in row.items() if v}
-        content = gcd(*ints.values())
-        if content > 1:
-            ints = {j: v // content for j, v in ints.items()}
-        return ints
+        return _primitive({j: v.numerator * (scale // v.denominator) for j, v in row.items() if v})
 
     def eliminate(self, row: dict, pivot: dict, col) -> dict:
         """The primitive multiple of pivot[col] * row - row[col] * pivot."""
@@ -61,24 +61,30 @@ class Rationals:
                 out[j] = w
             else:
                 del out[j]
-        content = gcd(*out.values())
-        if content > 1:
-            out = {j: v // content for j, v in out.items()}
-        return out
+        return _primitive(out)
 
     def pivot(self, row: dict, lead) -> dict:
         return row
 
-    def normal_form(self, row: dict, lead, key) -> Row:
-        """-tail / lead of a kept row, as Fractions, its columns renamed by `key`."""
+    def rule(self, row: dict, lead, key) -> Rule:
+        """-tail / lead of a kept row as (|lead|, -+tail), its columns renamed by `key`."""
         a = row[lead]
-        return {key[j]: Fraction(-v, a) for j, v in row.items() if j != lead}
+        return abs(a), {key[j]: -v if a > 0 else v for j, v in row.items() if j != lead}
+
+    def combine(self, places, rules) -> dict:
+        """The primitive integer row of the rules at their (base, odd), over one denominator.
+
+        Each rule's numerators are shifted by its base, scaled to the lcm of
+        the denominators and negated where odd; no two rules share a column.
+        """
+        scale = lcm(*[den for den, _ in rules])
+        return _primitive({base + j: (-v if odd else v) * (scale // den)
+                           for (base, odd), (den, nums) in zip(places, rules)
+                           for j, v in nums.items()})
 
 
 class PrimeField:
     """GF(p): rows of residues in [0, p), pivot rows monic."""
-
-    one = 1
 
     def __init__(self, char_p: int):
         self.char_p = char_p
@@ -115,10 +121,22 @@ class PrimeField:
         inv = pow(row[lead], -1, p)
         return {j: v * inv % p for j, v in row.items()}
 
-    def normal_form(self, row: dict, lead, key) -> Row:
-        """-tail of a kept (monic) row, its columns renamed by `key`."""
+    def rule(self, row: dict, lead, key) -> Rule:
+        """-tail of a kept (monic) row over denominator 1, its columns renamed by `key`."""
         p = self.char_p
-        return {key[j]: p - v for j, v in row.items() if j != lead}
+        return 1, {key[j]: p - v for j, v in row.items() if j != lead}
+
+    def combine(self, places, rules) -> dict:
+        """The row of the rules at their (base, odd), shifted by base and negated where odd."""
+        p = self.char_p
+        return {base + j: p - v if odd else v
+                for (base, odd), (_, nums) in zip(places, rules) for j, v in nums.items()}
+
+
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries."""
+    content = gcd(*row.values())
+    return {j: v // content for j, v in row.items()} if content > 1 else row
 
 
 RATIONALS = Rationals()
@@ -162,16 +180,17 @@ class SparseMatrix:
         return SparseMatrix(self.nrows, other.ncols, out)
 
     def rank(self, char_p: int | None = None) -> int:
-        return rank(self.rows, field(char_p))
+        F = field(char_p)
+        return rank(map(F.row, self.rows), F)
 
 
 def rank(rows: Iterable[dict], F: Rationals | PrimeField) -> int:
-    """The rank of any rows over `F`, each normalized by `F.row` once."""
-    return len(_echelon(map(F.row, rows), F))
+    """The rank over `F` of rows already in its form, as `F.row` or `F.combine` leaves them."""
+    return len(_echelon(rows, F))
 
 
 def _echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, dict]:
-    """Forward elimination of rows normalized by `F.row`: {leading column: its row}.
+    """Forward elimination of rows in the field's form: {leading column: its row}.
 
     Rows are taken shortest first, so the pivot rows stay sparse.  Which
     pivots are found does not depend on the order, only their rows do.
@@ -189,7 +208,7 @@ def _echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, dict]
 
 
 def reduced_echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, dict]:
-    """Fully reduced row echelon form of rows normalized by `F.row`.
+    """Fully reduced row echelon form of rows in the field's form.
 
     Returned as {pivot column: its row}, each row in the field's own form: a
     primitive integer vector over the rationals, monic residues mod p.  Tails

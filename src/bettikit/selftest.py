@@ -199,6 +199,31 @@ def sweep_square_zero(trials: int = 10, seed: int = 20240, q_max: int = 4) -> Sw
     return cases, failures
 
 
+def sweep_row_zero_rank(trials: int = 40, seed: int = 53) -> Sweep:
+    """rank(delta_p: wedge^p V (x) M_0 -> wedge^{p-1} V (x) M_1) = C(n, p) - C(dim I_1, p).
+
+    `_betti_entries` reads row 0 off this closed form and builds no
+    differential at q = 0; here each one is built and ranked, over the
+    rationals, GF(32003) and GF(2).
+    """
+    rng = random.Random(seed)
+    cases = 0
+    failures = []
+    for _ in range(trials):
+        ideal = random_ideal(rng, max_generators=4)
+        for char_p in (None, 32003, 2):
+            field_ideal = replace(ideal, char_p=char_p)
+            ring = _Ring(field_ideal)
+            n, linear = ideal.num_vars, ideal.num_vars - ring[1].dim
+            for p in range(n + 1):
+                cases += 1
+                got = koszul_differential(field_ideal, p, 0, ring).rank(char_p)
+                if got != comb(n, p) - comb(linear, p):
+                    failures.append(f"{field_ideal}: rank {got} at p={p}, "
+                                    f"not C({n},{p}) - C({linear},{p})")
+    return cases, failures
+
+
 def uncut_table(ideal: Ideal, q_max: int) -> BettiTable:
     """Rows 0..q_max computed in all of the ideal's variables, with no cut."""
     return _betti_entries(_Ring(ideal), q_max)
@@ -298,6 +323,7 @@ ALL_SWEEPS = [
     ("bound comparison", sweep_bound_comparison),
     ("hilbert numerator divisibility", sweep_hilbert_divisibility),
     ("koszul differential squares to zero", sweep_square_zero),
+    ("row 0 ranks read off dim M_1", sweep_row_zero_rank),
     ("certified cut agrees with the uncut table", sweep_cut_agrees_with_uncut),
     ("cone decomposition round trip", sweep_cone_round_trip),
 ]

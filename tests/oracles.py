@@ -18,7 +18,7 @@ def normal_form(piece, poly, char_p):
     out = {}
     for mono, raw in poly.items():
         coeff = F.coeff(Fraction(raw))
-        for target, factor in piece.rewrite.get(mono, {mono: F.one}).items():
+        for target, factor in piece.rewrite.get(mono, {mono: 1}).items():
             out[target] = out.get(target, 0) + coeff * factor
     return {m: c for m, v in out.items() if (c := F.coeff(v))}
 

@@ -194,6 +194,24 @@ def test_betti_generator_vanishing_in_the_field(tmp_path, capsys):
     assert out == "field: gf 5\ncomplete: certified\n0: 1\n1: . 3 2\n"
 
 
+@pytest.mark.parametrize("field", ("rational", "gf 32003", "gf 2"))
+def test_betti_linear_generator(tmp_path, capsys, field):
+    # the twisted cubic in 5 variables plus x0 + x4: its table tensored with
+    # one Koszul factor, and row 0 is read off dim M_1
+    ideal = tmp_path / "linear.ideal"
+    ideal.write_text("vars 5\nx0*x2 - x1^2\nx0*x3 - x1*x2\nx1*x3 - x2^2\nx0 + x4\n")
+    code, out, _ = run(capsys, "betti", str(ideal), "--qmax", "3", "--field", field)
+    assert code == 0
+    assert out == f"field: {field}\ncomplete: certified\n0: 1 1\n1: . 3 5 2\n"
+    code, out, _ = run(capsys, "betti", str(ideal), "--qmax", "3", "--field", field,
+                       "--out", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["field"], payload["complete"]) == (field, True)
+    assert BettiTable.from_json_dict(payload) == BettiTable(
+        {(0, 0): 1, (1, 0): 1, (1, 1): 3, (2, 1): 5, (3, 1): 2})
+
+
 def test_betti_rational_json(capsys):
     code, out, _ = run(capsys, "betti", fixture_path("twisted_cubic.ideal"),
                        "--qmax", "3", "--field", "rational", "--out", "json")
@@ -396,9 +414,9 @@ def test_selftest_passes_every_sweep(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     lines = out.splitlines()
-    assert [line.split(" ", 1)[0] for line in lines] == ["PASS"] * 9
+    assert [line.split(" ", 1)[0] for line in lines] == ["PASS"] * 10
     counts = [int(line.rsplit("(", 1)[1].split()[0]) for line in lines]
-    assert counts == [100, 9, 500, 451, 244, 165, 210, 200, 50]
+    assert counts == [100, 9, 500, 451, 244, 165, 210, 483, 200, 50]
 
 
 def test_selftest_reports_a_failing_sweep(capsys, monkeypatch):

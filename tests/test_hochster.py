@@ -37,6 +37,7 @@ def monomial_generators(draw):
 @example(ideal=(2, [(2, 0), (1, 1)]), char_p=2, q_max=3)                        # depth 0
 @example(ideal=(4, [(1, 1, 0, 0), (0, 0, 1, 1)]), char_p=32003, q_max=3)        # two quadrics, a CI
 @example(ideal=(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]), char_p=2, q_max=3)       # Artinian
+@example(ideal=(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)]), char_p=2, q_max=2)  # I_1 of dim 2
 def test_betti_table_matches_hochster_formula(ideal, char_p, q_max):
     num_vars, generators = ideal
     table, _ = betti_table(monomial_ideal(num_vars, generators, char_p), q_max)

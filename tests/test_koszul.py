@@ -2,9 +2,10 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bettikit import koszul
@@ -200,13 +201,14 @@ def test_each_differential_is_built_once(monkeypatch):
     betti_table(TWISTED_CUBIC, 3)
     # the cut ring of the twisted cubic has 2 variables, and the certificate
     # fires at m = 2, so only rows 0..1 are computed; delta_1 is never built,
-    # its rank is read as dim M_{q+1}
+    # its rank is read as dim M_{q+1}, and neither is any differential at
+    # q = 0, whose rank is read off dim M_1
     assert len(built) == len(set(built))
-    assert set(built) == {(2, p, q) for p in (0, 2) for q in (0, 1)}
+    assert set(built) == {(2, p, 1) for p in (0, 2)}
     built.clear()
     uncut_table(TWISTED_CUBIC, 3)
     assert len(built) == len(set(built))
-    assert set(built) == {(4, p, q) for p in (0, 2, 3, 4) for q in range(4)}
+    assert set(built) == {(4, p, q) for p in (0, 2, 3, 4) for q in range(1, 4)}
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -218,6 +220,21 @@ def test_delta_1_is_onto(seed, char_p):
     ring = koszul._Ring(ideal)
     for q in range(4):
         assert koszul_differential(ideal, 1, q, ring).rank(char_p) == ring[q + 1].dim
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 10**6), char_p=st.sampled_from((None, 32003, 2)))
+@example(seed=35, char_p=2)        # 4 variables, dim I_1 = 3
+@example(seed=17, char_p=None)     # 4 variables, dim I_1 = 2
+def test_row_zero_ranks_are_read_off_dim_m1(seed, char_p):
+    # the identity `_betti_entries` reads instead of building any delta_p at
+    # q = 0: its kernel is wedge^p I_1, so rank delta_p = C(n, p) - C(dim I_1, p)
+    ideal = replace(random_ideal(random.Random(seed), max_generators=4), char_p=char_p)
+    ring = koszul._Ring(ideal)
+    n = ideal.num_vars
+    for p in range(n + 1):
+        expected = comb(n, p) - comb(n - ring[1].dim, p)
+        assert koszul_differential(ideal, p, 0, ring).rank(char_p) == expected
 
 
 def test_betti_table_twisted_cubic():

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import GradedPiece, _cut_regular_variables, _Ring, graded_piece
+from bettikit.koszul import (GradedPiece, _cut_regular_variables, _Ring, betti_table,
+                             graded_piece)
 from bettikit.linalg import field, reduced_echelon
 from bettikit.polyring import Ideal, monomials_of_degree, parse_ideal, parse_polynomial
+from bettikit.selftest import uncut_table
 from oracles import linear, monic, mono_mul, power
 
 FIELDS = (None, 32003)
@@ -120,6 +122,36 @@ def test_kept_rows_are_normalized(ideal, q):
                     assert all(type(value) is int and 0 < value < ideal.char_p
                                for value in row.values())
         ring = ring.source
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(ideal=homogeneous_ideals(), q=st.integers(1, 4))
+@example(ideal=ideal_from(2, ["x0^2 - 2*x1^2"]), q=2)      # x0 * x0 = 2 * x1^2: content 2
+@example(ideal=ideal_from(3, ["3*x0^2 - 6*x1*x2", "2*x0*x1 + 4*x2^2"]), q=3)  # content-2 wedges
+def test_engine_rows_are_in_the_field_form(ideal, q):
+    # Every row the engine eliminates is built in the field's form, with no
+    # `F.row` pass: the rows `_Ring.echelon` (and `_next_piece`) hand to
+    # `reduced_echelon`, and every row of a differential `_differential` builds.
+    F, handed, differential = field(ideal.char_p), [], koszul._differential
+
+    def recording_echelon(rows, *rest):
+        rows = list(rows)
+        handed.extend(rows)
+        return reduced_echelon(rows, *rest)
+
+    def recording_differential(ring, p, q):
+        rows = differential(ring, p, q)
+        handed.extend(rows)
+        return rows
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(koszul, "reduced_echelon", recording_echelon)
+        patch.setattr(koszul, "_differential", recording_differential)
+        betti_table(ideal, q)
+        uncut_table(ideal, q)
+    for row in handed:
+        assert all(type(value) is int for value in row.values())
+        assert row == F.row(row)
 
 
 @pytest.mark.parametrize("char_p", FIELDS)
