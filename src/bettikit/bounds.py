@@ -6,11 +6,13 @@ Each check reads its bound off one extremal pure diagram pi(d): d is
 next-to-maximal bound on row 1.  Column p's bound is pi(d)'s entry at (p, q),
 0 where it has none; pi(d)'s cells in row q are the columns that must attain
 it; the predicted degree is e(d); and the pure resolution shape holds when
-the table equals pi(d) away from (0, 0).  The cells are read from the closed
-forms in `pure`, which `bettikit selftest` proves equal to these diagrams:
-`kappa_max(p, q, e)` in row q of pi(family_deq(e, q)), and
-`kappa_next_max(p, e)` in row 1 of pi(family_tilde(e, 1)), plus 1 at (e, 2).
-Each form is a product of binomials, so a check costs about e binomials, where
+the table equals pi(d) away from (0, 0).  Neither d is built: both have
+length e, and the cells and degrees are read from closed forms, which
+`bettikit selftest` proves equal to these diagrams (`sweep_deq_closed_forms`,
+`sweep_tilde_closed_forms`): `kappa_max(p, q, e)` in row q of
+pi(family_deq(e, q)), of degree C(e+q, q), and `kappa_next_max(p, e)` in
+row 1 of pi(family_tilde(e, 1)), plus 1 at (e, 2), of degree e + 2.  Each
+cell is a product of binomials, so a check costs about e binomials, where
 multiplying out pi(d) costs about e^2 products of e-digit integers.
 
 Geometric hypotheses (the vanishing-on-sections property behind the main
@@ -26,10 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import comb
 
 from .decompose import NotInConeError, bs_decompose, multiplicity_from_decomposition
-from .pure import family_deq, family_tilde, kappa_max, kappa_next_max, multiplicity
-from .tables import BettiTable, Cell, DegreeSequence
+from .pure import kappa_max, kappa_next_max
+from .tables import BettiTable, Cell
 
 VERDICT_ALL_MAX = "AllMax"
 VERDICT_NONE_MAX = "NoneMax"
@@ -64,7 +67,7 @@ class StrandReport:
     per_p: tuple[ColumnComparison, ...]
     verdict: str
     verdict_p: int | None
-    degree_predicted: Fraction | None
+    degree_predicted: int | None
     shape_ok: bool | None
     notes: tuple[str, ...]
 
@@ -104,17 +107,18 @@ def first_nontrivial_strand(table: BettiTable) -> int | None:
     return min(rows) if rows else None
 
 
-def _against_diagram(table: BettiTable, q: int, d: DegreeSequence, diagram: dict[Cell, int],
+def _against_diagram(table: BettiTable, q: int, diagram: dict[Cell, int], e: int, degree: int,
                      complete: bool) -> StrandReport:
     """Row q of the table against pi(d), read as the module docstring says; no notes.
 
-    `diagram` is pi(d)'s cells but (0, 0), each an integer, as the caller
-    reads them off the family's closed forms; no `BettiTable` is built.  A
+    pi(d) is given by what the check reads of it: `diagram`, its cells but
+    (0, 0), each an integer, its length `e` and its degree e(d), all read off
+    the family's closed forms; no `BettiTable` is built.  A
     shape that holds is stated only for a `complete` table, and is None
     otherwise, since missing rows may hold entries; a failing shape stands.
     """
     per_p = []
-    for p in range(1, max(d.length, table.projective_dimension()) + 1):
+    for p in range(1, max(e, table.projective_dimension()) + 1):
         observed, bound = table.entry(p, q), diagram.get((p, q))
         per_p.append(ColumnComparison(p=p, observed=observed, bound=bound or 0,
                                       attains_max=observed == bound))
@@ -125,7 +129,7 @@ def _against_diagram(table: BettiTable, q: int, d: DegreeSequence, diagram: dict
         verdict, verdict_p = VERDICT_VIOLATION, exceeded[0]
     elif len(attained) == sum(row == q for _, row in diagram):
         verdict = VERDICT_ALL_MAX
-        degree_predicted = multiplicity(d)
+        degree_predicted = degree
         shape_ok = ({cell: v for cell, v in table.entries.items() if cell != (0, 0)} == diagram
                     and (complete or None))
     elif attained:
@@ -150,7 +154,7 @@ def check_first_strand(table: BettiTable, assumptions: Assumptions, q: int,
     if q < 1:
         raise ValueError(f"strand index must be >= 1, got {q}")
     diagram = {(p, q): kappa_max(p, q, e) for p in range(1, e + 1)}
-    report = _against_diagram(table, q, family_deq(e, q), diagram, complete)
+    report = _against_diagram(table, q, diagram, e, degree_bounds(e, q), complete)
     notes = []
     if report.shape_ok is False:
         notes.append("entries outside rows 0 and q prevent the pure resolution shape")
@@ -178,7 +182,7 @@ def degree_bounds(e: int, q: int) -> int:
     """The degree bound C(e+q, q).  It is a lower bound when the caller asserts
     the vanishing hypothesis and an upper bound under the N_{q+1,e} vanishing
     pattern."""
-    return int(multiplicity(family_deq(e, q)))
+    return comb(e + q, q)
 
 
 def check_next_to_max(table: BettiTable, assumptions: Assumptions,
@@ -200,17 +204,16 @@ def check_next_to_max(table: BettiTable, assumptions: Assumptions,
         raise ValueError("the table has no nontrivial strand, the bound needs q = 1")
     if strand != 1:
         raise ValueError(f"first nontrivial strand is {strand}, the bound needs q = 1")
-    d = family_tilde(e, 1)
     diagram = {(p, 1): kappa_next_max(p, e) for p in range(1, e)}
     diagram[e, 2] = 1
-    report = _against_diagram(table, 1, d, diagram, complete)
+    report = _against_diagram(table, 1, diagram, e, e + 2, complete)
     notes = []
     if report.shape_ok is False:
         notes.append("shape with a single extra generator at (e, 2) does not hold")
     if not assumptions.lgp:
         notes.append("linearly-general-position was not asserted; "
                      "the bound need not apply to this table")
-    almost_minimal = multiplicity(d)
+    almost_minimal = e + 2
     observed_degree = _degree_from_table(table, e) if complete else None
     if observed_degree is not None:
         if observed_degree < almost_minimal:

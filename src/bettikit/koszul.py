@@ -28,10 +28,10 @@ and row-reduces no Macaulay matrix.  Each step's docstring proves its piece
 equal, value for value, to the fully reduced echelon of I_q.  Everything is
 exact; the field is the rationals or GF(p) as recorded on the ideal, and no
 float appears anywhere.  All that differs between them is the field object
-`linalg.field`, which a ring makes once and uses for everything it computes,
-ranks included.  Generators keep the ideal's rational coefficients until the
-ring of S/I reads each into that field, once, keyed by its degree; a
-generator that vanishes there is dropped.
+`linalg.field`, which the ring of S/I makes once and every ring cut from it
+shares, ranks included.  Generators keep the ideal's rational coefficients
+until the ring of S/I reads each into that field, once, keyed by its degree;
+a generator that vanishes there is dropped.
 
 Wedge basis vectors are strictly increasing index tuples in lex order; the
 M_q basis is the standard monomials in descending graded-lex order.  This
@@ -44,21 +44,11 @@ Bayer and Stillman's criterion certifies the table complete, is proved in
 `_cut_regular_variables`.  `graded_piece`, `koszul_differential` and
 `selftest.uncut_table` never cut.
 
-The layer from the pieces to the ranks stays in the field's own integers.
-`ring.image(var, q)` builds the rows of x_var: M_q -> M_{q+1}
-(`_multiplication`) once per ring, variable and degree, each read straight
-off a kept row of M_{q+1} as one denominator over integer numerators
-(`F.rule`).  They serve every differential `_betti_entries` builds at q
-(`_differential`) and `ring.echelon(var, q + 1)`, which eliminates them once
-for both the walk's injectivity test and the piece q + 1 of the ring cut by
-x_var.  Each row handed to elimination is made in one step, already in the
-field's form (`F.combine`: scaled to one denominator, signed, and made
-primitive over the rationals), so no row is normalized again.
-`koszul_differential` builds its images by the same `_multiplication` from
-the pieces it is given, and reads its entries out as Fractions over the
-rationals and residues mod p.  Row 0 of the table is read off dim M_1, and
-the rank of delta_1 off dim M_{q+1}, so `_betti_entries` builds neither
-(the proofs are in its docstring).
+The layer from the pieces to the ranks stays in the field's own integers:
+the images of x_var are read off kept rows (`_multiplication`), and every
+row handed to elimination is made in the field's form in one step
+(`F.combine`).  Which differentials are built, and why the others are read
+off dimensions, is in `_betti_entries`.
 """
 
 from __future__ import annotations
@@ -178,9 +168,11 @@ def _next_piece(ring: _Ring, q: int) -> GradedPiece:
     Appl. Algebra 139, 1999): x_v * r_m is the kept row of r_m with its
     columns sent through the index map x_v: S_{q-1} -> S_q, and w(m) is read
     off the leads of piece q - 2 sent through x_w: S_{q-2} -> S_{q-1}, the
-    smallest w written last.  The kept rows are in the field's form, and so
-    are the generators, read when the ring was made, so `reduced_echelon`
-    takes the rows as they are.
+    smallest w written last.  The generators of degree q, read into the
+    field when the ring was made and kept by monomial, are put into basis
+    coordinates here by the index of `monomials_of_degree(n, q)`, so no
+    degree is listed that no piece reaches.  All rows are in the field's
+    form, so `reduced_echelon` takes them as they are.
     """
     n = ring.num_vars
     up, shift = index_maps(n, q - 2), index_maps(n, q - 1)
@@ -189,40 +181,36 @@ def _next_piece(ring: _Ring, q: int) -> GradedPiece:
     for lead, row in ring[q - 1].rows.items():
         for image in shift[:first.get(lead, n - 1) + 1]:
             rows.append({image[col]: value for col, value in row.items()})
-    rows += ring.generators.get(q, ())
+    if q in ring.generators:
+        index = {mono: i for i, mono in enumerate(monomials_of_degree(n, q))}
+        rows += [{index[mono]: value for mono, value in row.items()} for row in ring.generators[q]]
     return GradedPiece(q, n, ring.F, reduced_echelon(rows, ring.F))
 
 
 class _Ring:
     """One ring, stepped by itself: `ring[q]` is M_q, and 0 for q < 0.
 
-    `_Ring(ideal)` is S/I.  It reads each generator into the field once, as
-    `generators`, its nonzero rows by degree in basis coordinates, and steps
-    piece q by `_next_piece`.  `_Ring(below, var)` is the cut ring below /
-    x_var * below, in the variables but x_var, whose piece q is `_cut_piece`,
-    read off `source`, the ring below.  Each step takes the ring and q and
-    reads all else off the ring.  `F` is the ring's field, made once and used
-    by the generators, both steps, `image(var, q)`, the rows of
+    `_Ring(ideal)` is S/I.  It makes the field `F` and reads each generator
+    into it once, as `generators`, its nonzero rows by degree, keyed by
+    monomial, and steps piece q by `_next_piece`.  `_Ring(below, var)` is the
+    cut ring below / x_var * below, in the variables but x_var, whose piece q
+    is `_cut_piece`, read off `source`, the ring below, and whose field is
+    the ring below's.  Each step takes the ring and q and reads all else off
+    the ring.  A ring makes `image(var, q)`, the rows of
     x_var: M_q -> M_{q+1} in the field's form, read off the kept rows of
     piece q + 1, and `echelon(var, q)`, the fully reduced echelon of the
-    images of x_var: M_{q-1} -> M_q, each made at most once, and by every
-    differential and rank of the table.  A ring carries its number of
-    variables and its characteristic.
+    images of x_var: M_{q-1} -> M_q, each at most once.
     """
 
     def __init__(self, source: Ideal | _Ring, var: int | None = None):
-        self.num_vars, self.char_p = source.num_vars - (var is not None), source.char_p
-        self.source, self.var, self.F = source, var, field(self.char_p)
+        self.num_vars, self.source, self.var = source.num_vars - (var is not None), source, var
         self.pieces, self.images, self.echelons = [], {}, {}
         if var is None:
-            by_degree: dict[int, list[dict]] = {}
+            self.F, self.generators = field(source.char_p), {}
             for row in filter(None, map(self.F.row, source.generators)):
-                by_degree.setdefault(mono_degree(next(iter(row))), []).append(row)
-            self.generators: dict[int, list[dict]] = {}
-            for degree, rows in by_degree.items():
-                index = {mono: i for i, mono in enumerate(monomials_of_degree(self.num_vars, degree))}
-                self.generators[degree] = [{index[mono]: value for mono, value in row.items()}
-                                           for row in rows]
+                self.generators.setdefault(mono_degree(next(iter(row))), []).append(row)
+        else:
+            self.F = source.F
 
     def __getitem__(self, q: int) -> GradedPiece:
         while len(self.pieces) <= q:
@@ -239,8 +227,7 @@ class _Ring:
     def echelon(self, var: int, q: int) -> dict[int, dict]:
         """The fully reduced echelon of x_var: M_{q-1} -> M_q; columns index M_q's standard monomials."""
         if (var, q) not in self.echelons:
-            # x_var on its own is delta_1 of the Koszul complex on the one variable x_var
-            rows = _wedge_rows(1, 1, 0, [self.image(var, q - 1)], self.F.combine)
+            rows = [self.F.combine(((0, 0),), (rule,)) for rule in self.image(var, q - 1)]
             self.echelons[var, q] = reduced_echelon(rows, self.F)
         return self.echelons[var, q]
 
@@ -361,7 +348,7 @@ def koszul_differential(ideal: Ideal | _Ring, p: int, q: int,
 
 
 def _differential(ring: _Ring, p: int, q: int) -> list[Row]:
-    """The rows of `koszul_differential(ring, p, q, ring)`, each in the field's form.
+    """The rows of `koszul_differential(ring, p, q, ring)`, p >= 2, each in the field's form.
 
     They are built from the ring's images of x_v, and each spans the line
     of that matrix's row as `F.combine` makes it: a primitive integer vector
@@ -369,7 +356,7 @@ def _differential(ring: _Ring, p: int, q: int) -> list[Row]:
     no row or no column.
     """
     n = ring.num_vars
-    if not (p and ring[q].dim and ring[q + 1].dim):
+    if not (ring[q].dim and ring[q + 1].dim):
         return []
     images = [ring.image(var, q) for var in range(n)]
     return _wedge_rows(n, p, ring[q + 1].dim, images, ring.F.combine)
@@ -380,7 +367,11 @@ def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
 
     The ring's pieces M_0 through M_{q_max+1} are read.  A cell (p, q) needs
     the ranks at (p, q) and (p+1, q-1), which lie in the grid or are zero.
-    Two families of ranks are fixed by the complex and read, not built.
+    Column 0 above row 0 needs none: for q >= 1, delta_0 has no column and
+    delta_1: V (x) M_{q-1} -> M_q is onto (below), so
+    kappa_{0,q} = dim M_q - dim M_q = 0, and no p = 0 rank is kept above
+    row 0.  Two families of ranks are fixed by the complex and read, not
+    built.
 
     The rank of delta_1: V (x) M_q -> M_{q+1} is dim M_{q+1}, since it is
     onto: it sends e_v (x) f to x_v * f, and S_1 * M_q = M_{q+1} for any
@@ -400,21 +391,21 @@ def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
     the kernel is wedge^p W, in any characteristic, and
     kappa_{p,0} = C(dim I_1, p).  This covers p = 0 and p = 1 as well.
 
-    So only the differentials with p != 1 and q >= 1 are built, each once,
+    So only the differentials with p >= 2 and q >= 1 are built, each once,
     from the images of x_v: M_q -> M_{q+1} the ring makes once per variable
     and degree, in the field's form, and ranked in the ring's field.
     """
     n = ring.num_vars
     ranks = {(p, 0): comb(n, p) - comb(n - ring[1].dim, p) for p in range(n + 1)}
     ranks.update({(p, q): ring[q + 1].dim if p == 1 else rank(_differential(ring, p, q), ring.F)
-                  for q in range(1, q_max + 1) for p in range(n + 1)})
+                  for q in range(1, q_max + 1) for p in range(1, n + 1)})
     entries = {}
     for (p, q), r in ranks.items():
         kappa = comb(n, p) * ring[q].dim - r - ranks.get((p + 1, q - 1), 0)
         if kappa < 0:
             raise RuntimeError(f"negative cohomology dimension at (p={p}, q={q})")
         if kappa:
-            entries[(p, q)] = Fraction(kappa)
+            entries[(p, q)] = kappa
     return BettiTable(entries)
 
 

@@ -101,8 +101,8 @@ class PrimeField:
         return value.numerator * pow(den, -1, p) % p
 
     def row(self, row: dict) -> dict:
-        p, coeff = self.char_p, self.coeff
-        return {j: c for j, v in row.items() if (c := v % p if type(v) is int else coeff(v))}
+        coeff = self.coeff
+        return {j: c for j, v in row.items() if (c := coeff(v))}
 
     def eliminate(self, row: dict, pivot: dict, col) -> dict:
         """row - row[col] * pivot, for a monic pivot."""

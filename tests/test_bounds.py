@@ -125,12 +125,24 @@ def test_check_first_strand_on_pure_family():
             assert report.shape_ok is True
 
 
+STRAND_CHECK_TABLES = [hk_diagram(family_deq(e, q)) for e in range(1, 6) for q in range(1, 4)]
+STRAND_CHECK_TABLES += [PROJECTED_VERONESE, CUBIC_CONIC, TWISTED_CUBIC, VERONESE_P2]
+
+
+def run_strand_checks():
+    # a complete next-to-max check also decomposes the table, which builds
+    # tables and degree sequences, so it is run as incomplete here
+    for table in STRAND_CHECK_TABLES:
+        for e in range(1, 6):
+            for q in range(1, 4):
+                check_first_strand(table, Assumptions(codim_e=e), q)
+            if e >= 2 and first_nontrivial_strand(table) == 1:
+                check_next_to_max(table, Assumptions(codim_e=e), complete=False)
+
+
 def test_strand_checks_build_no_table(monkeypatch):
     # each check reads pi(d) as integers over their denominator, not as a
-    # BettiTable; a complete next-to-max check also decomposes the table,
-    # which builds tables, so it is run as incomplete here
-    tables = [hk_diagram(family_deq(e, q)) for e in range(1, 6) for q in range(1, 4)]
-    tables += [PROJECTED_VERONESE, CUBIC_CONIC, TWISTED_CUBIC, VERONESE_P2]
+    # BettiTable
     built = []
     init = BettiTable.__init__
 
@@ -139,12 +151,22 @@ def test_strand_checks_build_no_table(monkeypatch):
         init(self, entries)
 
     monkeypatch.setattr(BettiTable, "__init__", counting_init)
-    for table in tables:
-        for e in range(1, 6):
-            for q in range(1, 4):
-                check_first_strand(table, Assumptions(codim_e=e), q)
-            if e >= 2 and first_nontrivial_strand(table) == 1:
-                check_next_to_max(table, Assumptions(codim_e=e), complete=False)
+    run_strand_checks()
+    assert built == []
+
+
+def test_strand_checks_build_no_degree_sequence(monkeypatch):
+    # each check reads the length and the degree of its extremal sequence
+    # off e and q, so no DegreeSequence is built
+    built = []
+    post_init = DegreeSequence.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.degrees)
+        post_init(self)
+
+    monkeypatch.setattr(DegreeSequence, "__post_init__", counting_post_init)
+    run_strand_checks()
     assert built == []
 
 

@@ -201,14 +201,31 @@ def test_each_differential_is_built_once(monkeypatch):
     betti_table(TWISTED_CUBIC, 3)
     # the cut ring of the twisted cubic has 2 variables, and the certificate
     # fires at m = 2, so only rows 0..1 are computed; delta_1 is never built,
-    # its rank is read as dim M_{q+1}, and neither is any differential at
-    # q = 0, whose rank is read off dim M_1
+    # its rank is read as dim M_{q+1}, nor is delta_0, since column 0 above
+    # row 0 is 0, nor any differential at q = 0, whose rank is read off dim M_1
     assert len(built) == len(set(built))
-    assert set(built) == {(2, p, 1) for p in (0, 2)}
+    assert set(built) == {(2, 2, 1)}
     built.clear()
     uncut_table(TWISTED_CUBIC, 3)
     assert len(built) == len(set(built))
-    assert set(built) == {(4, p, q) for p in (0, 2, 3, 4) for q in range(1, 4)}
+    assert set(built) == {(4, p, q) for p in (2, 3, 4) for q in range(1, 4)}
+
+
+@pytest.mark.parametrize("char_p", (None, 32003))
+def test_generators_are_listed_only_in_degrees_a_piece_reaches(char_p, monkeypatch):
+    # x4^120 has a degree of C(125, 5) monomials, and rows 0..2 step pieces
+    # through degree 4 only; listing a larger degree raises at once here,
+    # where calling through would exhaust memory
+    listed = koszul.monomials_of_degree
+
+    def bounded(num_vars, degree):
+        if degree > 4:
+            raise AssertionError(f"monomials of degree {degree} listed")
+        return listed(num_vars, degree)
+
+    monkeypatch.setattr(koszul, "monomials_of_degree", bounded)
+    ideal = ideal_from(6, ["x0*x1 - x2*x3", "x4^120"], char_p)
+    assert betti_table(ideal, 2) == (BettiTable({(0, 0): 1, (1, 1): 1}), False)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
