@@ -103,21 +103,23 @@ def first_nontrivial_strand(table: BettiTable) -> int | None:
     if table.entry(1, 0):
         raise ValueError("entry at cell (p=1, q=0): the ideal has a linear generator, "
                          "and the strand bounds start at q = 1")
-    rows = [q for p, q in table.entries if p == 1]
-    return min(rows) if rows else None
+    return min((q for p, q in table.entries if p == 1), default=None)
 
 
-def _against_diagram(table: BettiTable, q: int, diagram: dict[Cell, int], e: int, degree: int,
+def _against_diagram(table: BettiTable, q: int, diagram: dict[Cell, int], degree: int,
                      complete: bool) -> StrandReport:
     """Row q of the table against pi(d), read as the module docstring says; no notes.
 
     pi(d) is given by what the check reads of it: `diagram`, its cells but
-    (0, 0), each an integer, its length `e` and its degree e(d), all read off
-    the family's closed forms; no `BettiTable` is built.  A
-    shape that holds is stated only for a `complete` table, and is None
-    otherwise, since missing rows may hold entries; a failing shape stands.
+    (0, 0), each an integer, and its degree e(d), both read off the family's
+    closed forms; no `BettiTable` is built.  Its length e is its largest
+    column, which both families reach: at (e, q) on row q, at (e, 2) for
+    the next-to-maximal diagram.  A shape that holds is stated only for a
+    `complete` table, and is None otherwise, since missing rows may hold
+    entries; a failing shape stands.
     """
     per_p = []
+    e = max(p for p, _ in diagram)
     for p in range(1, max(e, table.projective_dimension()) + 1):
         observed, bound = table.entry(p, q), diagram.get((p, q))
         per_p.append(ColumnComparison(p=p, observed=observed, bound=bound or 0,
@@ -154,7 +156,7 @@ def check_first_strand(table: BettiTable, assumptions: Assumptions, q: int,
     if q < 1:
         raise ValueError(f"strand index must be >= 1, got {q}")
     diagram = {(p, q): kappa_max(p, q, e) for p in range(1, e + 1)}
-    report = _against_diagram(table, q, diagram, e, degree_bounds(e, q), complete)
+    report = _against_diagram(table, q, diagram, degree_bounds(e, q), complete)
     notes = []
     if report.shape_ok is False:
         notes.append("entries outside rows 0 and q prevent the pure resolution shape")
@@ -206,7 +208,7 @@ def check_next_to_max(table: BettiTable, assumptions: Assumptions,
         raise ValueError(f"first nontrivial strand is {strand}, the bound needs q = 1")
     diagram = {(p, 1): kappa_next_max(p, e) for p in range(1, e)}
     diagram[e, 2] = 1
-    report = _against_diagram(table, 1, diagram, e, e + 2, complete)
+    report = _against_diagram(table, 1, diagram, e + 2, complete)
     notes = []
     if report.shape_ok is False:
         notes.append("shape with a single extra generator at (e, 2) does not hold")

@@ -58,10 +58,7 @@ def _parse_table(text: str) -> tuple[BettiTable, bool]:
 def _load_table(path: str) -> tuple[BettiTable, bool]:
     table, complete = load(path, _parse_table)
     # shift rows so the minimum generator degree (column 0) sits at (0, 0)
-    generator_rows = [q for p, q in table.entries if p == 0]
-    if not generator_rows:
-        return table, complete
-    shift = min(generator_rows)
+    shift = min((q for p, q in table.entries if p == 0), default=0)
     if shift <= 0 or any(q < shift for _, q in table.entries):
         return table, complete
     print(f"note: rows shifted down by {shift} so the first generator sits at (0, 0)",

@@ -48,7 +48,8 @@ The layer from the pieces to the ranks stays in the field's own integers:
 the images of x_var are read off kept rows (`_multiplication`), and every
 row handed to elimination is made in the field's form in one step
 (`F.combine`).  Which differentials are built, and why the others are read
-off dimensions, is in `_betti_entries`.
+off dimensions, is in `_betti_entries`.  No row is eliminated here: every
+row operation is `linalg`'s, `reduced_echelon`, `rank` or `substitute`.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
 
-from .linalg import PrimeField, Rationals, Row, Rule, SparseMatrix, field, rank, reduced_echelon
+from .linalg import (PrimeField, Rationals, Row, Rule, SparseMatrix, field, rank, reduced_echelon,
+                     substitute)
 from .polyring import Ideal, Monomial, index_maps, mono_degree, monomials_of_degree
 from .tables import BettiTable
 
@@ -71,27 +73,21 @@ class GradedPiece:
     leaves it, {lead: row}: every lead and column is an index into `basis`,
     `monomials_of_degree(num_vars, q)`, and every row is in the form of the
     field `F`, a primitive integer vector over the rationals or monic
-    residues mod p.  `free` is the non-pivot columns in order.  The piece's
-    value, the one `==` compares, is q and two views of the rows: `standard`,
-    the monomials of `free`, a basis of M_q, and `rewrite`, which sends each
+    residues mod p.  `free` is the non-pivot columns in order.  `dim`, their
+    number, is dim M_q = dim S_q - rank I_q, and `ideal_dim` is rank I_q, the
+    number of rows; both are set when the piece is made.  The piece's value,
+    the one `==` compares, is q and two views of the rows: `standard`, the
+    monomials of `free`, a basis of M_q, and `rewrite`, which sends each
     pivot monomial, a lead of I_q, to its normal form (a combination of
     standard monomials).  Both are read off `rules` when first asked for;
     the engine reads the rows, `position` and `rules` instead.
-    dim M_q = dim S_q - rank I_q.
     """
 
     def __init__(self, q: int, num_vars: int, F: Rationals | PrimeField, rows: dict[int, dict]):
         self.q, self.num_vars, self.F, self.rows = q, num_vars, F, rows
         self.basis = monomials_of_degree(num_vars, q) if q >= 0 else ()
         self.free = [col for col in range(len(self.basis)) if col not in rows]
-
-    @property
-    def dim(self) -> int:
-        return len(self.free)
-
-    @property
-    def ideal_dim(self) -> int:
-        return len(self.rows)
+        self.dim, self.ideal_dim = len(self.free), len(rows)
 
     @cached_property
     def position(self) -> dict[int, int]:
@@ -240,9 +236,10 @@ def _cut_piece(ring: _Ring, q: int) -> GradedPiece:
     (`_multiplication`), whose columns are the standard monomials of M_q in
     their order.  The standard monomials of M'_q are those of M_q that are not
     pivots of E.  Each kept row of M_q and each row of E whose lead has no
-    x_var gives a kept row of M'_q, with E's rows eliminated from it in one
-    pass, since E's tails avoid its pivots; a lead with x_var is dropped, and
-    the columns kept are renamed into the cut ring's basis.
+    x_var gives a kept row of M'_q, reduced against E by
+    `linalg.substitute`, whose one pass suffices since E's tails avoid its
+    pivots; a lead with x_var is dropped, and the columns kept are renamed
+    into the cut ring's basis.
 
     These are, value for value, the pieces of I + (x_var) / (x_var).  In
     degree q the cut ring's ideal, with x_var kept, is
@@ -270,8 +267,7 @@ def _cut_piece(ring: _Ring, q: int) -> GradedPiece:
     rows = {}
     for lead, row in (*target.rows.items(), *cuts.items()):
         if lead in rename:
-            for col in [col for col in row if col != lead and col in cuts]:
-                row = F.eliminate(row, cuts[col], col)
+            row = substitute(row, lead, cuts, F)
             rows[rename[lead]] = {rename[col]: value for col, value in row.items()}
     return GradedPiece(q, ring.num_vars, F, rows)
 
@@ -296,18 +292,20 @@ def _multiplication(source: GradedPiece, target: GradedPiece, var: int) -> list[
             for col in source.free]
 
 
-def _wedge_rows(n: int, p: int, width: int, images: Sequence[list[Rule]], combine) -> list[Row]:
+def _wedge_rows(p: int, width: int, images: Sequence[list[Rule]], combine) -> list[Row]:
     """The rows of wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, p >= 1.
 
-    `images[v]` is x_v: M_q -> M_{q+1} (`_multiplication`), and `width` is
-    dim M_{q+1}.  Rows are the domain wedges in lex order, each with a row
-    per standard monomial of M_q.  For a fixed wedge the j-th terms land in
-    distinct codomain wedges, so no two terms of a row share a column and
-    nothing cancels.  `combine(places, rules)` makes each row in one step
-    from its terms, each rule placed at its codomain wedge's (base, odd),
-    negated at odd j: `F.combine` for a row in the field's form, or a read
-    of the entries' values.
+    `images[v]` is x_v: M_q -> M_{q+1} (`_multiplication`) for each of the
+    n = len(images) variables, and `width` is dim M_{q+1}.  Rows are the
+    domain wedges in lex order, each with a row per standard monomial of
+    M_q.  For a fixed wedge the j-th terms land in distinct codomain wedges,
+    so no two terms of a row share a column and nothing cancels.
+    `combine(places, rules)` makes each row in one step from its terms, each
+    rule placed at its codomain wedge's (base, odd), negated at odd j:
+    `F.combine` for a row in the field's form, or a read of the entries'
+    values.
     """
+    n = len(images)
     codomain = {wedge: i * width for i, wedge in enumerate(combinations(range(n), p - 1))}
     rows = []
     for wedge in combinations(range(n), p):
@@ -344,7 +342,7 @@ def koszul_differential(ideal: Ideal | _Ring, p: int, q: int,
                 for (base, odd), (den, nums) in zip(places, rules) for col, v in nums.items()}
 
     images = [_multiplication(source, target, var) for var in range(n)]
-    return SparseMatrix(nrows, ncols, _wedge_rows(n, p, target.dim, images, entries))
+    return SparseMatrix(nrows, ncols, _wedge_rows(p, target.dim, images, entries))
 
 
 def _differential(ring: _Ring, p: int, q: int) -> list[Row]:
@@ -355,11 +353,10 @@ def _differential(ring: _Ring, p: int, q: int) -> list[Row]:
     over the rationals, residues mod p.  No row is built when the matrix has
     no row or no column.
     """
-    n = ring.num_vars
     if not (ring[q].dim and ring[q + 1].dim):
         return []
-    images = [ring.image(var, q) for var in range(n)]
-    return _wedge_rows(n, p, ring[q + 1].dim, images, ring.F.combine)
+    images = [ring.image(var, q) for var in range(ring.num_vars)]
+    return _wedge_rows(p, ring[q + 1].dim, images, ring.F.combine)
 
 
 def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:

@@ -8,12 +8,15 @@ elimination step, the form of a stored pivot row, the rule a kept row gives,
 and the one step that lays rules out as a normalized row.
 
 One forward elimination (`_echelon`) serves `rank` (and `SparseMatrix.rank`),
-the number of echelon rows, and `reduced_echelon`, which back-substitutes the echelon.
-It takes the rows shortest first, Markowitz's rule (Management Sci. 3, 1957)
-for limiting fill-in, and reduces each against the pivot rows found so far;
-the leading column of a row is its smallest index.  The order is free: the
-rank does not depend on it, and neither does the fully reduced echelon, which
-is unique for a fixed span in a fixed column order.  Rows enter normalized,
+the number of echelon rows, and `reduced_echelon`.  It takes the rows
+shortest first, Markowitz's rule (Management Sci. 3, 1957) for limiting
+fill-in, and reduces each against the pivot rows found so far; the leading
+column of a row is its smallest index.  The order is free: the rank does not
+depend on it, and neither does the fully reduced echelon, which is unique
+for a fixed span in a fixed column order.  One substitution pass
+(`substitute`) eliminates from a row every other column that leads a pivot
+row: `reduced_echelon` back-substitutes the echelon with it, and `koszul`
+reduces rows against a kept echelon with it.  Rows enter normalized,
 each once: `SparseMatrix.rank` normalizes its rows, and `rank` and
 `reduced_echelon` take rows already in the field's form, which `koszul`
 builds in that form from the start.  Over the rationals elimination is
@@ -219,8 +222,19 @@ def reduced_echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int
     # Back-substitute, highest pivot first, so every tail is supported on
     # non-pivot columns only; a pivot row already reduced brings in none.
     for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for col in [j for j in row if j != lead and j in pivots]:
-            row = F.eliminate(row, pivots[col], col)
-        pivots[lead] = row
+        pivots[lead] = substitute(pivots[lead], lead, pivots, F)
     return pivots
+
+
+def substitute(row: dict, lead, pivots: dict[int, dict], F: Rationals | PrimeField) -> dict:
+    """`row` with each column but `lead` that leads a row of `pivots` eliminated, in one pass.
+
+    The columns are read off `row` as it comes in and eliminated in that
+    order.  One pass suffices when the tails of the pivot rows it uses avoid
+    the leads of `pivots`: every row of a fully reduced echelon does, and in
+    `reduced_echelon`'s back-substitution, highest pivot first, every row a
+    pass uses has been reduced already.
+    """
+    for col in [j for j in row if j != lead and j in pivots]:
+        row = F.eliminate(row, pivots[col], col)
+    return row

@@ -112,9 +112,8 @@ def sweep_dual_multiplicity(e_max: int = 5, q_max: int = 4) -> Sweep:
             bound = comb(e + q, q)
             # a strictly increasing tail drawn from 1..q+e has tail[k] <= q+k+1, so the
             # range gives exactly the sequences with d_k <= q+k
-            for tail in combinations(range(1, q + e + 1), e):
+            for d in _sequences(e, 1, q + e):
                 cases += 1
-                d = DegreeSequence((0,) + tail)
                 if multiplicity(d) > bound:
                     failures.append(f"d={d}: multiplicity {multiplicity(d)} > {bound}")
     return cases, failures

@@ -1,11 +1,11 @@
-"""The diagram-based strand checks against the closed-form checks they replaced.
+"""The strand checks against a hand-built, column-by-column reference.
 
-`check_first_strand_closed_form` and `check_next_to_max_closed_form` are the
-earlier hand-built comparisons: every bound, attained column, predicted
-degree and shape test written out from `kappa_max`, `kappa_next_max`,
-`C(e+q, q)` and `e + 2`.  They are kept here only as the reference that
-`bounds.check_first_strand` and `bounds.check_next_to_max` must match report
-for report.
+`check_first_strand_closed_form` and `check_next_to_max_closed_form` write
+out each column's bound and attained flag, the verdict, the predicted degree
+and the shape test by hand, from `kappa_max`, `kappa_next_max`, `C(e+q, q)`
+and `e + 2`; the shape test names each allowed cell instead of comparing
+with a diagram.  `bounds.check_first_strand` and `bounds.check_next_to_max`
+must match them report for report.
 """
 
 import random

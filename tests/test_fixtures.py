@@ -1,10 +1,15 @@
 import os
 import shutil
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from bettikit import fixtures
 from bettikit.cli import main
+from bettikit.decompose import Decomposition
 from bettikit.fixtures import FIXTURES, fixture_path, load_text, run_all, run_fixture
+from bettikit.tables import BettiTable
 
 
 def test_every_fixture_file_exists():
@@ -46,3 +51,74 @@ def test_fixtures_command_names_a_malformed_file(tmp_path, monkeypatch, capsys,
     assert main(["fixtures"]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"{bad}:2:")
+
+
+FIXTURE = {entry.name: entry for entry in FIXTURES}
+
+
+def _hilbert_check_fails(monkeypatch, tmp_path):
+    monkeypatch.setattr(fixtures, "hilbert_consistency", lambda *args: False)
+    return FIXTURE["twisted-cubic"]
+
+
+def _second_field_gains_a_cell(monkeypatch, tmp_path):
+    real, calls = fixtures.betti_table, []
+
+    def betti_table(ideal, q_max):
+        table, complete = real(ideal, q_max)
+        calls.append(ideal.char_p)
+        if len(calls) == 2:
+            table = BettiTable({**table.entries, (3, 3): Fraction(1)})
+        return table, complete
+    monkeypatch.setattr(fixtures, "betti_table", betti_table)
+    return FIXTURE["twisted-cubic"]
+
+
+def _column_one_empty(monkeypatch, tmp_path):
+    (tmp_path / "veronese_projection.table").write_text("0: 1\n2: . . 10 5 1\n")
+    monkeypatch.setenv("FIXTURES_DIR", str(tmp_path))
+    return FIXTURE["veronese-projection"]
+
+
+def _peel_drops_the_last_term(monkeypatch, tmp_path):
+    real = fixtures.bs_decompose
+    monkeypatch.setattr(fixtures, "bs_decompose",
+                        lambda table: Decomposition(real(table).terms[:-1]))
+    return FIXTURE["veronese-projection"]
+
+
+@pytest.mark.parametrize("setup, message", [
+    (lambda monkeypatch, tmp_path: replace(FIXTURE["hypersurface-cubic"],
+                                           expected_table=(((0, 0), 1), ((1, 1), 1))),
+     "table mismatch: got BettiTable({(0,0): 1, (1,2): 1}), "
+     "expected BettiTable({(0,0): 1, (1,1): 1})"),
+    (_hilbert_check_fails, "hilbert consistency failed"),
+    (_second_field_gains_a_cell,
+     "field disagreement: gf 32003 gives BettiTable({(0,0): 1, (1,1): 3, (2,1): 2}), "
+     "rational gives BettiTable({(0,0): 1, (1,1): 3, (2,1): 2, (3,3): 1})"),
+    (lambda monkeypatch, tmp_path: replace(FIXTURE["ci-quadric-cubic"], qmax=1),
+     "table over gf 32003 not certified complete"),
+    (lambda monkeypatch, tmp_path: replace(FIXTURE["ci-quadric-cubic"], qmax=1),
+     "table over rational not certified complete"),
+    (_column_one_empty,
+     "table not in cone: table is outside the cone: column 1 has no entries "
+     "but the table extends past it"),
+    (lambda monkeypatch, tmp_path: replace(FIXTURE["veronese-projection"],
+                                           expected_terms=((Fraction(1), (0, 3, 4)),)),
+     "decomposition mismatch: got [((0, 3, 4), Fraction(2, 3)), "
+     "((0, 3, 4, 5), Fraction(7, 30)), ((0, 3, 4, 5, 6), Fraction(1, 10))]"),
+    (_peel_drops_the_last_term, "decomposition does not reconstruct the table"),
+    (lambda monkeypatch, tmp_path: replace(FIXTURE["veronese-projection"],
+                                           expected_multiplicity=Fraction(5)),
+     "multiplicity 4, expected 5"),
+    (lambda monkeypatch, tmp_path: replace(FIXTURE["twisted-cubic"], expected_verdict="NoneMax"),
+     "verdict AllMax, expected NoneMax"),
+], ids=["table-mismatch", "hilbert", "field-disagreement", "not-certified-gf", "not-certified-qq",
+        "not-in-cone", "decomposition-mismatch", "reconstruction", "multiplicity", "verdict"])
+def test_each_problem_the_runner_reports_can_be_reached(monkeypatch, tmp_path, setup, message):
+    """Each problem line of `run_fixture`, reached by one broken entry, file or call.
+
+    `bettikit fixtures` prints these lines only when a fixture fails, so a
+    line broken in its wording or its condition would otherwise go unseen.
+    """
+    assert message in run_fixture(setup(monkeypatch, tmp_path))
