@@ -95,8 +95,6 @@ class PrimeField:
     def coeff(self, value: Coeff) -> int:
         """The image of a rational in GF(p)."""
         p = self.char_p
-        if value.denominator == 1:
-            return value.numerator % p
         den = value.denominator % p
         if den == 0:
             raise ValueError(

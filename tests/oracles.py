@@ -1,4 +1,4 @@
-"""Reference helpers that only the tests use, kept apart from the library.
+"""Reference helpers and shared inputs that only the tests use, kept apart from the library.
 
 pytest collects only `test_*.py`, so nothing here runs as a test by itself.
 """
@@ -7,9 +7,56 @@ from fractions import Fraction
 from itertools import combinations
 
 from bettikit.linalg import field, reduced_echelon
-from bettikit.polyring import Ideal, poly_to_str
+from bettikit.polyring import Ideal, parse_polynomial, poly_to_str
 from bettikit.pure import hk_diagram
 from bettikit.tables import BettiTable
+
+
+# the paper's example tables: the projected Veronese surface, the union of a
+# cubic and a conic, and the twisted cubic curve
+PROJECTED_VERONESE = BettiTable(
+    {(0, 0): 1, (1, 2): 7, (2, 2): 10, (3, 2): 5, (4, 2): 1})
+CUBIC_CONIC = BettiTable(
+    {(0, 0): 1, (1, 1): 5, (2, 1): 6, (3, 1): 2, (1, 2): 1, (2, 2): 2, (3, 2): 1})
+TWISTED_CUBIC_TABLE = BettiTable({(0, 0): 1, (1, 1): 3, (2, 1): 2})
+
+
+def ideal_from(num_vars, lines, char_p=None):
+    gens = tuple(parse_polynomial(line, num_vars) for line in lines)
+    return Ideal(num_vars=num_vars, generators=gens, char_p=char_p)
+
+
+def dense_rref(rows, ncols, char_p):
+    """Dense Gauss-Jordan elimination of sparse rows {column: value}: {pivot column: its row}.
+
+    Fractions over the rationals, residues over GF(char_p); each row monic.
+    It shares nothing with `bettikit.linalg`, and its length is the rank.
+    """
+    if char_p is None:
+        matrix = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    else:
+        matrix = [[row.get(j, 0) % char_p for j in range(ncols)] for row in rows]
+    leads = []
+    for col in range(ncols):
+        top = len(leads)
+        found = next((i for i in range(top, len(matrix)) if matrix[i][col]), None)
+        if found is None:
+            continue
+        matrix[top], matrix[found] = matrix[found], matrix[top]
+        if char_p is None:
+            inv = 1 / matrix[top][col]
+            matrix[top] = [v * inv for v in matrix[top]]
+        else:
+            inv = pow(matrix[top][col], -1, char_p)
+            matrix[top] = [v * inv % char_p for v in matrix[top]]
+        for i, row in enumerate(matrix):
+            factor = row[col]
+            if i != top and factor:
+                matrix[i] = [a - factor * b for a, b in zip(row, matrix[top])]
+                if char_p is not None:
+                    matrix[i] = [v % char_p for v in matrix[i]]
+        leads.append(col)
+    return {col: {j: v for j, v in enumerate(matrix[k]) if v} for k, col in enumerate(leads)}
 
 
 def normal_form(piece, poly, char_p):
@@ -106,44 +153,14 @@ def ideal_to_str(ideal):
     return "\n".join(lines) + "\n"
 
 
-def _rank(matrix, char_p):
-    """Rank of an integer matrix (a list of equal-length rows) over QQ or GF(char_p).
-
-    Plain dense Gaussian elimination, sharing nothing with `bettikit.linalg`.
-    """
-    rows = [[Fraction(v) if char_p is None else v % char_p for v in row] for row in matrix]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        inverse = 1 / top[col] if char_p is None else pow(top[col], -1, char_p)
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] * inverse
-                rows[r] = [a - factor * b for a, b in zip(rows[r], top)]
-                if char_p is not None:
-                    rows[r] = [a % char_p for a in rows[r]]
-        rank += 1
-    return rank
-
-
 def _reduced_homology(faces_by_size, size, char_p):
     """dim H~_{size-1} of a simplicial complex, given its faces as sorted tuples by size."""
     def boundary_rank(s):
         rows, cols = faces_by_size.get(s, []), faces_by_size.get(s - 1, [])
-        if s == 0 or not rows or not cols:
-            return 0
         index = {face: j for j, face in enumerate(cols)}
-        matrix = []
-        for face in rows:
-            row = [0] * len(cols)
-            for k in range(len(face)):
-                row[index[face[:k] + face[k + 1:]]] = (-1) ** k
-            matrix.append(row)
-        return _rank(matrix, char_p)
+        matrix = [{index[face[:k] + face[k + 1:]]: (-1) ** k for k in range(len(face))}
+                  for face in rows]
+        return len(dense_rref(matrix, len(cols), char_p))
     return len(faces_by_size.get(size, [])) - boundary_rank(size) - boundary_rank(size + 1)
 
 
@@ -157,7 +174,8 @@ def hochster_table(num_vars, generators, char_p, q_max):
     for each squarefree degree W, and beta_{i,W} = 0 unless W is in the lcm
     lattice, the unions of sets of generators (the empty union included).
     A face of Delta|_W of size s = q counts at (p, q) = (|W| - s, s), so only
-    faces of size <= q_max + 1 are listed.
+    faces of size <= q_max + 1 are listed.  The ranks of the boundary maps
+    are read off the shared dense elimination `dense_rref`.
     """
     gens = [frozenset((v, k) for v in range(num_vars) for k in range(mono[v]))
             for mono in generators]

@@ -19,11 +19,7 @@ from bettikit.pure import family_deq, hk_diagram, kappa_max, multiplicity
 from bettikit.selftest import (random_chain_table, random_ideal,
                                sweep_strand_bound_lemma)
 from bettikit.tables import BettiTable, DegreeSequence
-
-PROJECTED_VERONESE = BettiTable(
-    {(0, 0): 1, (1, 2): 7, (2, 2): 10, (3, 2): 5, (4, 2): 1})
-CUBIC_CONIC = BettiTable(
-    {(0, 0): 1, (1, 1): 5, (2, 1): 6, (3, 1): 2, (1, 2): 1, (2, 2): 2, (3, 2): 1})
+from oracles import CUBIC_CONIC, PROJECTED_VERONESE
 
 
 def report(criterion, detail):

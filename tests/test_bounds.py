@@ -9,12 +9,8 @@ from bettikit.decompose import NotInConeError, bs_decompose
 from bettikit.pure import family_deq, hk_diagram
 from bettikit.selftest import random_chain_table
 from bettikit.tables import BettiTable, DegreeSequence
+from oracles import CUBIC_CONIC, PROJECTED_VERONESE, TWISTED_CUBIC_TABLE
 
-PROJECTED_VERONESE = BettiTable(
-    {(0, 0): 1, (1, 2): 7, (2, 2): 10, (3, 2): 5, (4, 2): 1})
-CUBIC_CONIC = BettiTable(
-    {(0, 0): 1, (1, 1): 5, (2, 1): 6, (3, 1): 2, (1, 2): 1, (2, 2): 2, (3, 2): 1})
-TWISTED_CUBIC = BettiTable({(0, 0): 1, (1, 1): 3, (2, 1): 2})
 VERONESE_P2 = BettiTable({(0, 0): 1, (1, 1): 6, (2, 1): 8, (3, 1): 3})
 
 
@@ -50,7 +46,7 @@ def test_check_first_strand_projected_veronese_violation():
 
 
 def test_check_first_strand_twisted_cubic_all_max():
-    report = check_first_strand(TWISTED_CUBIC, Assumptions(codim_e=2), 1)
+    report = check_first_strand(TWISTED_CUBIC_TABLE, Assumptions(codim_e=2), 1)
     assert report.verdict == "AllMax"
     assert report.degree_predicted == 3
     assert report.shape_ok is True
@@ -101,7 +97,7 @@ def test_strand_checks_state_no_holding_shape_for_an_incomplete_table():
     tilde = hk_diagram(DegreeSequence((0, 2, 3, 5)))
     cases = [
         (lambda table, complete: check_first_strand(table, Assumptions(codim_e=2), 1, complete),
-         TWISTED_CUBIC, BettiTable({**TWISTED_CUBIC.entries, (1, 3): 1})),
+         TWISTED_CUBIC_TABLE, BettiTable({**TWISTED_CUBIC_TABLE.entries, (1, 3): 1})),
         (lambda table, complete: check_next_to_max(table, Assumptions(codim_e=3), complete),
          tilde, BettiTable({**tilde.entries, (2, 3): 1})),
     ]
@@ -126,7 +122,7 @@ def test_check_first_strand_on_pure_family():
 
 
 STRAND_CHECK_TABLES = [hk_diagram(family_deq(e, q)) for e in range(1, 6) for q in range(1, 4)]
-STRAND_CHECK_TABLES += [PROJECTED_VERONESE, CUBIC_CONIC, TWISTED_CUBIC, VERONESE_P2]
+STRAND_CHECK_TABLES += [PROJECTED_VERONESE, CUBIC_CONIC, TWISTED_CUBIC_TABLE, VERONESE_P2]
 
 
 def run_strand_checks():
@@ -224,7 +220,7 @@ def test_check_next_to_max_tilde_diagram():
 
 
 def test_check_next_to_max_twisted_cubic_degree_note():
-    report = check_next_to_max(TWISTED_CUBIC, Assumptions(codim_e=2))
+    report = check_next_to_max(TWISTED_CUBIC_TABLE, Assumptions(codim_e=2))
     assert report.verdict == "Violation"
     assert report.verdict_p == 1
     assert any("degree 3 < 4" in note for note in report.notes)
@@ -292,4 +288,4 @@ def test_check_next_to_max_propagates_decomposition_faults(monkeypatch, fault):
 
     monkeypatch.setattr(bounds, "bs_decompose", broken)
     with pytest.raises(fault, match="internal fault"):
-        check_next_to_max(TWISTED_CUBIC, Assumptions(codim_e=2))
+        check_next_to_max(TWISTED_CUBIC_TABLE, Assumptions(codim_e=2))

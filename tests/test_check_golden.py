@@ -1,10 +1,8 @@
 """The full stdout and exit code of `bettikit check`, text and JSON, against recorded outputs.
 
-`check_golden.json` holds the outputs of the closed-form bound checks (each
-bound written as `kappa_max` / `kappa_next_max`) that the diagram-based
-checks replaced, so any change in a verdict, bound, degree, shape flag or
-note shows here.  Together the cases reach every verdict of both checks and
-both shape outcomes.
+`check_golden.json` pins the stdout and exit code of each case, so any
+change in a verdict, bound, degree, shape flag or note shows here.  Together
+the cases reach every verdict of both checks and both shape outcomes.
 """
 
 import json

@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import subprocess
 import sys
 from itertools import takewhile
 from pathlib import Path
@@ -7,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from bettikit import selftest
-from bettikit.cli import main
+from bettikit.cli import _reject_unprintable, main
 from bettikit.fixtures import fixture_path, load_text
+from bettikit.pure import kappa_max, kappa_next_max
 from bettikit.tables import BettiTable
 
 
@@ -567,6 +570,7 @@ ERROR_CASES = {
     "next-to-max-no-strand": (["check", "{file}", "--codim", "2", "--next-to-max"], "0: 1\n"),
     "check-linear-generator": (["check", "{file}", "--codim", "2"], "0: 1 1\n1: . 1 1\n"),
     "missing-file": (["decompose", "/nonexistent/t.table"], None),
+    "check-codim-unprintable": (["check", "{table}", "--codim", "10000000000"], None),
 }
 
 
@@ -575,8 +579,61 @@ def test_error_cases_are_the_recorded_ones():
 
 
 @pytest.mark.parametrize("case", ERROR_CASES)
-def test_error_output_matches_golden(tmp_path, capsys, case):
+def test_error_output_matches_golden(tmp_path, capsys, int_digit_limit, case):
     argv, text = ERROR_CASES[case]
     code, out, err = run_to_exit(capsys, expand(argv, tmp_path, text))
     assert out == ""
     assert {"code": code, "stderr": err.replace(str(tmp_path), "$TMP")} == ERRORS_GOLDEN[case]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", fixture_path("veronese_projection.table")],
+    ["check", fixture_path("cubic_conic_union.table"), "--next-to-max"],
+])
+@pytest.mark.parametrize("out", ["text", "json"])
+def test_check_at_an_unprintable_codimension_fails_fast(argv, out):
+    # without the cap the bounds at this e are computed for ever, never printed
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               PYTHONINTMAXSTRDIGITS="4300")
+    result = subprocess.run([sys.executable, "-m", "bettikit.cli", *argv, "--codim",
+                             "10000000000", "--out", out],
+                            env=env, capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: --codim 10000000000 is too large to report")
+
+
+@pytest.mark.parametrize("case", ["ndm-d-zero", "ndm-m-negative", "next-to-max-no-strand",
+                                  "check-linear-generator"])
+def test_codimension_cap_keeps_the_earlier_errors(tmp_path, capsys, case):
+    argv, text = ERROR_CASES[case]
+    argv = ["10000000000" if arg == "2" else arg for arg in argv]
+    code, out, err = run_to_exit(capsys, expand(argv, tmp_path, text))
+    assert {"code": code, "stderr": err} == ERRORS_GOLDEN[case]
+
+
+def test_codimension_cap_leaves_next_to_max_to_reject_a_quadric_strand(capsys):
+    code, _, err = run(capsys, "check", fixture_path("veronese_projection.table"),
+                       "--codim", "10000000000", "--next-to-max")
+    assert (code, err) == (1, "error: first nontrivial strand is 2, the bound needs q = 1\n")
+
+
+@pytest.mark.parametrize("q, next_to_max", [(1, True), (1, False), (2, False), (40, False)])
+def test_codimension_cap_rejects_only_unprintable_reports(int_digit_limit, q, next_to_max):
+    # the smallest e the cap rejects has a bound of more than 4300 digits
+    low, high = 1, 10 ** 5
+    while low < high:
+        middle = (low + high) // 2
+        try:
+            _reject_unprintable(middle, q, next_to_max)
+            low = middle + 1
+        except ValueError:
+            high = middle
+    e = low
+    assert e < 10 ** 5
+    entry = kappa_next_max(e // 2, e) if next_to_max else kappa_max((e + q) // 2 - q, q, e)
+    assert entry > 10 ** int_digit_limit
+
+
+def test_codimension_cap_is_off_without_a_digit_limit(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert _reject_unprintable(10 ** 10, 2, False) is None

@@ -13,19 +13,13 @@ from bettikit.fixtures import FIXTURES, load_text
 from bettikit.koszul import (_cut_regular_variables, _Ring, betti_table,
                              graded_piece, hilbert_consistency)
 from bettikit.linalg import PrimeField, Rationals, SparseMatrix, field
-from bettikit.polyring import (Ideal, mono_times_var, monomials_of_degree, parse_ideal,
-                               parse_polynomial)
+from bettikit.polyring import Ideal, mono_times_var, monomials_of_degree, parse_ideal
 from bettikit.pure import kappa_max
 from bettikit.selftest import sweep_cut_agrees_with_uncut, uncut_table
 from bettikit.tables import BettiTable
-from oracles import cut_ideal, linear, normal_form, power
+from oracles import cut_ideal, ideal_from, linear, normal_form, power
 
 FIELDS = (None, 32003)
-
-
-def ideal_from(num_vars, lines, char_p=None):
-    gens = tuple(parse_polynomial(line, num_vars) for line in lines)
-    return Ideal(num_vars=num_vars, generators=gens, char_p=char_p)
 
 
 def multiplication_has_full_rank(ideal, source, target, var):

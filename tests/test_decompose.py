@@ -11,13 +11,8 @@ from bettikit.decompose import (Decomposition, NotInConeError, bs_decompose,
 from bettikit.pure import hk_diagram
 from bettikit.selftest import random_chain_table, sweep_cone_round_trip
 from bettikit.tables import BettiTable, DegreeSequence
-from oracles import chain_check, reconstruct
-
-PROJECTED_VERONESE = BettiTable(
-    {(0, 0): 1, (1, 2): 7, (2, 2): 10, (3, 2): 5, (4, 2): 1})
-CUBIC_CONIC = BettiTable(
-    {(0, 0): 1, (1, 1): 5, (2, 1): 6, (3, 1): 2, (1, 2): 1, (2, 2): 2, (3, 2): 1})
-TWISTED_CUBIC = BettiTable({(0, 0): 1, (1, 1): 3, (2, 1): 2})
+from oracles import (CUBIC_CONIC, PROJECTED_VERONESE, TWISTED_CUBIC_TABLE, chain_check,
+                     reconstruct)
 
 
 def test_top_strand_examples():
@@ -68,7 +63,7 @@ def test_decompose_cubic_conic_union():
 
 
 def test_decompose_twisted_cubic_single_term():
-    decomposition = bs_decompose(TWISTED_CUBIC)
+    decomposition = bs_decompose(TWISTED_CUBIC_TABLE)
     assert [(c, d.degrees) for c, d in decomposition.terms] == [(Fraction(1), (0, 2, 3))]
 
 
@@ -124,17 +119,17 @@ def test_decomposition_validation():
 def test_multiplicity_from_decomposition_known_degrees():
     assert multiplicity_from_decomposition(bs_decompose(CUBIC_CONIC), 3) == 5
     assert multiplicity_from_decomposition(bs_decompose(PROJECTED_VERONESE), 2) == 4
-    assert multiplicity_from_decomposition(bs_decompose(TWISTED_CUBIC), 2) == 3
+    assert multiplicity_from_decomposition(bs_decompose(TWISTED_CUBIC_TABLE), 2) == 3
 
 
 def test_multiplicity_empty_length_part():
-    assert multiplicity_from_decomposition(bs_decompose(TWISTED_CUBIC), 5) == 0
+    assert multiplicity_from_decomposition(bs_decompose(TWISTED_CUBIC_TABLE), 5) == 0
 
 
 def test_chain_check_examples():
     assert chain_check(bs_decompose(PROJECTED_VERONESE))
     assert chain_check(bs_decompose(CUBIC_CONIC))
-    assert chain_check(bs_decompose(TWISTED_CUBIC))
+    assert chain_check(bs_decompose(TWISTED_CUBIC_TABLE))
 
 
 def test_chain_check_rejects_non_chain():

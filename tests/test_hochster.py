@@ -1,8 +1,8 @@
 """`betti_table` on monomial ideals against Hochster's formula (`oracles.hochster_table`).
 
 The oracle reads the betti numbers off the reduced homology of restrictions
-of a simplicial complex, by dense elimination of its own; it shares no code
-with the Koszul engine, its pieces, its cut or its ranks.
+of a simplicial complex, by the dense elimination `oracles.dense_rref`; it
+shares no code with the Koszul engine, its pieces, its cut or its ranks.
 """
 
 from fractions import Fraction

@@ -18,12 +18,7 @@ from bettikit.polyring import Ideal, mono_times_var, parse_ideal, parse_polynomi
 from bettikit.pure import family_deq, hk_diagram
 from bettikit.selftest import random_ideal, sweep_square_zero, uncut_table
 from bettikit.tables import BettiTable
-from oracles import normal_form
-
-
-def ideal_from(num_vars, lines, char_p=None):
-    gens = tuple(parse_polynomial(line, num_vars) for line in lines)
-    return Ideal(num_vars=num_vars, generators=gens, char_p=char_p)
+from oracles import ideal_from, normal_form
 
 
 TWISTED_CUBIC = ideal_from(4, ["x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"])
@@ -42,6 +37,14 @@ def test_graded_piece_twisted_cubic():
     assert piece.dim + piece.ideal_dim == 10
     assert piece.ideal_dim == 3
     assert piece.dim == 7
+
+
+def test_graded_piece_equality_and_repr():
+    piece, again = graded_piece(TWISTED_CUBIC, 2), graded_piece(TWISTED_CUBIC, 2)
+    assert piece.__eq__("piece") is NotImplemented and piece != "piece"
+    assert piece == again and repr(piece) == repr(again)
+    assert repr(piece) == (f"GradedPiece(q=2, standard={piece.standard!r}, "
+                           f"rewrite={piece.rewrite!r})")
 
 
 def test_graded_piece_dimensions_match_parametrization():

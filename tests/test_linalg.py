@@ -6,64 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bettikit.linalg import SparseMatrix
-from oracles import rref
-
-
-def dense_rank(rows, ncols):
-    # straightforward Fraction elimination, the slow oracle
-    matrix = []
-    for row in rows:
-        matrix.append([Fraction(row.get(j, 0)) for j in range(ncols)])
-    rank = 0
-    pivot_row = 0
-    for col in range(ncols):
-        found = None
-        for i in range(pivot_row, len(matrix)):
-            if matrix[i][col] != 0:
-                found = i
-                break
-        if found is None:
-            continue
-        matrix[pivot_row], matrix[found] = matrix[found], matrix[pivot_row]
-        lead = matrix[pivot_row][col]
-        for i in range(pivot_row + 1, len(matrix)):
-            factor = matrix[i][col] / lead
-            if factor:
-                for j in range(col, ncols):
-                    matrix[i][j] -= factor * matrix[pivot_row][j]
-        pivot_row += 1
-        rank += 1
-    return rank
-
-
-def dense_rref(rows, ncols, char_p):
-    # dense Gauss-Jordan elimination, Fractions over QQ and residues mod p:
-    # the oracle for rref, as {pivot column: its row}
-    if char_p is None:
-        matrix = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
-    else:
-        matrix = [[row.get(j, 0) % char_p for j in range(ncols)] for row in rows]
-    leads = []
-    for col in range(ncols):
-        top = len(leads)
-        found = next((i for i in range(top, len(matrix)) if matrix[i][col]), None)
-        if found is None:
-            continue
-        matrix[top], matrix[found] = matrix[found], matrix[top]
-        if char_p is None:
-            inv = 1 / matrix[top][col]
-            matrix[top] = [v * inv for v in matrix[top]]
-        else:
-            inv = pow(matrix[top][col], -1, char_p)
-            matrix[top] = [v * inv % char_p for v in matrix[top]]
-        for i, row in enumerate(matrix):
-            factor = row[col]
-            if i != top and factor:
-                matrix[i] = [a - factor * b for a, b in zip(row, matrix[top])]
-                if char_p is not None:
-                    matrix[i] = [v % char_p for v in matrix[i]]
-        leads.append(col)
-    return {col: {j: v for j, v in enumerate(matrix[k]) if v} for k, col in enumerate(leads)}
+from oracles import dense_rref, rref
 
 
 @st.composite
@@ -152,7 +95,7 @@ def test_rank_matches_dense_oracle_rational():
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         rows = random_rows(rng, nrows, ncols, rational=True)
         got = SparseMatrix(nrows, ncols, [dict(r) for r in rows]).rank(None)
-        assert got == dense_rank(rows, ncols)
+        assert got == len(dense_rref(rows, ncols, None))
 
 
 def test_rank_matches_dense_oracle_mod_p():
@@ -163,7 +106,7 @@ def test_rank_matches_dense_oracle_mod_p():
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         rows = random_rows(rng, nrows, ncols)
         got = SparseMatrix(nrows, ncols, [dict(r) for r in rows]).rank(32003)
-        assert got == dense_rank(rows, ncols)
+        assert got == len(dense_rref(rows, ncols, None))
 
 
 def test_rank_handles_duplicate_and_zero_rows():

@@ -13,16 +13,11 @@ from bettikit.fixtures import FIXTURES, load_text
 from bettikit.koszul import (GradedPiece, _cut_regular_variables, _Ring, betti_table,
                              graded_piece)
 from bettikit.linalg import field, reduced_echelon
-from bettikit.polyring import Ideal, monomials_of_degree, parse_ideal, parse_polynomial
+from bettikit.polyring import Ideal, monomials_of_degree, parse_ideal
 from bettikit.selftest import uncut_table
-from oracles import linear, monic, mono_mul, power
+from oracles import ideal_from, linear, monic, mono_mul, power
 
 FIELDS = (None, 32003)
-
-
-def ideal_from(num_vars, lines, char_p=None):
-    gens = tuple(parse_polynomial(line, num_vars) for line in lines)
-    return Ideal(num_vars=num_vars, generators=gens, char_p=char_p)
 
 
 def with_constant(num_vars, lines, constant, char_p=None):

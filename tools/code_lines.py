@@ -1,4 +1,4 @@
-"""Count the code lines of each module in src/bettikit, and their total.
+"""Count the code lines of each module in src/bettikit and in tests, and their totals.
 
 A code line is a line that holds part of a token other than a comment, a
 docstring or layout (newlines and indentation).  A docstring is the string
@@ -42,12 +42,15 @@ def code_lines(path: Path) -> int:
 
 
 def main() -> None:
-    total = 0
-    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "bettikit").glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{path.name:20} {count:5}")
-    print(f"{'total':20} {total:5}")
+    root = Path(__file__).resolve().parent.parent
+    for directory in ("src/bettikit", "tests"):
+        print(f"{directory}/")
+        total = 0
+        for path in sorted((root / directory).glob("*.py")):
+            count = code_lines(path)
+            total += count
+            print(f"{path.name:20} {count:5}")
+        print(f"{'total':20} {total:5}")
 
 
 if __name__ == "__main__":
