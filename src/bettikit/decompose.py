@@ -2,13 +2,19 @@
 
 Every table in the cone spanned by pure diagrams is a unique positive
 rational combination of diagrams along a chain of degree sequences.  The
-peeling loop below recovers it in integers: clear the table once, read off the
-top strand (the minimal degree sequence d with d_p = p + min row of column p),
-subtract the largest multiple of pi(d), as integers over one denominator,
-that keeps all cells nonnegative, and repeat; a pass builds one Fraction, its
-coefficient.  pi(d) lives on exactly the strand cells and the multiple is the
-minimum over them of table / diagram, so each pass zeroes at least one cell
-and creates none: a table with n nonzero cells is peeled in at most n passes.
+peeling loop below recovers it exactly: read off the top strand (the minimal
+degree sequence d with d_p = p + min row of column p), subtract the largest
+multiple of pi(d) that keeps all cells nonnegative, and repeat.  pi(d) lives
+on exactly the strand cells and the multiple is the minimum over them of
+table / diagram, so each pass zeroes at least one cell and creates none: a
+table with n nonzero cells is peeled in at most n passes.
+
+A pass touches only the strand.  Each column keeps its rows sorted least
+last, so the strand is read off the column ends and a cell that reaches zero
+is popped; each cell is its own reduced integer fraction, and only the strand
+cells are updated.  A pass on a strand of length l thus costs O(l) integer
+operations whatever the size of the table, besides building pi(d), which is
+O(l^2) and done once per term (`DegreeSequence.integer_diagram`).
 
 A table outside the cone raises NotInConeError while its top strand is read,
 naming the first empty column before the last one or the first position where
@@ -20,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
-from .pure import _integer_diagram, multiplicity
+from .pure import multiplicity
 from .tables import BettiTable, Cell, DegreeSequence
 
 
@@ -51,7 +56,7 @@ class Decomposition:
 
     def reconstruct(self) -> BettiTable:
         """Sum of c * pi(d) over the terms, in integers over one common denominator."""
-        parts = [(c, *_integer_diagram(d.degrees)) for c, d in self.terms]
+        parts = [(c, *d.integer_diagram) for c, d in self.terms]
         common = lcm(*(c.denominator * den for c, _, den in parts))
         total: dict[Cell, int] = {}
         for c, cells, den in parts:
@@ -61,61 +66,65 @@ class Decomposition:
         return BettiTable({cell: Fraction(v, common) for cell, v in total.items()})
 
 
-def _strand_degrees(cells: Iterable[Cell]) -> tuple[int, ...]:
-    """d_p = p + min{q : (p, q) in cells} for every column up to the last one.
+def _strand_degrees(columns: list[list[tuple[int, int, int]]]) -> tuple[int, ...]:
+    """d_p = p + the least row of column p, for every column up to the last one.
 
+    `columns[p]` holds the cells of column p as (row, num, den), least row last.
     NotInConeError when a column before the last is empty or d fails to increase.
     """
-    min_row: dict[int, int] = {}
-    for p, q in cells:
-        row = min_row.get(p)
-        if row is None or q < row:
-            min_row[p] = q
-    degrees = []
-    for p in range(max(min_row) + 1):
-        if p not in min_row:
-            raise NotInConeError(f"table is outside the cone: column {p} has no entries "
-                                 "but the table extends past it")
-        degrees.append(p + min_row[p])
+    if not all(columns):
+        raise NotInConeError(f"table is outside the cone: column {columns.index([])} has no "
+                             "entries but the table extends past it")
+    degrees = tuple(p + column[-1][0] for p, column in enumerate(columns))
     for p in range(1, len(degrees)):
         if degrees[p] <= degrees[p - 1]:
             raise NotInConeError("table is outside the cone: top strand is not strictly "
                                  f"increasing at position {p}")
-    return tuple(degrees)
+    return degrees
 
 
 def bs_decompose(table: BettiTable) -> Decomposition:
     """Peel a table into its positive combination of pure diagrams.
 
-    `work` holds the remaining cells as integers over `scale`.  A pass finds
-    a / b, the least work / n over the strand cells of pi(d) = n / den, by
-    cross-multiplication; work becomes b * work - a * n over scale * b, both
-    divided by their content; c = a * den / (scale * b).  NotInConeError when
-    the table leaves the cone (a gap in a column or a non-increasing strand).
+    `columns[p]` holds the remaining cells of column p as (row, num, den), the
+    entry num / den a reduced fraction, sorted once with the least row last, so
+    the strand cell of column p is `columns[p][-1]`.  A pass finds a / b, the
+    least entry / n over the strand cells of pi(d) = n / n_0, by
+    cross-multiplication; c = a * n_0 / b, and each strand cell becomes
+    entry - a * n / b, reduced by its own gcd, or is popped at 0.  A pass thus
+    costs O(l) on a strand of length l, plus pi(d) once per term; the sort costs
+    O(n log n) on n cells.  NotInConeError when the table leaves the cone (a gap
+    in a column or a non-increasing strand).
     """
     if table.is_zero():
         raise ValueError("cannot decompose an empty table")
-    scale = lcm(*(v.denominator for v in table.entries.values()))
-    work = {cell: v.numerator * (scale // v.denominator) for cell, v in table.entries.items()}
+    columns: list[list[tuple[int, int, int]]] = [
+        [] for _ in range(table.projective_dimension() + 1)]
+    for (p, q), v in sorted(table.entries.items(), reverse=True):
+        columns[p].append((q, v.numerator, v.denominator))
     terms: list[tuple[Fraction, DegreeSequence]] = []
-    while work:
-        degrees = _strand_degrees(work)
-        diagram, den = _integer_diagram(degrees)
+    while columns:
+        d = DegreeSequence(_strand_degrees(columns))
+        diagram, n0 = d.integer_diagram
         a, b = 1, 0  # the ratio 1/0 exceeds every cell's
-        for cell, n in diagram.items():
-            if work[cell] * b < a * n:
-                a, b = work[cell], n
+        for column, n in zip(columns, diagram.values()):
+            _, num, den = column[-1]
+            if num * b < a * n * den:
+                a, b = num, n * den
         g = gcd(a, b)
         a, b = a // g, b // g
-        terms.append((Fraction(a * den, scale * b), DegreeSequence(degrees)))
-        if b != 1:
-            work = {cell: b * w for cell, w in work.items()}
-            scale *= b
-        for cell, n in diagram.items():
-            work[cell] -= a * n
-        content = gcd(scale, *work.values())
-        scale //= content
-        work = {cell: w // content for cell, w in work.items() if w}
+        terms.append((Fraction(a * n0, b), d))
+        for column, n in zip(columns, diagram.values()):
+            q, num, den = column[-1]
+            num = num * b - a * n * den
+            if num:
+                den *= b
+                g = gcd(num, den)
+                column[-1] = (q, num // g, den // g)
+            else:
+                column.pop()
+        while columns and not columns[-1]:
+            columns.pop()
     return Decomposition(tuple(terms))
 
 

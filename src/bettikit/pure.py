@@ -11,39 +11,24 @@ in column p at row d_p - p.  Its multiplicity is
     e(d) = (1 / l!) * prod over k >= 1 of (d_k - d_0).
 
 `hk_diagram` returns pi(d) as a BettiTable of Fractions, which the bound
-checks read, and `multiplicity` returns e(d).  The peel and
-`Decomposition.reconstruct` read pi(d) as integers over one denominator from
-`_integer_diagram`, the integers `hk_diagram` divides into Fractions.  Also
-here: the extremal families behind the first-strand bounds and the
-closed-form bound values they realize.
+checks read, and `multiplicity` returns e(d).  The integers behind it live on
+the sequence: `DegreeSequence.integer_diagram` is pi(d) as integers over one
+denominator, built once per sequence and read by `hk_diagram`, the peel and
+`Decomposition.reconstruct`.  Also here: the extremal families behind the
+first-strand bounds and the closed-form bound values they realize.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 
-from .tables import BettiTable, Cell, DegreeSequence
+from .tables import BettiTable, DegreeSequence
 
 
 def multiplicity(d: DegreeSequence) -> Fraction:
     """e(d) = (1/l!) * prod(d_k - d_0) over k >= 1."""
     return Fraction(prod(dk - d[0] for dk in d.degrees[1:]), factorial(d.length))
-
-
-def _integer_diagram(degrees: tuple[int, ...]) -> tuple[dict[Cell, int], int]:
-    """pi(d) as coprime integers {(p, d_p - p): n_p} over den = n_0, for d strictly increasing.
-
-    n_p = L / D_p for D_p the product of |d_k - d_p| over k != p, L their lcm.  Unchecked.
-    """
-    spans = []
-    for dp in degrees:
-        span = 1
-        for dk in degrees:
-            span *= dk - dp or 1  # the factor k = p is left out
-        spans.append(abs(span))
-    top = lcm(*spans)
-    return {(p, dp - p): top // spans[p] for p, dp in enumerate(degrees)}, top // spans[0]
 
 
 def hk_diagram(d: DegreeSequence) -> BettiTable:
@@ -54,7 +39,7 @@ def hk_diagram(d: DegreeSequence) -> BettiTable:
     if d[0] < 0:
         raise ValueError(
             f"degree sequence {d} would place column 0 in negative row {d[0]}")
-    cells, den = _integer_diagram(d.degrees)
+    cells, den = d.integer_diagram
     return BettiTable({cell: Fraction(n, den) for cell, n in cells.items()})
 
 

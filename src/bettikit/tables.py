@@ -33,6 +33,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Union
@@ -299,6 +300,23 @@ class DegreeSequence:
 
     def __getitem__(self, index: int) -> int:
         return self.degrees[index]
+
+    @cached_property
+    def integer_diagram(self) -> tuple[dict[Cell, int], int]:
+        """pi(d) as coprime integers {(p, d_p - p): n_p} over den = n_0, built once per sequence.
+
+        n_p = L / D_p for D_p the product of |d_k - d_p| over k != p, L their lcm.  The
+        cells are in column order, and the dict is shared by every reader, which must
+        not mutate it.
+        """
+        spans = []
+        for dp in self.degrees:
+            span = 1
+            for dk in self.degrees:
+                span *= dk - dp or 1  # the factor k = p is left out
+            spans.append(abs(span))
+        top = lcm(*spans)
+        return {(p, dp - p): top // spans[p] for p, dp in enumerate(self.degrees)}, top // spans[0]
 
     def __str__(self) -> str:
         return ",".join(str(d) for d in self.degrees)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bettikit.pure import (_integer_diagram, family_deq, family_tilde, hk_diagram, kappa_max,
-                           kappa_next_max, multiplicity)
+from bettikit.pure import (family_deq, family_tilde, hk_diagram, kappa_max, kappa_next_max,
+                           multiplicity)
 from bettikit.selftest import (sweep_deq_closed_forms, sweep_dual_multiplicity,
                                sweep_hilbert_divisibility, sweep_strand_bound_lemma,
                                sweep_tilde_closed_forms)
@@ -190,7 +190,7 @@ def test_integer_diagram_is_coprime_over_its_column_0_entry():
                  for length in range(7) for tail in combinations(range(1, 13), length)]
     assert len(sequences) == 5020
     for degrees in sequences:
-        cells, den = _integer_diagram(degrees)
+        cells, den = DegreeSequence(degrees).integer_diagram
         assert gcd(*cells.values()) == 1, degrees
         assert den == cells[(0, degrees[0])], degrees
         assert hk_diagram(DegreeSequence(degrees)).cleared() == (BettiTable(cells), den), degrees
