@@ -7,7 +7,11 @@ degree sequence d with d_p = p + min row of column p), subtract the largest
 multiple of pi(d) that keeps all cells nonnegative, and repeat.  pi(d) lives
 on exactly the strand cells and the multiple is the minimum over them of
 table / diagram, so each pass zeroes at least one cell and creates none: a
-table with n nonzero cells is peeled in at most n passes.
+table with n nonzero cells is peeled in at most n passes.  The loop ends by
+construction, not only by this argument: a pass whose least ratio is not
+positive, or that zeroes no cell, raises RuntimeError naming the pass, an
+internal error the mathematics rules out, so a faulty ratio or update fails
+at once instead of peeling for ever.
 
 A pass touches only the strand.  Each column keeps its rows sorted least
 last, so the strand is read off the column ends and a cell that reaches zero
@@ -94,7 +98,9 @@ def bs_decompose(table: BettiTable) -> Decomposition:
     entry - a * n / b, reduced by its own gcd, or is popped at 0.  A pass thus
     costs O(l) on a strand of length l, plus pi(d) once per term; the sort costs
     O(n log n) on n cells.  NotInConeError when the table leaves the cone (a gap
-    in a column or a non-increasing strand).
+    in a column or a non-increasing strand).  Each pass checks, once, that its
+    least ratio is positive and that it popped a cell, and raises RuntimeError
+    naming the pass otherwise, so there are at most as many passes as cells.
     """
     if table.is_zero():
         raise ValueError("cannot decompose an empty table")
@@ -111,9 +117,12 @@ def bs_decompose(table: BettiTable) -> Decomposition:
             _, num, den = column[-1]
             if num * b < a * n * den:
                 a, b = num, n * den
+        if a <= 0:
+            raise RuntimeError(f"peel pass {len(terms) + 1}: the least ratio {a}/{b} is not positive")
         g = gcd(a, b)
         a, b = a // g, b // g
         terms.append((Fraction(a * n0, b), d))
+        popped = False
         for column, n in zip(columns, diagram.values()):
             q, num, den = column[-1]
             num = num * b - a * n * den
@@ -123,6 +132,9 @@ def bs_decompose(table: BettiTable) -> Decomposition:
                 column[-1] = (q, num // g, den // g)
             else:
                 column.pop()
+                popped = True
+        if not popped:
+            raise RuntimeError(f"peel pass {len(terms)} zeroed no cell")
         while columns and not columns[-1]:
             columns.pop()
     return Decomposition(tuple(terms))

@@ -47,9 +47,11 @@ Bayer and Stillman's criterion certifies the table complete, is proved in
 The layer from the pieces to the ranks stays in the field's own integers:
 the images of x_var are read off kept rows (`_multiplication`), and every
 row handed to elimination is made in the field's form in one step
-(`F.combine`).  Which differentials are built, and why the others are read
-off dimensions, is in `_betti_entries`.  No row is eliminated here: every
-row operation is `linalg`'s, `reduced_echelon`, `rank` or `substitute`.
+(`F.combine`).  Which differentials are built, why the others are read
+off dimensions, and why each is built only on the rows that the image of
+the differential below does not lead, is in `_betti_entries`.  No row is
+eliminated here: every row operation is `linalg`'s, `reduced_echelon`,
+`leads` or `substitute`.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
-from .linalg import (PrimeField, Rationals, Row, Rule, SparseMatrix, field, rank, reduced_echelon,
+from .linalg import (PrimeField, Rationals, Row, Rule, SparseMatrix, field, leads, reduced_echelon,
                      substitute)
 from .polyring import Ideal, Monomial, index_maps, mono_degree, monomials_of_degree
 from .tables import BettiTable
@@ -292,25 +294,29 @@ def _multiplication(source: GradedPiece, target: GradedPiece, var: int) -> list[
             for col in source.free]
 
 
-def _wedge_rows(p: int, width: int, images: Sequence[list[Rule]], combine) -> list[Row]:
-    """The rows of wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, p >= 1.
+def _wedge_rows(p: int, width: int, images: Sequence[list[Rule]], combine,
+                skip: Container[int] = ()) -> list[Row]:
+    """The rows of wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, p >= 1, but those in `skip`.
 
     `images[v]` is x_v: M_q -> M_{q+1} (`_multiplication`) for each of the
     n = len(images) variables, and `width` is dim M_{q+1}.  Rows are the
     domain wedges in lex order, each with a row per standard monomial of
-    M_q.  For a fixed wedge the j-th terms land in distinct codomain wedges,
-    so no two terms of a row share a column and nothing cancels.
+    M_q, so the row of the i-th wedge and the k-th monomial has index
+    i * dim M_q + k; a row whose index is in `skip` is not built.  For a
+    fixed wedge the j-th terms land in distinct codomain wedges, so no two
+    terms of a row share a column and nothing cancels.
     `combine(places, rules)` makes each row in one step from its terms, each
     rule placed at its codomain wedge's (base, odd), negated at odd j:
     `F.combine` for a row in the field's form, or a read of the entries'
     values.
     """
-    n = len(images)
+    n, height = len(images), len(images[0])
     codomain = {wedge: i * width for i, wedge in enumerate(combinations(range(n), p - 1))}
     rows = []
-    for wedge in combinations(range(n), p):
+    for i, wedge in enumerate(combinations(range(n), p)):
         places = [(codomain[wedge[:j] + wedge[j + 1:]], j % 2) for j in range(p)]
-        rows += [combine(places, rules) for rules in zip(*[images[var] for var in wedge])]
+        rows += [combine(places, rules) for k, rules in
+                 enumerate(zip(*[images[var] for var in wedge]), i * height) if k not in skip]
     return rows
 
 
@@ -345,18 +351,18 @@ def koszul_differential(ideal: Ideal | _Ring, p: int, q: int,
     return SparseMatrix(nrows, ncols, _wedge_rows(p, target.dim, images, entries))
 
 
-def _differential(ring: _Ring, p: int, q: int) -> list[Row]:
-    """The rows of `koszul_differential(ring, p, q, ring)`, p >= 2, each in the field's form.
+def _differential(ring: _Ring, p: int, q: int, skip: Container[int]) -> list[Row]:
+    """The rows of `koszul_differential(ring, p, q, ring)`, p >= 2, but those in `skip`.
 
     They are built from the ring's images of x_v, and each spans the line
     of that matrix's row as `F.combine` makes it: a primitive integer vector
-    over the rationals, residues mod p.  No row is built when the matrix has
-    no row or no column.
+    over the rationals, residues mod p.  A row whose index is in `skip` is
+    not built, and no row is built when the matrix has no row or no column.
     """
     if not (ring[q].dim and ring[q + 1].dim):
         return []
     images = [ring.image(var, q) for var in range(ring.num_vars)]
-    return _wedge_rows(p, ring[q + 1].dim, images, ring.F.combine)
+    return _wedge_rows(p, ring[q + 1].dim, images, ring.F.combine, skip)
 
 
 def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
@@ -391,11 +397,35 @@ def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
     So only the differentials with p >= 2 and q >= 1 are built, each once,
     from the images of x_v: M_q -> M_{q+1} the ring makes once per variable
     and degree, in the field's form, and ranked in the ring's field.
+
+    Each is built only on the rows that no boundary leads.  Let
+    W = wedge^p V (x) M_q, whose basis vector e_j, j = i * dim M_q + k for
+    the i-th wedge in lex order and the k-th standard monomial, is row j of
+    delta_p = delta_{p,q} and column j of delta_{p+1} = delta_{p+1,q-1}.  Let
+    B = im delta_{p+1} in W and in(B) the least columns of B's nonzero
+    elements, which are the leads of any echelon of rows spanning B
+    (`linalg.leads`).  Then W = B (+) U for U = span{e_j : j not in in(B)}:
+    a nonzero element of B has its least column in in(B), and so does not
+    lie in U, and dim B = |in(B)|, so the dimensions add up to dim W.  Since
+    delta_p sends B to 0 (delta_p delta_{p+1} = 0), delta_p(W) = delta_p(U),
+    so rank delta_p is the rank of its rows e_j, j not in in(B), over any
+    field.  Of those dim W - rank delta_{p+1} rows, exactly kappa_{p,q}
+    reduce to zero.  Row q is computed after row q - 1, and in(B) is kept
+    from there as a set, the leads of delta_{p+1,q-1}'s forward echelon, for
+    row q alone.  That echelon was itself built on kept rows only, but they
+    span the same image B, by the same argument one row down, so its leads
+    are in(B).  At q = 1 every row is kept, since delta_{p+1,0} is read off
+    dim M_1 and not built, and at p = n nothing is skipped, since
+    wedge^{n+1} V = 0.
     """
-    n = ring.num_vars
+    n, F = ring.num_vars, ring.F
     ranks = {(p, 0): comb(n, p) - comb(n - ring[1].dim, p) for p in range(n + 1)}
-    ranks.update({(p, q): ring[q + 1].dim if p == 1 else rank(_differential(ring, p, q), ring.F)
-                  for q in range(1, q_max + 1) for p in range(1, n + 1)})
+    below: dict[int, set[int]] = {}
+    for q in range(1, q_max + 1):
+        ranks[1, q] = ring[q + 1].dim
+        below = {p: leads(_differential(ring, p, q, below.get(p + 1, ())), F)
+                 for p in range(2, n + 1)}
+        ranks.update({(p, q): len(lead) for p, lead in below.items()})
     entries = {}
     for (p, q), r in ranks.items():
         kappa = comb(n, p) * ring[q].dim - r - ranks.get((p + 1, q - 1), 0)

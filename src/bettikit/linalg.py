@@ -8,7 +8,8 @@ elimination step, the form of a stored pivot row, the rule a kept row gives,
 and the one step that lays rules out as a normalized row.
 
 One forward elimination (`_echelon`) serves `rank` (and `SparseMatrix.rank`),
-the number of echelon rows, and `reduced_echelon`.  It takes the rows
+the number of echelon rows, `leads`, their leading columns, and
+`reduced_echelon`.  It takes the rows
 shortest first, Markowitz's rule (Management Sci. 3, 1957) for limiting
 fill-in, and reduces each against the pivot rows found so far; the leading
 column of a row is its smallest index.  The order is free: the rank does not
@@ -188,6 +189,16 @@ class SparseMatrix:
 def rank(rows: Iterable[dict], F: Rationals | PrimeField) -> int:
     """The rank over `F` of rows already in its form, as `F.row` or `F.combine` leaves them."""
     return len(_echelon(rows, F))
+
+
+def leads(rows: Iterable[dict], F: Rationals | PrimeField) -> set[int]:
+    """The leading columns of the forward echelon of rows in the field's form; `rank` counts them.
+
+    The set depends only on the rows' span: it is the set of least columns
+    of the span's nonzero elements, since an element's least column is the
+    least lead among the echelon rows it combines.
+    """
+    return set(_echelon(rows, F))
 
 
 def _echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, dict]:

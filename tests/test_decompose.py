@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -345,6 +349,57 @@ def test_peel_and_reconstruct_build_each_diagram_once(monkeypatch):
     assert decomposition.reconstruct() == table
     assert len(decomposition.terms) > 1
     assert built == [d.degrees for _, d in decomposition.terms]
+
+
+SKEWED_PEEL = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from bettikit.decompose import bs_decompose
+from bettikit.tables import BettiTable, DegreeSequence
+
+build, parity = DegreeSequence.integer_diagram.func, int(sys.argv[1])
+
+
+class Skewed(dict):
+    # a pass reads the diagram's values twice, for the least ratio and then
+    # for the update; the reads of the given parity see every entry doubled
+    reads = 0
+
+    def values(self):
+        Skewed.reads += 1
+        return [2 * n if Skewed.reads % 2 == parity else n for n in super().values()]
+
+
+def skewed(d):
+    cells, n0 = build(d)
+    return Skewed(cells), n0
+
+
+DegreeSequence.integer_diagram = property(skewed)
+table = BettiTable({(p, q): int(v) for p, q, v in zip(*[map(int, sys.argv[2:])] * 3)})
+try:
+    bs_decompose(table)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("parity, cells, message", [
+    # the least ratio halved: both cells stay positive
+    (1, {(0, 0): 1, (1, 1): 2}, "peel pass 1 zeroed no cell"),
+    # the update doubled, so the ratio is in effect too large: both cells of
+    # pi(0, 2) go negative, or the least one does while the other reaches 0
+    (0, {(0, 0): 1, (1, 1): 1}, "peel pass 1 zeroed no cell"),
+    (0, {(0, 0): 1, (1, 1): 2}, "peel pass 2: the least ratio -1/1 is not positive"),
+])
+def test_a_faulty_peel_raises_instead_of_running_on(parity, cells, message):
+    # the checks make the peel end by construction; without them each fault
+    # peels for ever, so it runs in a subprocess with a deadline and a 1 GiB cap
+    argv = [str(parity)] + [str(x) for (p, q), v in cells.items() for x in (p, q, v)]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    child = subprocess.run([sys.executable, "-c", SKEWED_PEEL, *argv], env=env,
+                           capture_output=True, text=True, timeout=10)
+    assert (child.returncode, child.stdout, child.stderr) == (0, message + "\n", "")
 
 
 @st.composite

@@ -15,7 +15,7 @@ from bettikit.koszul import (_Ring, betti_table, graded_piece, hilbert_consisten
                              koszul_differential)
 from bettikit.linalg import SparseMatrix
 from bettikit.polyring import Ideal, mono_times_var, parse_ideal, parse_polynomial
-from bettikit.pure import family_deq, hk_diagram
+from bettikit.pure import family_deq, hk_diagram, kappa_max
 from bettikit.selftest import random_ideal, sweep_square_zero, uncut_table
 from bettikit.tables import BettiTable
 from oracles import ideal_from, normal_form
@@ -196,9 +196,9 @@ def test_each_differential_is_built_once(monkeypatch):
     built = []
     differential = koszul._differential
 
-    def counting(ring, p, q):
+    def counting(ring, p, q, skip):
         built.append((ring.num_vars, p, q))
-        return differential(ring, p, q)
+        return differential(ring, p, q, skip)
 
     monkeypatch.setattr(koszul, "_differential", counting)
     betti_table(TWISTED_CUBIC, 3)
@@ -212,6 +212,79 @@ def test_each_differential_is_built_once(monkeypatch):
     uncut_table(TWISTED_CUBIC, 3)
     assert len(built) == len(set(built))
     assert set(built) == {(4, p, q) for p in (2, 3, 4) for q in range(1, 4)}
+
+
+def engine_differentials(ideal, q_max):
+    """[ring, p, q, rows handed, rank] for each differential `betti_table` and `uncut_table` rank."""
+    calls, differential, leads = [], koszul._differential, koszul.leads
+
+    def recording_differential(ring, p, q, skip):
+        rows = differential(ring, p, q, skip)
+        calls.append([ring, p, q, len(rows)])
+        return rows
+
+    def recording_leads(rows, F):
+        found = leads(rows, F)
+        calls[-1].append(len(found))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(koszul, "_differential", recording_differential)
+        patch.setattr(koszul, "leads", recording_leads)
+        betti_table(ideal, q_max)
+        uncut_table(ideal, q_max)
+    return calls
+
+
+def assert_kept_rows_rank_the_full_differential(ideal, q_max):
+    # each rank equals the full matrix's, built on every row by
+    # `koszul_differential`, and for q >= 2 the rows handed are all but the
+    # r_{p+1,q-1} that the image of delta_{p+1,q-1} leads
+    skipped = 0
+    for ring, p, q, handed, found in engine_differentials(ideal, q_max):
+        assert found == koszul_differential(ring, p, q, ring).rank(ideal.char_p), (p, q)
+        domain = comb(ring.num_vars, p) * ring[q].dim
+        below = koszul_differential(ring, p + 1, q - 1, ring).rank(ideal.char_p) if q >= 2 else 0
+        assert handed == (domain - below if ring[q + 1].dim else 0), (p, q)
+        skipped += domain - handed if ring[q + 1].dim else 0
+    return skipped
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 10**6), char_p=st.sampled_from((None, 32003, 2)),
+       q_max=st.integers(1, 3))
+def test_ranks_on_kept_rows_equal_the_full_ranks(seed, char_p, q_max):
+    ideal = replace(random_ideal(random.Random(seed)), char_p=char_p)
+    assert_kept_rows_rank_the_full_differential(ideal, q_max)
+
+
+@pytest.mark.parametrize("char_p", (None, 32003, 2))
+def test_boundary_rows_are_not_built(char_p):
+    # the uncut twisted cubic's rows 2 and 3 have boundaries to skip
+    assert assert_kept_rows_rank_the_full_differential(replace(TWISTED_CUBIC, char_p=char_p), 3) > 0
+
+
+def scroll(parts, char_p):
+    """The rational normal scroll S(parts): the 2 x 2 minors of its 2 x sum(parts) matrix."""
+    top, bottom, var = [], [], 0
+    for a in parts:
+        top += [f"x{var + i}" for i in range(a)]
+        bottom += [f"x{var + i + 1}" for i in range(a)]
+        var += a + 1
+    return ideal_from(var, [f"{top[i]}*{bottom[j]} - {top[j]}*{bottom[i]}"
+                            for i, j in combinations(range(len(top)), 2)], char_p)
+
+
+@pytest.mark.parametrize("parts", ((2, 2), (2, 3)))
+@pytest.mark.parametrize("char_p", (None, 32003))
+def test_scrolls_attain_the_first_strand_maxima(parts, char_p):
+    # S(a_1..a_k) has codimension e = sum(a_i) - 1 and the Eagon-Northcott
+    # table, row 1 kappa_max(p, 1, e) and nothing above; no variable is
+    # regular on a scroll, so the walk cuts nothing and stops unknown
+    e, q_max = sum(parts) - 1, 3
+    table, complete = betti_table(scroll(parts, char_p), q_max)
+    assert not complete
+    assert table == BettiTable({(0, 0): 1, **{(p, 1): kappa_max(p, 1, e) for p in range(1, e + 1)}})
 
 
 @pytest.mark.parametrize("char_p", (None, 32003))
@@ -389,7 +462,7 @@ def test_generator_vanishing_in_the_field_does_not_delay_the_certificate():
 
 def test_negative_kappa_raises(monkeypatch):
     # a rank larger than the domain can only come from a faulty rank
-    monkeypatch.setattr(koszul, "rank", lambda rows, F: 100)
+    monkeypatch.setattr(koszul, "leads", lambda rows, F: set(range(100)))
     with pytest.raises(RuntimeError, match="negative"):
         uncut_table(TWISTED_CUBIC, 1)
 

@@ -134,8 +134,8 @@ def test_engine_rows_are_in_the_field_form(ideal, q):
         handed.extend(rows)
         return reduced_echelon(rows, *rest)
 
-    def recording_differential(ring, p, q):
-        rows = differential(ring, p, q)
+    def recording_differential(ring, p, q, skip):
+        rows = differential(ring, p, q, skip)
         handed.extend(rows)
         return rows
 
