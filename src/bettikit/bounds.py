@@ -22,10 +22,18 @@ assertions and are echoed in the report.  A Violation verdict with an
 asserted hypothesis therefore means the assertion is false for the data, not
 that the check malfunctioned: the projected Veronese surface is exactly such
 a table.
+
+`check_strand` is the one path from a table to its report, taken by `bettikit
+check` and the fixture runner: it reads the first nontrivial strand and picks
+the check.  Both checks refuse, after their own validation and before any
+bound is built, a codimension whose largest bound has more digits than
+Python will print (`_reject_unprintable`), so no call computes bounds for
+ever.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
@@ -150,11 +158,13 @@ def check_first_strand(table: BettiTable, assumptions: Assumptions, q: int,
     bound, the predicted degree C(e+q, q) and the pure-resolution shape test
     are reported as well.  Violations are verdicts, never exceptions.  A
     table width below e is noted, and a shape that holds is stated, only for
-    a `complete` table, since missing rows can widen it or add entries.
+    a `complete` table, since missing rows can widen it or add entries.  An
+    e whose bounds on row q cannot be printed is refused before any is built.
     """
     e = assumptions.codim_e
     if q < 1:
         raise ValueError(f"strand index must be >= 1, got {q}")
+    _reject_unprintable(e, q, False)
     diagram = {(p, q): kappa_max(p, q, e) for p in range(1, e + 1)}
     report = _against_diagram(table, q, diagram, degree_bounds(e, q), complete)
     notes = []
@@ -171,6 +181,51 @@ def check_first_strand(table: BettiTable, assumptions: Assumptions, q: int,
         notes.append(f"table width {width} differs from asserted "
                      f"codimension {e} (width is the unverified suggestion for ACM input)")
     return replace(report, notes=tuple(notes))
+
+
+def check_strand(table: BettiTable, assumptions: Assumptions, next_to_max: bool = False,
+                 complete: bool = True) -> StrandReport | None:
+    """The next-to-maximal report, or the first-strand report on the table's strand.
+
+    The strand is read first, so a malformed column 0 or a linear generator
+    is rejected before either check looks at the codimension.  None when
+    column 1 is empty and the first-strand check is asked for: there is no
+    row to check.  `check_next_to_max` rejects such a table itself.
+    """
+    strand = first_nontrivial_strand(table)
+    if next_to_max:
+        return check_next_to_max(table, assumptions, complete)
+    return None if strand is None else check_first_strand(table, assumptions, strand, complete)
+
+
+def _reject_unprintable(e: int, q: int, next_to_max: bool) -> None:
+    """Raise a ValueError when the largest bound of the row checked must exceed the digit limit.
+
+    Such a report cannot be printed, as text or as JSON, since Python refuses
+    to convert an integer of more than L = sys.get_int_max_str_digits()
+    digits (no limit when L is 0).  The test is sufficient, not necessary,
+    and builds no big number.  C(N, N // 2) is the largest of the N + 1
+    binomials C(N, k), which sum to 2^N, so it is at least 2^N / (N + 1) >=
+    2^(N - b), for b the bit length of N + 1.  The row holds an entry of at
+    least C(N, N // 2):
+    - row q of the first strand, for e >= q + 2 and N = e + q: at
+      p = N // 2 - q, which lies in 1..e, kappa_max(p, q, e) =
+      C(p+q-1, q) * C(e+q, p+q) >= C(N, N // 2);
+    - row 1 of the next-to-maximal bound, for e >= 4 and N = e: at
+      p = e // 2, which lies in 2..e-1, C(e, p-1) <= C(e, p) and
+      C(e+1, p+1) >= C(e, p), so kappa_next_max(p, e) >= (p - 1) * C(e, p)
+      >= C(e, e // 2).
+    When N - b >= B, the bit length of 10^L, that entry is at least
+    2^B > 10^L, so it has more than L digits.  B exceeds 3L, so an N of at
+    most 3L passes without building 10^L, as every check of a printable
+    report does.
+    """
+    limit = sys.get_int_max_str_digits()
+    n, smallest = (e, 4) if next_to_max else (e + q, q + 2)
+    if (limit and e >= smallest and n > 3 * limit
+            and n - (n + 1).bit_length() >= (10 ** limit).bit_length()):
+        raise ValueError(f"--codim {e} is too large to report: the largest bound on row {q} "
+                         f"has more than {limit} digits, Python's limit for printing an integer")
 
 
 def check_Ndm(table: BettiTable, d: int, m: int) -> bool:
@@ -196,7 +251,8 @@ def check_next_to_max(table: BettiTable, assumptions: Assumptions,
     column attains the bound, the almost-minimal degree e + 2 and the shape
     with a single extra generator at (e, 2) are reported.  The degree of the
     decomposition is compared with e + 2, and a shape that holds is stated,
-    only for a `complete` table, since missing rows change both.
+    only for a `complete` table, since missing rows change both.  An e whose
+    bounds cannot be printed is refused once the strand is found to be 1.
     """
     e = assumptions.codim_e
     if e < 2:
@@ -206,6 +262,7 @@ def check_next_to_max(table: BettiTable, assumptions: Assumptions,
         raise ValueError("the table has no nontrivial strand, the bound needs q = 1")
     if strand != 1:
         raise ValueError(f"first nontrivial strand is {strand}, the bound needs q = 1")
+    _reject_unprintable(e, 1, True)
     diagram = {(p, 1): kappa_next_max(p, e) for p in range(1, e)}
     diagram[e, 2] = 1
     report = _against_diagram(table, 1, diagram, e + 2, complete)

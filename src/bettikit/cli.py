@@ -10,7 +10,9 @@ prints it as one line and returns 1.  Input files are read through
 `tables.load`, so their errors read `path:line:column: message`; any other
 error reads `error: message`.  Integers on the command line and in files have
 the one syntax of `tables.integer`, and `--field` the one grammar of
-`polyring.parse_field`.
+`polyring.parse_field`.  `check` reaches the bounds only through
+`bounds.check_strand`, which picks the check for the table's strand and
+refuses a codimension whose report cannot print.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .bounds import (Assumptions, check_first_strand, check_Ndm, check_next_to_max,
-                     degree_bounds, first_nontrivial_strand)
+from .bounds import Assumptions, check_Ndm, check_strand, degree_bounds
 from .decompose import bs_decompose, multiplicity_from_decomposition
 from .fixtures import run_all as run_fixtures
 from .koszul import betti_table
@@ -141,33 +142,6 @@ def cmd_betti(args) -> int:
     return EXIT_OK
 
 
-def _reject_unprintable(e: int, q: int, next_to_max: bool) -> None:
-    """Raise a ValueError when the largest bound of the row checked must exceed the digit limit.
-
-    Such a report cannot be printed, as text or as JSON, since Python refuses
-    to convert an integer of more than L = sys.get_int_max_str_digits()
-    digits (no limit when L is 0).  The test is sufficient, not necessary,
-    and builds no big number.  C(N, N // 2) is the largest of the N + 1
-    binomials C(N, k), which sum to 2^N, so it is at least 2^N / (N + 1) >=
-    2^(N - b), for b the bit length of N + 1.  The row holds an entry of at
-    least C(N, N // 2):
-    - row q of the first strand, for e >= q + 2 and N = e + q: at
-      p = N // 2 - q, which lies in 1..e, kappa_max(p, q, e) =
-      C(p+q-1, q) * C(e+q, p+q) >= C(N, N // 2);
-    - row 1 of the next-to-maximal bound, for e >= 4 and N = e: at
-      p = e // 2, which lies in 2..e-1, C(e, p-1) <= C(e, p) and
-      C(e+1, p+1) >= C(e, p), so kappa_next_max(p, e) >= (p - 1) * C(e, p)
-      >= C(e, e // 2).
-    When N - b >= B, the bit length of 10^L, that entry is at least
-    2^B > 10^L, so it has more than L digits.
-    """
-    limit = sys.get_int_max_str_digits()
-    n, smallest = (e, 4) if next_to_max else (e + q, q + 2)
-    if limit and e >= smallest and n - (n + 1).bit_length() >= (10 ** limit).bit_length():
-        raise ValueError(f"--codim {e} is too large to report: the largest bound on row {q} "
-                         f"has more than {limit} digits, Python's limit for printing an integer")
-
-
 def cmd_check(args) -> int:
     """Check a table against the strand bounds, stating nothing its missing rows could change.
 
@@ -178,22 +152,15 @@ def cmd_check(args) -> int:
     """
     table, complete = _load_table(args.table_file)
     assumptions = Assumptions(codim_e=args.codim, nd_q=args.assert_nd, lgp=args.assert_lgp)
-    strand = first_nontrivial_strand(table)
     ndm_holds = None if args.ndm is None else check_Ndm(table, *args.ndm)
+    report = check_strand(table, assumptions, args.next_to_max, complete)
     lines = []
     payload: dict = {"codim": args.codim, "nd_q": args.assert_nd, "lgp": args.assert_lgp}
-    report = None
-    if args.next_to_max:
-        if strand == 1:
-            _reject_unprintable(args.codim, 1, True)
-        report = check_next_to_max(table, assumptions, complete)
-    elif strand is not None:
-        _reject_unprintable(args.codim, strand, False)
-        report = check_first_strand(table, assumptions, strand, complete)
     if report is None:
         lines.append("no nontrivial strand: nothing to check")
     else:
-        lines.append(f"first nontrivial strand: q = {report.q_strand}")
+        strand = report.q_strand
+        lines.append(f"first nontrivial strand: q = {strand}")
         lines.append(f"assumptions: codim e = {args.codim}, "
                      f"nd(q) {'asserted' if args.assert_nd else 'not asserted'}, "
                      f"lgp {'asserted' if args.assert_lgp else 'not asserted'}")
@@ -211,7 +178,6 @@ def cmd_check(args) -> int:
         for note in report.notes:
             lines.append(f"note: {note}")
         payload["report"] = report.to_json_dict()
-    if strand is not None:
         bound = degree_bounds(args.codim, strand)
         if args.assert_nd:
             lines.append(f"degree >= {bound} (asserted vanishing hypothesis)")

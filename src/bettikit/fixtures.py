@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
-from .bounds import Assumptions, check_first_strand, check_next_to_max, first_nontrivial_strand
+from .bounds import Assumptions, check_strand
 from .decompose import NotInConeError, bs_decompose, multiplicity_from_decomposition
 from .koszul import betti_table, hilbert_consistency
 from .polyring import DEFAULT_PRIME, parse_ideal
@@ -161,7 +161,9 @@ def load_text(filename: str) -> str:
 def run_fixture(entry: FixtureEntry) -> list[str]:
     """Run one fixture through the pipeline; returns discrepancy strings.
 
-    A malformed fixture file raises a ParseError naming the file.
+    A malformed fixture file raises a ParseError naming the file.  A table
+    the strand check rejects, or one without a strand to check, gets verdict
+    none, with the reason, as a discrepancy of its fixture.
     """
     problems: list[str] = []
     if entry.is_ideal():
@@ -201,14 +203,13 @@ def run_fixture(entry: FixtureEntry) -> list[str]:
         if got_mult != entry.expected_multiplicity:
             problems.append(f"multiplicity {got_mult}, expected {entry.expected_multiplicity}")
     if entry.expected_verdict is not None and entry.codim is not None:
-        assumptions = Assumptions(codim_e=entry.codim)
-        if entry.next_to_max:
-            report = check_next_to_max(table, assumptions)
-        else:
-            strand = first_nontrivial_strand(table)
-            report = check_first_strand(table, assumptions, strand)
-        if report.verdict != entry.expected_verdict:
-            problems.append(f"verdict {report.verdict}, expected {entry.expected_verdict}")
+        try:
+            report = check_strand(table, Assumptions(codim_e=entry.codim), entry.next_to_max)
+            verdict = "none (no nontrivial strand)" if report is None else report.verdict
+        except ValueError as exc:
+            verdict = f"none ({exc})"
+        if verdict != entry.expected_verdict:
+            problems.append(f"verdict {verdict}, expected {entry.expected_verdict}")
     return problems
 
 

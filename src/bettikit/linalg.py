@@ -7,18 +7,17 @@ the field object `field(char_p)`: its coefficient map, row normalization,
 elimination step, the form of a stored pivot row, the rule a kept row gives,
 and the one step that lays rules out as a normalized row.
 
-One forward elimination (`_echelon`) serves `rank` (and `SparseMatrix.rank`),
-the number of echelon rows, `leads`, their leading columns, and
-`reduced_echelon`.  It takes the rows
-shortest first, Markowitz's rule (Management Sci. 3, 1957) for limiting
-fill-in, and reduces each against the pivot rows found so far; the leading
-column of a row is its smallest index.  The order is free: the rank does not
+One forward elimination (`_echelon`) serves `SparseMatrix.rank`, the number
+of echelon rows, `leads`, their leading columns, and `reduced_echelon`.  It
+takes the rows shortest first, Markowitz's rule (Management Sci. 3, 1957)
+for limiting fill-in, and reduces each against the pivot rows found so far;
+the leading column of a row is its smallest index.  The order is free: the rank does not
 depend on it, and neither does the fully reduced echelon, which is unique
 for a fixed span in a fixed column order.  One substitution pass
 (`substitute`) eliminates from a row every other column that leads a pivot
 row: `reduced_echelon` back-substitutes the echelon with it, and `koszul`
 reduces rows against a kept echelon with it.  Rows enter normalized,
-each once: `SparseMatrix.rank` normalizes its rows, and `rank` and
+each once: `SparseMatrix.rank` normalizes its rows, and `leads` and
 `reduced_echelon` take rows already in the field's form, which `koszul`
 builds in that form from the start.  Over the rationals elimination is
 fraction-free: rows are primitive integer vectors, eliminated by
@@ -183,16 +182,11 @@ class SparseMatrix:
 
     def rank(self, char_p: int | None = None) -> int:
         F = field(char_p)
-        return rank(map(F.row, self.rows), F)
-
-
-def rank(rows: Iterable[dict], F: Rationals | PrimeField) -> int:
-    """The rank over `F` of rows already in its form, as `F.row` or `F.combine` leaves them."""
-    return len(_echelon(rows, F))
+        return len(_echelon(map(F.row, self.rows), F))
 
 
 def leads(rows: Iterable[dict], F: Rationals | PrimeField) -> set[int]:
-    """The leading columns of the forward echelon of rows in the field's form; `rank` counts them.
+    """The leading columns of the forward echelon of rows in the field's form.
 
     The set depends only on the rows' span: it is the set of least columns
     of the span's nonzero elements, since an element's least column is the

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bettikit import bounds
-from bettikit.bounds import (Assumptions, check_first_strand, check_Ndm,
-                             check_next_to_max, degree_bounds, first_nontrivial_strand)
+from bettikit.bounds import (Assumptions, check_first_strand, check_Ndm, check_next_to_max,
+                             check_strand, degree_bounds, first_nontrivial_strand)
 from bettikit.decompose import NotInConeError, bs_decompose
 from bettikit.pure import family_deq, hk_diagram
 from bettikit.selftest import random_chain_table
@@ -289,3 +293,61 @@ def test_check_next_to_max_propagates_decomposition_faults(monkeypatch, fault):
     monkeypatch.setattr(bounds, "bs_decompose", broken)
     with pytest.raises(fault, match="internal fault"):
         check_next_to_max(TWISTED_CUBIC_TABLE, Assumptions(codim_e=2))
+
+
+@pytest.mark.parametrize("table, next_to_max", [
+    (PROJECTED_VERONESE, False), (CUBIC_CONIC, False), (CUBIC_CONIC, True)])
+@pytest.mark.parametrize("complete", [True, False])
+def test_check_strand_is_the_check_for_the_table_strand(table, next_to_max, complete):
+    assumptions = Assumptions(codim_e=3)
+    expected = (check_next_to_max(table, assumptions, complete) if next_to_max
+                else check_first_strand(table, assumptions, first_nontrivial_strand(table),
+                                        complete))
+    assert check_strand(table, assumptions, next_to_max, complete) == expected
+
+
+def test_check_strand_without_a_strand():
+    strandless = BettiTable({(0, 0): 1})
+    assert check_strand(strandless, Assumptions(codim_e=2)) is None
+    with pytest.raises(ValueError, match="^the table has no nontrivial strand, the bound needs"):
+        check_strand(strandless, Assumptions(codim_e=2), next_to_max=True)
+    with pytest.raises(ValueError, match="^first nontrivial strand is 2, the bound needs q = 1$"):
+        check_strand(PROJECTED_VERONESE, Assumptions(codim_e=3), next_to_max=True)
+
+
+def test_check_strand_reads_the_strand_before_the_codimension():
+    linear = BettiTable({(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 1): 1})
+    with pytest.raises(ValueError, match=r"cell \(p=1, q=0\): the ideal has a linear"):
+        check_strand(linear, Assumptions(codim_e=1), next_to_max=True)
+
+
+@pytest.mark.parametrize("call", ["check_first_strand(TABLE, E, 1)",
+                                  "check_next_to_max(TABLE, E)"])
+def test_library_checks_refuse_an_unprintable_codimension_fast(call):
+    # without the cap inside the checks, the bounds at e = 10**10 are computed for ever
+    program = ("from bettikit.bounds import Assumptions, check_first_strand, check_next_to_max\n"
+               "from bettikit.tables import BettiTable\n"
+               "TABLE = BettiTable({(0, 0): 1, (1, 1): 3, (2, 1): 2})\n"
+               "E = Assumptions(codim_e=10 ** 10)\n"
+               f"{call}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               PYTHONINTMAXSTRDIGITS="4300")
+    result = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                            text=True, timeout=10)
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[-1] == (
+        "ValueError: --codim 10000000000 is too large to report: the largest bound on row 1 "
+        "has more than 4300 digits, Python's limit for printing an integer")
+
+
+@pytest.mark.parametrize("q, next_to_max", [(1, True), (1, False), (2, False)])
+def test_codimension_cap_starts_where_its_proof_does(monkeypatch, q, next_to_max):
+    # the cheap n > 3L pre-test moves no threshold: the first e refused is the
+    # first whose N = e (next-to-max) or e + q meets N - bitlen(N + 1) >= bitlen(10^L)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    target = (10 ** 4300).bit_length()
+    n = next(n for n in range(3 * 4300, 5 * 4300) if n - (n + 1).bit_length() >= target)
+    e = n if next_to_max else n - q
+    assert bounds._reject_unprintable(e - 1, q, next_to_max) is None
+    with pytest.raises(ValueError, match=f"^--codim {e} is too large to report"):
+        bounds._reject_unprintable(e, q, next_to_max)

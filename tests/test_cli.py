@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from bettikit import selftest
-from bettikit.cli import _reject_unprintable, main
+from bettikit.bounds import _reject_unprintable
+from bettikit.cli import main
 from bettikit.fixtures import fixture_path, load_text
 from bettikit.pure import kappa_max, kappa_next_max
 from bettikit.tables import BettiTable
@@ -579,6 +580,9 @@ ERROR_CASES = {
     "duplicate-row": (["decompose", "{file}"], "0: 1\n2: . 7\n2: . . 10 5 1\n"),
     "next-to-max-no-strand": (["check", "{file}", "--codim", "2", "--next-to-max"], "0: 1\n"),
     "check-linear-generator": (["check", "{file}", "--codim", "2"], "0: 1 1\n1: . 1 1\n"),
+    # the --ndm pair is read before the table's strand
+    "check-ndm-before-linear-generator": (["check", "{file}", "--codim", "2", "--ndm", "0,0"],
+                                          "0: 1 1\n1: . 1 1\n"),
     "missing-file": (["decompose", "/nonexistent/t.table"], None),
     "check-codim-unprintable": (["check", "{table}", "--codim", "10000000000"], None),
 }

@@ -53,6 +53,28 @@ def test_fixtures_command_names_a_malformed_file(tmp_path, monkeypatch, capsys,
     assert len(err.splitlines()) == 1 and err.startswith(f"{bad}:2:")
 
 
+@pytest.mark.parametrize("filename, text, problem", [
+    ("veronese_projection.table", "0: 1\n",
+     "verdict none (no nontrivial strand), expected Violation"),
+    ("cubic_conic_union.table", "0: 1\n2: . 1\n",
+     "verdict none (first nontrivial strand is 2, the bound needs q = 1), expected Violation"),
+], ids=["strandless", "next-to-max-on-row-2"])
+def test_fixtures_command_reports_a_table_without_a_strand_to_check(tmp_path, monkeypatch, capsys,
+                                                                    filename, text, problem):
+    for entry in FIXTURES:
+        shutil.copy(fixture_path(entry.filename), tmp_path / entry.filename)
+    (tmp_path / filename).write_text(text)
+    monkeypatch.setenv("FIXTURES_DIR", str(tmp_path))
+    assert main(["fixtures"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    name = next(entry.name for entry in FIXTURES if entry.filename == filename)
+    assert err == ""
+    assert lines[lines.index(f"FAIL {name} [{filename}]") + 1:].count(f"     {problem}") == 1
+    assert sum(line.startswith("PASS ") for line in lines) == len(FIXTURES) - 1
+    assert lines[-1] == f"{len(FIXTURES) - 1}/{len(FIXTURES)} fixtures passed"
+
+
 FIXTURE = {entry.name: entry for entry in FIXTURES}
 
 
