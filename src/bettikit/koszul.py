@@ -47,11 +47,13 @@ Bayer and Stillman's criterion certifies the table complete, is proved in
 The layer from the pieces to the ranks stays in the field's own integers:
 the images of x_var are read off kept rows (`_multiplication`), and every
 row handed to elimination is made in the field's form in one step
-(`F.combine`).  Which differentials are built, why the others are read
-off dimensions, and why each is built only on the rows that the image of
-the differential below does not lead, is in `_betti_entries`.  No row is
-eliminated here: every row operation is `linalg`'s, `reduced_echelon`,
-`leads` or `substitute`.
+(`F.combine`).  Which differentials are built, why the others are read off
+dimensions and, for delta_2, off the number of minimal generators of each
+degree, which `_next_piece` counts as the pivots the generators add, and
+why each is built only on the rows that the image of the differential
+below does not lead, is in `_betti_entries`.  No row is eliminated here:
+every row operation is `linalg`'s, `_echelon`, `reduced_echelon`, `leads`
+or `substitute`.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from itertools import combinations
 from math import comb
 from typing import Container, Mapping, Sequence
 
-from .linalg import (PrimeField, Rationals, Row, Rule, SparseMatrix, field, leads, reduced_echelon,
-                     substitute)
+from .linalg import (PrimeField, Rationals, Row, Rule, SparseMatrix, _echelon, field, leads,
+                     reduced_echelon, substitute)
 from .polyring import Ideal, Monomial, index_maps, mono_degree, monomials_of_degree
 from .tables import BettiTable
 
@@ -140,7 +142,7 @@ def _next_piece(ring: _Ring, q: int) -> GradedPiece:
     rules of M_{q-1} are a basis of I_{q-1}.  The skipped products add
     nothing.  The column order is lex, so lead(x_v * f) = x_v * lead(f), and
     an element of I_{q-1} whose lead lies below m is a combination of rules
-    with leads below m.  Let W be the span of the kept rows, and show
+    with leads below m.  Let W be the span of the kept products, and show
     x_v * r_m in W by induction on the pair (t, v), t = x_v * m, first on t
     in column order, then on v.  A kept product is in W.  Otherwise
     w = w(m) < v and u = m / x_w lies in in(I_{q-2}), so x_v * u lies in
@@ -156,11 +158,21 @@ def _next_piece(ring: _Ring, q: int) -> GradedPiece:
     (J. Symb. Comput. 6, 1988) read degree by degree, the trivial-syzygy rule
     of Faugere's F5.
 
+    The induction uses products alone, so the kept products by themselves
+    span S_1 * I_{q-1}.  The forward pass runs on them first (`_echelon`)
+    and then continues on the generators of degree q (`reduced_echelon` from
+    those pivots), so the pivots the generators add number
+    rank I_q - rank S_1 * I_{q-1} = dim (I / S_+ * I)_q, for S_+ the ideal
+    of the variables: beta_{1,q}, the number of minimal generators of I in
+    degree q, which the ring records as `minimal[q]`.  A generator that lies
+    in S_1 * I_{q-1}, repeats another, or vanishes in the field (and so was
+    dropped when read) adds no pivot.
+
     The fully reduced echelon of a fixed span in a fixed column order is
     unique, so `standard` and `rewrite` are the same, value for value, as
-    from row-reducing every m * g of degree q.  The rows are also short: each
-    has at most 1 + dim M_{q-1} terms, and above the socle every row is a
-    single monomial.
+    from row-reducing every m * g of degree q at once.  The rows are also
+    short: each has at most 1 + dim M_{q-1} terms, and above the socle every
+    row is a single monomial.
 
     Everything is read in basis coordinates, as in Faugere's F4 (J. Pure
     Appl. Algebra 139, 1999): x_v * r_m is the kept row of r_m with its
@@ -172,17 +184,22 @@ def _next_piece(ring: _Ring, q: int) -> GradedPiece:
     degree is listed that no piece reaches.  All rows are in the field's
     form, so `reduced_echelon` takes them as they are.
     """
-    n = ring.num_vars
+    n, F = ring.num_vars, ring.F
     up, shift = index_maps(n, q - 2), index_maps(n, q - 1)
     first = {up[w][u]: w for w in range(n - 1, -1, -1) for u in ring[q - 2].rows}
     rows = []
     for lead, row in ring[q - 1].rows.items():
         for image in shift[:first.get(lead, n - 1) + 1]:
             rows.append({image[col]: value for col, value in row.items()})
+    pivots = _echelon(rows, F)
+    products, generators = len(pivots), []
     if q in ring.generators:
         index = {mono: i for i, mono in enumerate(monomials_of_degree(n, q))}
-        rows += [{index[mono]: value for mono, value in row.items()} for row in ring.generators[q]]
-    return GradedPiece(q, n, ring.F, reduced_echelon(rows, ring.F))
+        generators = [{index[mono]: value for mono, value in row.items()}
+                      for row in ring.generators[q]]
+    rows = reduced_echelon(generators, F, pivots)
+    ring.minimal[q] = len(rows) - products
+    return GradedPiece(q, n, F, rows)
 
 
 class _Ring:
@@ -190,27 +207,33 @@ class _Ring:
 
     `_Ring(ideal)` is S/I.  It makes the field `F` and reads each generator
     into it once, as `generators`, its nonzero rows by degree, keyed by
-    monomial, and steps piece q by `_next_piece`.  `_Ring(below, var)` is the
-    cut ring below / x_var * below, in the variables but x_var, whose piece q
-    is `_cut_piece`, read off `source`, the ring below, and whose field is
-    the ring below's.  Each step takes the ring and q and reads all else off
-    the ring.  A ring makes `image(var, q)`, the rows of
-    x_var: M_q -> M_{q+1} in the field's form, read off the kept rows of
-    piece q + 1, and `echelon(var, q)`, the fully reduced echelon of the
-    images of x_var: M_{q-1} -> M_q, each at most once.
+    monomial, and steps piece q by `_next_piece`, which records in
+    `minimal[q]` the number of minimal generators of I in degree q.
+    `_Ring(below, var)` is the cut ring below / x_var * below, in the
+    variables but x_var, whose piece q is `_cut_piece`, read off `source`,
+    the ring below, and whose field and `minimal` are the ring below's, so
+    those of the ring of S/I at the root of the cut chain (why a cut ring
+    may read them is in `_betti_entries`).  Stepping a cut ring's piece q
+    steps piece q of every ring below it, so `minimal[q]` is recorded once
+    `ring[q]` is read on any ring of the chain.  Each step takes the ring
+    and q and reads all else off the ring.  A ring makes `image(var, q)`,
+    the rows of x_var: M_q -> M_{q+1} in the field's form, read off the kept
+    rows of piece q + 1, and `echelon(var, q)`, the fully reduced echelon of
+    the images of x_var: M_{q-1} -> M_q, each at most once.
     """
 
     def __init__(self, source: Ideal | _Ring, var: int | None = None):
         self.num_vars, self.source, self.var = source.num_vars - (var is not None), source, var
         self.pieces, self.images, self.echelons = [], {}, {}
         if var is None:
-            self.F, self.generators = field(source.char_p), {}
+            self.F, self.generators, self.minimal = field(source.char_p), {}, {}
             for row in filter(None, map(self.F.row, source.generators)):
                 self.generators.setdefault(mono_degree(next(iter(row))), []).append(row)
         else:
-            self.F = source.F
+            self.F, self.minimal = source.F, source.minimal
 
     def __getitem__(self, q: int) -> GradedPiece:
+        # each turn appends a piece, so it turns q + 1 - len(pieces) times at most
         while len(self.pieces) <= q:
             step = _next_piece if self.var is None else _cut_piece
             self.pieces.append(step(self, len(self.pieces)))
@@ -365,15 +388,27 @@ def _differential(ring: _Ring, p: int, q: int, skip: Container[int]) -> list[Row
     return _wedge_rows(p, ring[q + 1].dim, images, ring.F.combine, skip)
 
 
+def _delta2_rank(ring: _Ring, q: int) -> int:
+    """The rank of delta_2: wedge^2 V (x) M_q -> V (x) M_{q+1}, read off the pieces, not built.
+
+    It is n * dim M_{q+1} - dim M_{q+2} - beta_{1,q+2}, the count
+    `ring.minimal[q + 2]`, and 0 when dim M_{q+1} = 0, with no further piece
+    stepped.  Why, and on which rows of a cut ring, is in `_betti_entries`.
+    """
+    width = ring[q + 1].dim
+    return width and ring.num_vars * width - ring[q + 2].dim - ring.minimal[q + 2]
+
+
 def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
     """Rows 0..q_max of the betti table of `ring` in all its variables.
 
-    The ring's pieces M_0 through M_{q_max+1} are read.  A cell (p, q) needs
-    the ranks at (p, q) and (p+1, q-1), which lie in the grid or are zero.
-    Column 0 above row 0 needs none: for q >= 1, delta_0 has no column and
+    The ring's pieces M_0 through M_{q_max+1} are read, and M_{q_max+2} when
+    M_{q_max+1} is not 0.  A cell (p, q) needs the ranks at (p, q) and
+    (p+1, q-1), which lie in the grid or are zero.  Column 0 above row 0
+    needs none: for q >= 1, delta_0 has no column and
     delta_1: V (x) M_{q-1} -> M_q is onto (below), so
     kappa_{0,q} = dim M_q - dim M_q = 0, and no p = 0 rank is kept above
-    row 0.  Two families of ranks are fixed by the complex and read, not
+    row 0.  Three families of ranks are fixed by the complex and read, not
     built.
 
     The rank of delta_1: V (x) M_q -> M_{q+1} is dim M_{q+1}, since it is
@@ -394,7 +429,32 @@ def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
     the kernel is wedge^p W, in any characteristic, and
     kappa_{p,0} = C(dim I_1, p).  This covers p = 0 and p = 1 as well.
 
-    So only the differentials with p >= 2 and q >= 1 are built, each once,
+    The rank of delta_2: wedge^2 V (x) M_q -> V (x) M_{q+1} is
+    n * dim M_{q+1} - dim M_{q+2} - beta_{1,q+2} (`_delta2_rank`).  The cell
+    (1, q + 1) is kappa_{1,q+1} = n * dim M_{q+1} - rank delta_{1,q+1}
+    - rank delta_{2,q}, with rank delta_{1,q+1} = dim M_{q+2} as above, and
+    kappa_{1,q+1} = dim Tor_1(M, k)_{q+2} = beta_{1,q+2}, the number of
+    minimal generators of I in degree q + 2, since Tor_1(S/I, k) = I / S_+ I.
+    `_next_piece` counts it as `minimal[q + 2]`, from the pivots the
+    generators add.  When dim M_{q+1} = 0, delta_{2,q} has no column and its
+    rank is 0, and no piece past M_{q+1} is stepped for it.  A cut ring reads
+    the counts of the ring of S/I at the root of its chain, and they are its
+    own in every row it is asked for.  At p = 1 the exact sequence of
+    `_cut_regular_variables`'s truncation triangle, in internal degree
+    q + 1, is
+
+        H_0(K'(L))_{q+1} -> Tor^S_1(M)_{q+1} -> Tor^{S'}_1(M')_{q+1} -> H_{-1}(K'(L))_{q+1} = 0,
+
+    and its left term is a subquotient of wedge^0 V' (x) L_{q+1} = L_{q+1},
+    which is 0 for q + 1 <= D = m + 1.  So each cut keeps kappa_{1,q} through
+    row m, that is beta_{1,j} for j <= m + 1, and so does the whole chain,
+    each cut certified at the same m.  Rows q <= m - 1, all that
+    `betti_table` reads, use counts of degree q + 2 <= m + 1.  Reading
+    `ring[q + 2]` steps piece q + 2 of every ring below it, so the count is
+    recorded; when the walk has cut a variable it has stepped every ring of
+    the chain through m + 1 already.
+
+    So only the differentials with p >= 3 and q >= 1 are built, each once,
     from the images of x_v: M_q -> M_{q+1} the ring makes once per variable
     and degree, in the field's form, and ranked in the ring's field.
 
@@ -422,9 +482,9 @@ def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
     ranks = {(p, 0): comb(n, p) - comb(n - ring[1].dim, p) for p in range(n + 1)}
     below: dict[int, set[int]] = {}
     for q in range(1, q_max + 1):
-        ranks[1, q] = ring[q + 1].dim
+        ranks[1, q], ranks[2, q] = ring[q + 1].dim, _delta2_rank(ring, q)
         below = {p: leads(_differential(ring, p, q, below.get(p + 1, ())), F)
-                 for p in range(2, n + 1)}
+                 for p in range(3, n + 1)}
         ranks.update({(p, q): len(lead) for p, lead in below.items()})
     entries = {}
     for (p, q), r in ranks.items():
@@ -487,7 +547,9 @@ def _cut_regular_variables(ideal: Ideal, q_max: int) -> tuple[tuple[int, ...], _
     order that is injective in every degree 1 <= j <= m + 1 is cut, and the
     walk stops on a ring whose piece m is 0, that has one variable, or on
     which no variable passes.  No variable can pass when dim M_{j-1} > dim M_j
-    for some j <= m + 1, and then none is tried.  So the chain at m is a
+    for some j <= m + 1, and then none is tried.  Each turn of the walk
+    either stops or cuts a variable, so it turns at most n - 1 times at each
+    m, for n the number of variables of S.  So the chain at m is a
     function of m alone.  Rings are remembered by their cut path, the tuple of
     variables cut in order, each a `_Ring` with the pieces stepped so far: a
     ring is a function of its path, and whether a variable passes on it in

@@ -11,22 +11,25 @@ One forward elimination (`_echelon`) serves `SparseMatrix.rank`, the number
 of echelon rows, `leads`, their leading columns, and `reduced_echelon`.  It
 takes the rows shortest first, Markowitz's rule (Management Sci. 3, 1957)
 for limiting fill-in, and reduces each against the pivot rows found so far;
-the leading column of a row is its smallest index.  The order is free: the rank does not
-depend on it, and neither does the fully reduced echelon, which is unique
-for a fixed span in a fixed column order.  One substitution pass
-(`substitute`) eliminates from a row every other column that leads a pivot
-row: `reduced_echelon` back-substitutes the echelon with it, and `koszul`
-reduces rows against a kept echelon with it.  Rows enter normalized,
-each once: `SparseMatrix.rank` normalizes its rows, and `leads` and
-`reduced_echelon` take rows already in the field's form, which `koszul`
+the leading column of a row is its smallest index.  The order is free: the
+rank does not depend on it, and neither does the fully reduced echelon,
+which is unique for a fixed span in a fixed column order.  So the pass may
+also continue from the forward echelon of other rows, as `koszul` does to
+count the pivots a second batch of rows adds to the span of a first.  One
+substitution pass (`substitute`) eliminates from a row every other column
+that leads a pivot row: `reduced_echelon` back-substitutes the echelon with
+it, and `koszul` reduces rows against a kept echelon with it.  Rows enter
+normalized, each once: `SparseMatrix.rank` normalizes its rows, and `leads`
+and `reduced_echelon` take rows already in the field's form, which `koszul`
 builds in that form from the start.  Over the rationals elimination is
 fraction-free: rows are primitive integer vectors, eliminated by
 cross-multiplication and divided by their gcd content.  Mod p, pivot rows
-are monic.  `reduced_echelon` returns its rows in that form, which `koszul`
-keeps.  A kept row gives its rule, the normal form of its lead, as one
-denominator over integer numerators (`F.rule`), and `F.combine` lays such
-rules side by side, signed, as one normalized row; a Fraction appears only
-where a caller reads a value out.
+are monic, and a row monic already is stored as it is.  `reduced_echelon`
+returns its rows in that form, which `koszul` keeps.  A kept row gives its
+rule, the normal form of its lead, as one denominator over integer
+numerators (`F.rule`), and `F.combine` lays such rules side by side, signed,
+as one normalized row; a Fraction appears only where a caller reads a value
+out.
 """
 
 from __future__ import annotations
@@ -118,8 +121,14 @@ class PrimeField:
         return out
 
     def pivot(self, row: dict, lead) -> dict:
-        p = self.char_p
-        inv = pow(row[lead], -1, p)
+        """The row made monic; a row already monic is kept as it is.
+
+        No caller changes a stored row: each elimination step builds a new one.
+        """
+        p, a = self.char_p, row[lead]
+        if a == 1:
+            return row
+        inv = pow(a, -1, p)
         return {j: v * inv % p for j, v in row.items()}
 
     def rule(self, row: dict, lead, key) -> Rule:
@@ -195,13 +204,21 @@ def leads(rows: Iterable[dict], F: Rationals | PrimeField) -> set[int]:
     return set(_echelon(rows, F))
 
 
-def _echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, dict]:
+def _echelon(rows: Iterable[dict], F: Rationals | PrimeField,
+             pivots: dict[int, dict] | None = None) -> dict[int, dict]:
     """Forward elimination of rows in the field's form: {leading column: its row}.
 
     Rows are taken shortest first, so the pivot rows stay sparse.  Which
     pivots are found does not depend on the order, only their rows do.
+    Given `pivots`, a forward echelon of other rows in the field's form, the
+    pass continues from it: the rows are reduced against it, and the pivots
+    they add join it in place, so the result is the forward echelon of both
+    spans together.  Each turn of the inner loop ends the row or cancels its
+    lead, and a pivot row has no column below its lead, so the lead strictly
+    rises: a row turns at most once per distinct column of it and of the
+    pivot rows.
     """
-    pivots: dict[int, dict] = {}
+    pivots = {} if pivots is None else pivots
     for row in sorted(rows, key=len):
         while row:
             lead = min(row)
@@ -213,15 +230,18 @@ def _echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, dict]
     return pivots
 
 
-def reduced_echelon(rows: Iterable[dict], F: Rationals | PrimeField) -> dict[int, dict]:
+def reduced_echelon(rows: Iterable[dict], F: Rationals | PrimeField,
+                    pivots: dict[int, dict] | None = None) -> dict[int, dict]:
     """Fully reduced row echelon form of rows in the field's form.
 
     Returned as {pivot column: its row}, each row in the field's own form: a
     primitive integer vector over the rationals, monic residues mod p.  Tails
     are supported only on non-pivot columns, so a single substitution pass
-    reduces any vector to normal form.
+    reduces any vector to normal form.  Given `pivots`, a forward echelon of
+    other rows (`_echelon`), the forward pass continues from it in place, and
+    the result is the fully reduced echelon of both spans together.
     """
-    pivots = _echelon(rows, F)
+    pivots = _echelon(rows, F, pivots)
     # Back-substitute, highest pivot first, so every tail is supported on
     # non-pivot columns only; a pivot row already reduced brings in none.
     for lead in sorted(pivots, reverse=True):

@@ -16,7 +16,8 @@ from itertools import accumulate, combinations
 from math import comb
 
 from .decompose import Decomposition, bs_decompose
-from .koszul import _betti_entries, _Ring, betti_table, koszul_differential
+from .koszul import (_betti_entries, _cut_regular_variables, _delta2_rank, _Ring, betti_table,
+                     koszul_differential)
 from .polyring import Ideal, monomials_of_degree
 from .pure import family_deq, family_tilde, hk_diagram, kappa_max, kappa_next_max, multiplicity
 from .tables import BettiTable, DegreeSequence
@@ -223,6 +224,34 @@ def sweep_row_zero_rank(trials: int = 40, seed: int = 53) -> Sweep:
     return cases, failures
 
 
+def sweep_delta2_rank(trials: int = 40, seed: int = 59, q_max: int = 3) -> Sweep:
+    """rank delta_{2,q} = n * dim M_{q+1} - dim M_{q+2} - beta_{1,q+2}, against the built matrix.
+
+    `_betti_entries` reads the rank of delta_2 off the pieces and the
+    minimal generator counts (`_delta2_rank`) and builds no delta_2; here
+    each is built and ranked, over the rationals, GF(32003) and GF(2), on
+    the ring of S/I in rows 0..q_max and on `betti_table`'s cut ring in the
+    rows 0..m - 1 it computes.
+    """
+    rng = random.Random(seed)
+    cases = 0
+    failures = []
+    for _ in range(trials):
+        ideal = random_ideal(rng, max_generators=4)
+        for char_p in (None, 32003, 2):
+            field_ideal = replace(ideal, char_p=char_p)
+            _, cut, m, _ = _cut_regular_variables(field_ideal, q_max)
+            for name, ring, rows in (("uncut", _Ring(field_ideal), q_max + 1), ("cut", cut, m)):
+                for q in range(rows):
+                    cases += 1
+                    read = _delta2_rank(ring, q)
+                    built = koszul_differential(ring, 2, q, ring).rank(char_p)
+                    if read != built:
+                        failures.append(f"{field_ideal}: {name} rank {read} read at q={q}, "
+                                        f"but {built} built")
+    return cases, failures
+
+
 def uncut_table(ideal: Ideal, q_max: int) -> BettiTable:
     """Rows 0..q_max computed in all of the ideal's variables, with no cut."""
     return _betti_entries(_Ring(ideal), q_max)
@@ -323,6 +352,7 @@ ALL_SWEEPS = [
     ("hilbert numerator divisibility", sweep_hilbert_divisibility),
     ("koszul differential squares to zero", sweep_square_zero),
     ("row 0 ranks read off dim M_1", sweep_row_zero_rank),
+    ("delta_2 ranks read off the generator counts", sweep_delta2_rank),
     ("certified cut agrees with the uncut table", sweep_cut_agrees_with_uncut),
     ("cone decomposition round trip", sweep_cone_round_trip),
 ]

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from bettikit.linalg import field, reduced_echelon
-from bettikit.polyring import Ideal, parse_polynomial, poly_to_str
+from bettikit.polyring import Ideal, monomials_of_degree, parse_polynomial, poly_to_str
 from bettikit.pure import hk_diagram
 from bettikit.tables import BettiTable
 
@@ -68,6 +68,25 @@ def normal_form(piece, poly, char_p):
         for target, factor in piece.rewrite.get(mono, {mono: 1}).items():
             out[target] = out.get(target, 0) + coeff * factor
     return {m: c for m, v in out.items() if (c := F.coeff(v))}
+
+
+def minimal_generators(ideal, q):
+    """rank I_q - rank S_1 * I_{q-1}: the minimal generators of degree q, by `dense_rref`.
+
+    I_q is spanned by every m * g of degree q, and S_1 * I_{q-1} by those
+    with deg g < q.
+    """
+    basis = monomials_of_degree(ideal.num_vars, q)
+    index = {mono: i for i, mono in enumerate(basis)}
+    coeff = field(ideal.char_p).coeff
+    below, own = [], []
+    for g in ideal.generators:
+        dg = sum(next(iter(g)))
+        for multiplier in monomials_of_degree(ideal.num_vars, q - dg) if dg <= q else ():
+            row = {index[mono_mul(multiplier, mono)]: coeff(value) for mono, value in g.items()}
+            (below if dg < q else own).append(row)
+    return (len(dense_rref(below + own, len(basis), ideal.char_p))
+            - len(dense_rref(below, len(basis), ideal.char_p)))
 
 
 def cut_ideal(ideal, *path):

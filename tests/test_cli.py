@@ -428,9 +428,9 @@ def test_selftest_passes_every_sweep(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     lines = out.splitlines()
-    assert [line.split(" ", 1)[0] for line in lines] == ["PASS"] * 10
+    assert [line.split(" ", 1)[0] for line in lines] == ["PASS"] * 11
     counts = [int(line.rsplit("(", 1)[1].split()[0]) for line in lines]
-    assert counts == [100, 9, 500, 451, 244, 165, 210, 483, 200, 50]
+    assert counts == [100, 9, 500, 451, 244, 165, 210, 483, 854, 200, 50]
 
 
 def test_selftest_reports_a_failing_sweep(capsys, monkeypatch):

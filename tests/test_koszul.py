@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from bettikit import koszul
 from bettikit.decompose import bs_decompose
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import (_Ring, betti_table, graded_piece, hilbert_consistency,
-                             koszul_differential)
+from bettikit.koszul import (_betti_entries, _cut_regular_variables, _delta2_rank, _Ring,
+                             betti_table, graded_piece, hilbert_consistency, koszul_differential)
 from bettikit.linalg import SparseMatrix
 from bettikit.polyring import Ideal, mono_times_var, parse_ideal, parse_polynomial
 from bettikit.pure import family_deq, hk_diagram, kappa_max
 from bettikit.selftest import random_ideal, sweep_square_zero, uncut_table
 from bettikit.tables import BettiTable
-from oracles import ideal_from, normal_form
+from oracles import (TWISTED_CUBIC_TABLE, hochster_table, ideal_from, minimal_generators,
+                     normal_form)
 
 
 TWISTED_CUBIC = ideal_from(4, ["x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"])
@@ -205,13 +206,12 @@ def test_each_differential_is_built_once(monkeypatch):
     # the cut ring of the twisted cubic has 2 variables, and the certificate
     # fires at m = 2, so only rows 0..1 are computed; delta_1 is never built,
     # its rank is read as dim M_{q+1}, nor is delta_0, since column 0 above
-    # row 0 is 0, nor any differential at q = 0, whose rank is read off dim M_1
-    assert len(built) == len(set(built))
-    assert set(built) == {(2, 2, 1)}
-    built.clear()
+    # row 0 is 0, nor any differential at q = 0, whose rank is read off dim M_1,
+    # nor delta_2, whose rank is read off the pieces and the generator counts
+    assert built == []
     uncut_table(TWISTED_CUBIC, 3)
     assert len(built) == len(set(built))
-    assert set(built) == {(4, p, q) for p in (2, 3, 4) for q in range(1, 4)}
+    assert set(built) == {(4, p, q) for p in (3, 4) for q in range(1, 4)}
 
 
 def engine_differentials(ideal, q_max):
@@ -328,6 +328,69 @@ def test_row_zero_ranks_are_read_off_dim_m1(seed, char_p):
     for p in range(n + 1):
         expected = comb(n, p) - comb(n - ring[1].dim, p)
         assert koszul_differential(ideal, p, 0, ring).rank(char_p) == expected
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 10**6), char_p=st.sampled_from((None, 32003, 2)),
+       q_max=st.integers(1, 3))
+def test_delta_2_ranks_are_read_off_the_generator_counts(seed, char_p, q_max):
+    # the identity `_betti_entries` reads instead of building delta_2:
+    # rank delta_{2,q} = n * dim M_{q+1} - dim M_{q+2} - beta_{1,q+2}, on the
+    # ring of S/I in every row and on `betti_table`'s cut ring in its rows
+    # 0..m - 1, where the cut ring reads the counts of the ring of S/I
+    ideal = replace(random_ideal(random.Random(seed), max_generators=4), char_p=char_p)
+    uncut = _Ring(ideal)
+    _, cut, m, _ = _cut_regular_variables(ideal, q_max)
+    for ring, rows in ((uncut, q_max + 1), (cut, m)):
+        for q in range(rows):
+            assert _delta2_rank(ring, q) == koszul_differential(ring, 2, q, ring).rank(char_p), q
+    root = cut
+    while root.var is not None:
+        root = root.source
+    assert cut.minimal is root.minimal
+    for ring in (uncut, root):
+        assert ring.minimal == {q: minimal_generators(ideal, q) for q in range(len(ring.pieces))}
+
+
+REDUNDANT = ideal_from(3, ["x0^2", "x1^2", "x0^2*x2", "x2^3"])    # x0^2*x2 lies in S_1 * I_2
+DUPLICATED = ideal_from(4, ["x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2", "x0*x3 - x1*x2"])
+
+
+@pytest.mark.parametrize("char_p", (None, 32003, 2))
+@pytest.mark.parametrize("ideal, counts, expected", [
+    # x0^2*x2 adds no pivot to S_1 * I_2, and x2^3 adds one
+    (REDUNDANT, {2: 2, 3: 1}, hochster_table(3, [(2, 0, 0), (0, 2, 0), (0, 0, 3)], None, 5)),
+    # the repeated quadric adds no pivot
+    (DUPLICATED, {2: 3}, TWISTED_CUBIC_TABLE),
+])
+def test_redundant_generators_add_no_pivot(ideal, counts, expected, char_p):
+    ideal = replace(ideal, char_p=char_p)
+    ring = _Ring(ideal)
+    uncut = _betti_entries(ring, 5)
+    assert {q: c for q, c in ring.minimal.items() if c} == counts
+    assert uncut == expected
+    assert betti_table(ideal, 5)[0] == uncut
+
+
+@pytest.mark.parametrize("char_p", (2, 3))
+def test_a_generator_vanishing_mod_p_adds_no_pivot(char_p):
+    # 6*x0^3 + 6*x1*x2^2 is 0 in GF(2) and GF(3), and a minimal cubic over the rationals
+    lines = ["x0^2 - x1*x2", "x1^2"]
+    ideal = ideal_from(3, lines + ["6*x0^3 + 6*x1*x2^2"], char_p)
+    ring = _Ring(ideal)
+    uncut = _betti_entries(ring, 4)
+    assert ring.minimal == {q: minimal_generators(ideal, q) for q in range(len(ring.pieces))}
+    assert ring.minimal[3] == 0 < minimal_generators(replace(ideal, char_p=None), 3)
+    assert uncut == _betti_entries(_Ring(ideal_from(3, lines, char_p)), 4)
+    assert betti_table(ideal, 4)[0] == uncut
+
+
+def test_delta_2_steps_no_piece_past_a_zero_one():
+    # (x0^2, x1^2) has M_3 = 0, so row 2 reads rank delta_{2,2} as 0 and
+    # steps no piece past M_3
+    ring = _Ring(TWO_QUADRICS)
+    assert _betti_entries(ring, 2) == BettiTable({(0, 0): 1, (1, 1): 2, (2, 2): 1})
+    assert len(ring.pieces) == 4
 
 
 def test_betti_table_twisted_cubic():

@@ -12,7 +12,7 @@ from bettikit import koszul
 from bettikit.fixtures import FIXTURES, load_text
 from bettikit.koszul import (GradedPiece, _cut_regular_variables, _Ring, betti_table,
                              graded_piece)
-from bettikit.linalg import field, reduced_echelon
+from bettikit.linalg import _echelon, field, reduced_echelon
 from bettikit.polyring import Ideal, monomials_of_degree, parse_ideal
 from bettikit.selftest import uncut_table
 from oracles import ideal_from, linear, monic, mono_mul, power
@@ -125,14 +125,17 @@ def test_kept_rows_are_normalized(ideal, q):
 @example(ideal=ideal_from(3, ["3*x0^2 - 6*x1*x2", "2*x0*x1 + 4*x2^2"]), q=3)  # content-2 wedges
 def test_engine_rows_are_in_the_field_form(ideal, q):
     # Every row the engine eliminates is built in the field's form, with no
-    # `F.row` pass: the rows `_Ring.echelon` (and `_next_piece`) hand to
-    # `reduced_echelon`, and every row of a differential `_differential` builds.
+    # `F.row` pass: the rows `_Ring.echelon` and `_next_piece` hand to
+    # `reduced_echelon`, the products `_next_piece` hands to `_echelon`, and
+    # every row of a differential `_differential` builds.
     F, handed, differential = field(ideal.char_p), [], koszul._differential
 
-    def recording_echelon(rows, *rest):
-        rows = list(rows)
-        handed.extend(rows)
-        return reduced_echelon(rows, *rest)
+    def recording(eliminate):
+        def recording_echelon(rows, *rest):
+            rows = list(rows)
+            handed.extend(rows)
+            return eliminate(rows, *rest)
+        return recording_echelon
 
     def recording_differential(ring, p, q, skip):
         rows = differential(ring, p, q, skip)
@@ -140,7 +143,8 @@ def test_engine_rows_are_in_the_field_form(ideal, q):
         return rows
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(koszul, "reduced_echelon", recording_echelon)
+        patch.setattr(koszul, "reduced_echelon", recording(reduced_echelon))
+        patch.setattr(koszul, "_echelon", recording(_echelon))
         patch.setattr(koszul, "_differential", recording_differential)
         betti_table(ideal, q)
         uncut_table(ideal, q)
@@ -160,9 +164,9 @@ def test_next_piece_skips_products_explained_below(char_p, monkeypatch):
 
     def counting_echelon(rows, *rest):
         given.append(len(rows))
-        return reduced_echelon(rows, *rest)
+        return _echelon(rows, *rest)
 
-    monkeypatch.setattr(koszul, "reduced_echelon", counting_echelon)
+    monkeypatch.setattr(koszul, "_echelon", counting_echelon)
     piece = ring[q + 1]
     assert len(given) == 1
     assert given[0] < ideal.num_vars * ring[q].ideal_dim
@@ -178,9 +182,9 @@ def test_graded_pieces_chain_skips_products_explained_below(char_p, monkeypatch)
 
     def counting_echelon(rows, *rest):
         given.append(len(rows))
-        return reduced_echelon(rows, *rest)
+        return _echelon(rows, *rest)
 
-    monkeypatch.setattr(koszul, "reduced_echelon", counting_echelon)
+    monkeypatch.setattr(koszul, "_echelon", counting_echelon)
     ring = _Ring(ideal)
     pieces = [ring[q] for q in range(entry.qmax + 3)]
     assert len(given) == entry.qmax + 3

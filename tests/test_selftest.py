@@ -130,6 +130,8 @@ CASES = {
     "row zero rank": (selftest.sweep_row_zero_rank, {"trials": 1},
                       wrapped("koszul_differential", zero_matrix),
                       "char_p=None): rank 0 at p=1, not C(4,1) - C(1,1)"),
+    "delta_2 rank": (selftest.sweep_delta2_rank, {"trials": 1}, shifted("_delta2_rank", 1),
+                     "char_p=None): uncut rank 2 read at q=0, but 1 built"),
     "cut agrees": (selftest.sweep_cut_agrees_with_uncut, {"trials": 1, "q_max": 1},
                    wrapped("betti_table", extra_cell),
                    "char_p=None): cut table BettiTable({(0,0): 1, (1,0): 1, (1,1): 1}) "
