@@ -45,13 +45,14 @@ Bayer and Stillman's criterion certifies the table complete, is proved in
 `selftest.uncut_table` never cut.
 
 The layer from the pieces to the ranks stays in the field's own integers:
-the images of x_var are read off kept rows (`_multiplication`), and every
-row handed to elimination is made in the field's form in one step
-(`F.combine`).  Which differentials are built, why the others are read off
-dimensions and, for delta_2, off the number of minimal generators of each
-degree, which `_next_piece` counts as the pivots the generators add, and
-why each is built only on the rows that the image of the differential
-below does not lead, is in `_betti_entries`.  No row is eliminated here:
+the images of x_var are made from the kept rows they read, a rule per lead
+read and none for the others (`_multiplication`), and every row handed to
+elimination is made in the field's form in one step (`F.combine`).
+Which differentials are built, why the others are read off dimensions and,
+for delta_2, off the number of minimal generators of each degree, which
+`_next_piece` counts as the pivots the generators add, and why each is
+built only on the rows that the image of the differential below does not
+lead, is in `_betti_entries`.  No row is eliminated here:
 every row operation is `linalg`'s, `_echelon`, `reduced_echelon`, `leads`
 or `substitute`.
 """
@@ -83,8 +84,9 @@ class GradedPiece:
     the one `==` compares, is q and two views of the rows: `standard`, the
     monomials of `free`, a basis of M_q, and `rewrite`, which sends each
     pivot monomial, a lead of I_q, to its normal form (a combination of
-    standard monomials).  Both are read off `rules` when first asked for;
-    the engine reads the rows, `position` and `rules` instead.
+    standard monomials).  Both are read off the rows when first asked for;
+    the engine reads the rows and `position` instead, and makes the rule of
+    a lead (`F.rule`) only where it reads it.
     """
 
     def __init__(self, q: int, num_vars: int, F: Rationals | PrimeField, rows: dict[int, dict]):
@@ -99,24 +101,16 @@ class GradedPiece:
         return {col: i for i, col in enumerate(self.free)}
 
     @cached_property
-    def rules(self) -> dict[int, Rule]:
-        """{lead: the normal form of its monomial in the coordinates of M_q, in the field's form}.
-
-        A rule is (denominator, {coordinate: integer numerator}): |lead| over
-        -+tail over the rationals, 1 over p - v mod p (`F.rule`).
-        """
-        rule, position = self.F.rule, self.position
-        return {lead: rule(row, lead, position) for lead, row in self.rows.items()}
-
-    @cached_property
     def standard(self) -> tuple[Monomial, ...]:
         return tuple(self.basis[col] for col in self.free)
 
     @cached_property
     def rewrite(self) -> dict[Monomial, dict[Monomial, Fraction | int]]:
-        basis, standard, coeff = self.basis, self.standard, self.F.coeff
-        return {basis[lead]: {standard[i]: coeff(Fraction(v, den)) for i, v in nums.items()}
-                for lead, (den, nums) in self.rules.items()}
+        basis, standard, coeff, rewrite = self.basis, self.standard, self.F.coeff, {}
+        for lead, row in self.rows.items():
+            den, nums = self.F.rule(row, lead, self.position)
+            rewrite[basis[lead]] = {standard[i]: coeff(Fraction(v, den)) for i, v in nums.items()}
+        return rewrite
 
     def __eq__(self, other):
         if not isinstance(other, GradedPiece):
@@ -212,25 +206,26 @@ class _Ring:
     `_Ring(below, var)` is the cut ring below / x_var * below, in the
     variables but x_var, whose piece q is `_cut_piece`, read off `source`,
     the ring below, and whose field and `minimal` are the ring below's, so
-    those of the ring of S/I at the root of the cut chain (why a cut ring
-    may read them is in `_betti_entries`).  Stepping a cut ring's piece q
-    steps piece q of every ring below it, so `minimal[q]` is recorded once
-    `ring[q]` is read on any ring of the chain.  Each step takes the ring
-    and q and reads all else off the ring.  A ring makes `image(var, q)`,
-    the rows of x_var: M_q -> M_{q+1} in the field's form, read off the kept
-    rows of piece q + 1, and `echelon(var, q)`, the fully reduced echelon of
-    the images of x_var: M_{q-1} -> M_q, each at most once.
+    those of `root`, the ring of S/I at the root of the cut chain (why a cut
+    ring may read them is in `_betti_entries`); the root of S/I is itself.
+    Stepping a cut ring's piece q steps piece q of every ring below it, so
+    `minimal[q]` is recorded once `ring[q]` is read on any ring of the chain.
+    Each step takes the ring and q and reads all else off the ring.  A ring
+    makes `image(var, q)`, the rows of x_var: M_q -> M_{q+1} in the field's
+    form, each made from the kept row of piece q + 1 it reads, and
+    `echelon(var, q)`, the fully reduced echelon of the images of
+    x_var: M_{q-1} -> M_q, each at most once.
     """
 
     def __init__(self, source: Ideal | _Ring, var: int | None = None):
         self.num_vars, self.source, self.var = source.num_vars - (var is not None), source, var
         self.pieces, self.images, self.echelons = [], {}, {}
         if var is None:
-            self.F, self.generators, self.minimal = field(source.char_p), {}, {}
+            self.root, self.F, self.generators, self.minimal = self, field(source.char_p), {}, {}
             for row in filter(None, map(self.F.row, source.generators)):
                 self.generators.setdefault(mono_degree(next(iter(row))), []).append(row)
         else:
-            self.F, self.minimal = source.F, source.minimal
+            self.root, self.F, self.minimal = source.root, source.F, source.minimal
 
     def __getitem__(self, q: int) -> GradedPiece:
         # each turn appends a piece, so it turns q + 1 - len(pieces) times at most
@@ -308,12 +303,14 @@ def _multiplication(source: GradedPiece, target: GradedPiece, var: int) -> list[
     """The rows of x_var: M_q -> M_{q+1}, one per standard monomial m of M_q, in the field's form.
 
     Row i is x_var * m in the coordinates of M_{q+1}: the rule of the column
-    x_var sends m to, read straight off its kept row (`target.rules`), or
-    (1, {that column: 1}) when it is free.
+    x_var sends m to, made straight from its kept row (`F.rule`), or
+    (1, {that column: 1}) when it is free.  Only the leads the image reads
+    get a rule, as the index-based Macaulay rows of Faugere's F4 are made
+    on demand: x_var * standard(M_q) meets few of the leads of I_{q+1}.
     """
     image = index_maps(source.num_vars, source.q)[var]
-    rules, position = target.rules, target.position
-    return [rules[t] if (t := image[col]) in rules else (1, {position[t]: 1})
+    rows, rule, position = target.rows, target.F.rule, target.position
+    return [rule(rows[t], t, position) if (t := image[col]) in rows else (1, {position[t]: 1})
             for col in source.free]
 
 
@@ -619,10 +616,15 @@ def betti_table(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool]:
     m-regular and the table is complete.  False means unknown, not
     incomplete; the rows through q_max are exact either way.
     """
+    return _betti(ideal, q_max)[:2]
+
+
+def _betti(ideal: Ideal, q_max: int) -> tuple[BettiTable, bool, _Ring]:
+    """`betti_table`'s table and flag, and the walk's ring of S/I, with the pieces it stepped."""
     if q_max < 1:
         raise ValueError(f"need q_max >= 1, got {q_max}")
     _, ring, m, certified = _cut_regular_variables(ideal, q_max)
-    return _betti_entries(ring, m - 1), certified
+    return _betti_entries(ring, m - 1), certified, ring.root
 
 
 def hilbert_consistency(ideal: Ideal, table: BettiTable, q_max: int) -> bool:
@@ -632,9 +634,19 @@ def hilbert_consistency(ideal: Ideal, table: BettiTable, q_max: int) -> bool:
     (1 - t)^{num_vars} * sum_q dim M_q t^q, coefficient by coefficient through
     degree q_max.
     """
+    return _hilbert_matches(_Ring(ideal), table, q_max)
+
+
+def _hilbert_matches(ring: _Ring, table: BettiTable, q_max: int) -> bool:
+    """`hilbert_consistency` on `ring`, a ring of S/I, which may hold pieces stepped already.
+
+    Piece q of a ring of S/I depends on the ideal and q alone, so a ring
+    `_betti` returns reads the same dimensions a fresh `_Ring(ideal)` does,
+    and the check stays independent of the table.
+    """
     lhs = BettiTable({(p, q): value for (p, q), value in table.entries.items()
                       if p + q <= q_max}).hilbert_numerator()
     lhs += [0] * (q_max + 1 - len(lhs))
-    ring, n = _Ring(ideal), ideal.num_vars
+    n = ring.num_vars
     return lhs == [sum((-1) ** i * comb(n, i) * ring[j - i].dim for i in range(min(j, n) + 1))
                    for j in range(q_max + 1)]

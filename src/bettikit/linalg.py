@@ -216,7 +216,9 @@ def _echelon(rows: Iterable[dict], F: Rationals | PrimeField,
     spans together.  Each turn of the inner loop ends the row or cancels its
     lead, and a pivot row has no column below its lead, so the lead strictly
     rises: a row turns at most once per distinct column of it and of the
-    pivot rows.
+    pivot rows.  A step that leaves the lead in the row, which a faulty
+    `F.pivot` or `F.eliminate` would, raises RuntimeError naming the column,
+    so the bound is checked rather than trusted.
     """
     pivots = {} if pivots is None else pivots
     for row in sorted(rows, key=len):
@@ -227,6 +229,8 @@ def _echelon(rows: Iterable[dict], F: Rationals | PrimeField,
                 pivots[lead] = F.pivot(row, lead)
                 break
             row = F.eliminate(row, pivot, lead)
+            if lead in row:
+                raise RuntimeError(f"elimination left column {lead} in the row")
     return pivots
 
 

@@ -1,11 +1,12 @@
 import os
 import shutil
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from bettikit import fixtures
+from bettikit import fixtures, koszul
 from bettikit.cli import main
 from bettikit.decompose import Decomposition
 from bettikit.fixtures import FIXTURES, fixture_path, load_text, run_all, run_fixture
@@ -20,6 +21,20 @@ def test_every_fixture_file_exists():
 def test_corpus_reproduces_expected_outputs():
     for entry, problems in run_all():
         assert problems == [], f"{entry.name}: {problems}"
+
+
+@pytest.mark.parametrize("entry", [entry for entry in FIXTURES if entry.is_ideal()],
+                         ids=lambda entry: entry.name)
+def test_each_field_steps_one_ring_of_the_ideal(entry, monkeypatch):
+    # the Hilbert function is checked on the ring the table's walk stepped
+    made, init = Counter(), koszul._Ring.__init__
+
+    def counting(ring, source, var=None):
+        made[source.char_p if var is None else "cut"] += 1
+        init(ring, source, var)
+    monkeypatch.setattr(koszul._Ring, "__init__", counting)
+    assert run_fixture(entry) == []
+    assert (made[None], made[32003]) == (1, 1)
 
 
 def test_fixtures_dir_override(tmp_path, monkeypatch):
@@ -79,20 +94,20 @@ FIXTURE = {entry.name: entry for entry in FIXTURES}
 
 
 def _hilbert_check_fails(monkeypatch, tmp_path):
-    monkeypatch.setattr(fixtures, "hilbert_consistency", lambda *args: False)
+    monkeypatch.setattr(fixtures, "_hilbert_matches", lambda *args: False)
     return FIXTURE["twisted-cubic"]
 
 
 def _second_field_gains_a_cell(monkeypatch, tmp_path):
-    real, calls = fixtures.betti_table, []
+    real, calls = fixtures._betti, []
 
-    def betti_table(ideal, q_max):
-        table, complete = real(ideal, q_max)
+    def betti(ideal, q_max):
+        table, complete, ring = real(ideal, q_max)
         calls.append(ideal.char_p)
         if len(calls) == 2:
             table = BettiTable({**table.entries, (3, 3): Fraction(1)})
-        return table, complete
-    monkeypatch.setattr(fixtures, "betti_table", betti_table)
+        return table, complete, ring
+    monkeypatch.setattr(fixtures, "_betti", betti)
     return FIXTURE["twisted-cubic"]
 
 

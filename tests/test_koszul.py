@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from bettikit import koszul
 from bettikit.decompose import bs_decompose
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import (_betti_entries, _cut_regular_variables, _delta2_rank, _Ring,
-                             betti_table, graded_piece, hilbert_consistency, koszul_differential)
+from bettikit.koszul import (_betti, _betti_entries, _cut_regular_variables, _delta2_rank,
+                             _hilbert_matches, _Ring, betti_table, graded_piece,
+                             hilbert_consistency, koszul_differential)
 from bettikit.linalg import SparseMatrix
-from bettikit.polyring import Ideal, mono_times_var, parse_ideal, parse_polynomial
+from bettikit.polyring import Ideal, index_maps, mono_times_var, parse_ideal, parse_polynomial
 from bettikit.pure import family_deq, hk_diagram, kappa_max
 from bettikit.selftest import random_ideal, sweep_square_zero, uncut_table
 from bettikit.tables import BettiTable
@@ -212,6 +213,45 @@ def test_each_differential_is_built_once(monkeypatch):
     uncut_table(TWISTED_CUBIC, 3)
     assert len(built) == len(set(built))
     assert set(built) == {(4, p, q) for p in (3, 4) for q in range(1, 4)}
+
+
+def products(ring, var, q):
+    """The columns x_var sends the standard monomials of ring[q] to, in the order of the image."""
+    image = index_maps(ring.num_vars, q)[var]
+    return [image[col] for col in ring[q].free]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 10**6), char_p=st.sampled_from((None, 32003, 2)))
+def test_images_equal_the_rules_of_every_lead(seed, char_p):
+    # each image row is the rule a read of every lead of M_{q+1} gives for
+    # its column, or the free column itself, on S/I and on the walk's cut ring
+    ideal = replace(random_ideal(random.Random(seed)), char_p=char_p)
+    for ring in (_Ring(ideal), _cut_regular_variables(ideal, 3)[1]):
+        for q in range(4):
+            target = ring[q + 1]
+            position = target.position
+            rules = {lead: ring.F.rule(row, lead, position) for lead, row in target.rows.items()}
+            for var in range(ring.num_vars):
+                assert ring.image(var, q) == [rules[t] if t in rules else (1, {position[t]: 1})
+                                              for t in products(ring, var, q)], (var, q)
+
+
+@pytest.mark.parametrize("char_p", (None, 32003))
+def test_an_image_makes_rules_only_for_the_leads_it_reads(char_p, monkeypatch):
+    ring, made = _Ring(replace(TWISTED_CUBIC, char_p=char_p)), []
+    rule = type(ring.F).rule
+    monkeypatch.setattr(type(ring.F), "rule",
+                        lambda F, row, lead, key: made.append(lead) or rule(F, row, lead, key))
+    fewer = False
+    for q in range(4):
+        ring[q + 1]
+        for var in range(ring.num_vars):
+            made.clear()
+            ring.image(var, q)
+            assert made == [t for t in products(ring, var, q) if t in ring[q + 1].rows], (var, q)
+            fewer |= len(made) < ring[q + 1].ideal_dim
+    assert fewer
 
 
 def engine_differentials(ideal, q_max):
@@ -448,6 +488,22 @@ def test_hilbert_consistency_needs_integers_only_through_q_max():
     within = BettiTable({**table.entries, (1, 2): Fraction(1, 2)})
     with pytest.raises(ValueError, match=r"non-integer entry 1/2 at \(p=1, q=2\)"):
         hilbert_consistency(TWISTED_CUBIC, within, 3)
+
+
+@pytest.mark.parametrize("char_p", (None, 32003))
+def test_hilbert_check_on_the_walks_ring_equals_a_fresh_ring(char_p):
+    # the ring `_betti` returns holds pieces the walk stepped; past them it
+    # steps on, and it reads the dimensions a fresh ring of S/I reads
+    for entry in filter(lambda entry: entry.is_ideal(), FIXTURES):
+        ideal = replace(parse_ideal(load_text(entry.filename)), char_p=char_p)
+        table, _, ring = _betti(ideal, entry.qmax)
+        assert ring.var is None and ring.root is ring
+        q_max = len(ring.pieces) + 2
+        assert _hilbert_matches(ring, table, q_max) == hilbert_consistency(ideal, table, q_max)
+        assert _hilbert_matches(ring, table, entry.qmax)
+        (p, q), value = max(table.entries.items())
+        changed = BettiTable({**table.entries, (p, q): value + 1})
+        assert not _hilbert_matches(ring, changed, max(entry.qmax, p + q)), entry.name
 
 
 def test_field_independence_on_fixtures():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -173,3 +177,30 @@ def test_rational_entries_are_mapped_into_gf():
     assert SparseMatrix(2, 2, [{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}]).rank(5) == 1
     with pytest.raises(ValueError, match="denominator divisible by the characteristic 5"):
         rref([{0: Fraction(1, 5)}], 5)
+
+
+NON_MONIC_PIVOT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from bettikit.koszul import betti_table
+from bettikit.linalg import PrimeField
+from bettikit.polyring import parse_ideal
+
+PrimeField.pivot = lambda self, row, lead: row
+ideal = parse_ideal("vars 4\\n2*x0^2 + 3*x1*x2 + x3^2\\n5*x0*x1 + 7*x2^2\\nx1^2 + 2*x2*x3\\n")
+try:
+    betti_table(ideal, 3)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_a_non_monic_pivot_raises_instead_of_looping():
+    # a pivot row stored with a lead other than 1 mod p is never cancelled, so
+    # without the check after each elimination step `_echelon` loops for ever;
+    # it runs in a subprocess with a deadline and a 1 GiB cap
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    child = subprocess.run([sys.executable, "-c", NON_MONIC_PIVOT], env=env,
+                           capture_output=True, text=True, timeout=10)
+    assert (child.returncode, child.stdout, child.stderr) == (
+        0, "elimination left column 4 in the row\n", "")
