@@ -224,7 +224,7 @@ def _reject_unprintable(e: int, q: int, next_to_max: bool) -> None:
     n, smallest = (e, 4) if next_to_max else (e + q, q + 2)
     if (limit and e >= smallest and n > 3 * limit
             and n - (n + 1).bit_length() >= (10 ** limit).bit_length()):
-        raise ValueError(f"--codim {e} is too large to report: the largest bound on row {q} "
+        raise ValueError(f"codimension {e} is too large to report: the largest bound on row {q} "
                          f"has more than {limit} digits, Python's limit for printing an integer")
 
 

@@ -135,6 +135,7 @@ def bs_decompose(table: BettiTable) -> Decomposition:
                 popped = True
         if not popped:
             raise RuntimeError(f"peel pass {len(terms)} zeroed no cell")
+        # each turn pops one column, so it turns len(columns) times at most
         while columns and not columns[-1]:
             columns.pop()
     return Decomposition(tuple(terms))

@@ -87,6 +87,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
+    # d > 0 halves each turn, so it turns log2(n - 1) times at most
     while d % 2 == 0:
         d, s = d // 2, s + 1
     for a in _WITNESSES:

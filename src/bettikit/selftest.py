@@ -1,15 +1,18 @@
 """Exhaustive small-range sweeps of the package's key identities.
 
-Each sweep returns (cases_checked, failures); an empty failure list means the
-sweep passed.  The CLI selftest command runs them all and prints one line per
-sweep; the test suite asserts on them directly.  Everything here is exact
-integer or rational arithmetic over bounded ranges, so a sweep either proves
-the identity on its range or names a concrete counterexample.
+Each sweep is a generator: a bare `yield` marks one case checked and
+`yield "..."` reports one failure.  `tally` counts them into
+(cases_checked, failures); an empty failure list means the sweep passed.  The
+CLI selftest command runs them all and prints one line per sweep; the test
+suite tallies them directly.  Everything here is exact integer or rational
+arithmetic over bounded ranges, so a sweep either proves the identity on its
+range or names a concrete counterexample.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -22,46 +25,47 @@ from .polyring import Ideal, monomials_of_degree
 from .pure import family_deq, family_tilde, hk_diagram, kappa_max, kappa_next_max, multiplicity
 from .tables import BettiTable, DegreeSequence
 
-Sweep = tuple[int, list[str]]
+Sweep = Iterator[str | None]
+
+
+def tally(outcomes: Iterable[str | None]) -> tuple[int, list[str]]:
+    """(cases, failures) of a sweep: each None is one case, each string one failure."""
+    outcomes = list(outcomes)
+    failures = [outcome for outcome in outcomes if outcome is not None]
+    return len(outcomes) - len(failures), failures
 
 
 def sweep_deq_closed_forms(e_max: int = 10, q_max: int = 10) -> Sweep:
     """Product-formula diagram of (0, q+1, ..., q+e) against its closed forms."""
-    cases = 0
-    failures = []
     for e in range(1, e_max + 1):
         for q in range(1, q_max + 1):
-            cases += 1
+            yield
             d = family_deq(e, q)
             diagram = hk_diagram(d)
             for p in range(1, e + 1):
                 expected = kappa_max(p, q, e)
                 got = diagram.entry(p, q)
                 if got != expected:
-                    failures.append(f"e={e} q={q} p={p}: entry {got} != {expected}")
+                    yield f"e={e} q={q} p={p}: entry {got} != {expected}"
             if multiplicity(d) != comb(e + q, q):
-                failures.append(f"e={e} q={q}: multiplicity {multiplicity(d)} != C(e+q,q)")
-    return cases, failures
+                yield f"e={e} q={q}: multiplicity {multiplicity(d)} != C(e+q,q)"
 
 
 def sweep_tilde_closed_forms(e_max: int = 10) -> Sweep:
     """Diagram of (0, 2, ..., e, e+2) against the next-to-maximal closed forms."""
-    cases = 0
-    failures = []
     for e in range(2, e_max + 1):
-        cases += 1
+        yield
         d = family_tilde(e, 1)
         diagram = hk_diagram(d)
         for p in range(1, e):
             expected = kappa_next_max(p, e)
             got = diagram.entry(p, 1)
             if got != expected:
-                failures.append(f"e={e} p={p}: entry {got} != {expected}")
+                yield f"e={e} p={p}: entry {got} != {expected}"
         if diagram.entry(e, 2) != 1:
-            failures.append(f"e={e}: corner entry {diagram.entry(e, 2)} != 1")
+            yield f"e={e}: corner entry {diagram.entry(e, 2)} != 1"
         if multiplicity(d) != e + 2:
-            failures.append(f"e={e}: multiplicity {multiplicity(d)} != {e + 2}")
-    return cases, failures
+            yield f"e={e}: multiplicity {multiplicity(d)} != {e + 2}"
 
 
 def _sequences(e: int, low: int, high: int):
@@ -75,14 +79,12 @@ def sweep_strand_bound_lemma(e_max: int = 5, q_max: int = 4, slack: int = 3) -> 
     Checks the entry bound, the multiplicity bound, and that each of the four
     equality conditions holds exactly for the extremal sequence.
     """
-    cases = 0
-    failures = []
     for e in range(1, e_max + 1):
         for q in range(1, q_max + 1):
             extremal = family_deq(e, q)
             bound_multiplicity = comb(e + q, q)
             for d in _sequences(e, q + 1, q + e + slack):
-                cases += 1
+                yield
                 diagram = hk_diagram(d)
                 degree = multiplicity(d)
                 is_extremal = d.degrees == extremal.degrees
@@ -91,69 +93,59 @@ def sweep_strand_bound_lemma(e_max: int = 5, q_max: int = 4, slack: int = 3) -> 
                     entry = diagram.entry(p, q)
                     bound = kappa_max(p, q, e)
                     if entry > bound:
-                        failures.append(f"d={d}: entry at p={p} is {entry} > {bound}")
+                        yield f"d={d}: entry at p={p} is {entry} > {bound}"
                     attained.append(entry == bound)
                 if degree < bound_multiplicity:
-                    failures.append(f"d={d}: multiplicity {degree} < {bound_multiplicity}")
+                    yield f"d={d}: multiplicity {degree} < {bound_multiplicity}"
                 if all(attained) != is_extremal:
-                    failures.append(f"d={d}: all-columns equality mismatch")
+                    yield f"d={d}: all-columns equality mismatch"
                 if any(attained) != is_extremal:
-                    failures.append(f"d={d}: some-column equality mismatch")
+                    yield f"d={d}: some-column equality mismatch"
                 if (degree == bound_multiplicity) != is_extremal:
-                    failures.append(f"d={d}: multiplicity equality mismatch")
-    return cases, failures
+                    yield f"d={d}: multiplicity equality mismatch"
 
 
 def sweep_dual_multiplicity(e_max: int = 5, q_max: int = 4) -> Sweep:
     """e(d) <= C(e+q, q) whenever d_k <= q+k for every k (with d_0 = 0)."""
-    cases = 0
-    failures = []
     for e in range(1, e_max + 1):
         for q in range(1, q_max + 1):
             bound = comb(e + q, q)
             # a strictly increasing tail drawn from 1..q+e has tail[k] <= q+k+1, so the
             # range gives exactly the sequences with d_k <= q+k
             for d in _sequences(e, 1, q + e):
-                cases += 1
+                yield
                 if multiplicity(d) > bound:
-                    failures.append(f"d={d}: multiplicity {multiplicity(d)} > {bound}")
-    return cases, failures
+                    yield f"d={d}: multiplicity {multiplicity(d)} > {bound}"
 
 
 def sweep_bound_comparison(e_max: int = 8, q_max: int = 6) -> Sweep:
     """Next-to-maximal values sit strictly below the maximal ones."""
-    cases = 0
-    failures = []
     for e in range(2, e_max + 1):
         for p in range(1, e):
-            cases += 1
+            yield
             if not kappa_next_max(p, e) < kappa_max(p, 1, e):
-                failures.append(f"e={e} p={p}: next-to-max not below max")
+                yield f"e={e} p={p}: next-to-max not below max"
     for q in range(1, q_max + 1):
         for e in range(1, e_max + 1):
             for p in range(1, e + 1):
-                cases += 1
+                yield
                 if kappa_max(p, q, e) < 1:
-                    failures.append(f"e={e} q={q} p={p}: bound not positive")
-    return cases, failures
+                    yield f"e={e} q={q} p={p}: bound not positive"
 
 
 def sweep_hilbert_divisibility(e_max: int = 5, q_max: int = 3, slack: int = 2) -> Sweep:
     """Integer-cleared pure diagrams have numerators divisible by (1-t)^length."""
-    cases = 0
-    failures = []
     for e in range(1, e_max + 1):
         for q in range(1, q_max + 1):
             for d in _sequences(e, q + 1, q + e + slack):
-                cases += 1
+                yield
                 cleared, _ = hk_diagram(d).cleared()
                 coeffs = cleared.hilbert_numerator()
                 for _ in range(d.length):
                     coeffs = _divide_by_one_minus_t(coeffs)
                     if coeffs is None:
-                        failures.append(f"d={d}: numerator not divisible by (1-t)^length")
+                        yield f"d={d}: numerator not divisible by (1-t)^length"
                         break
-    return cases, failures
 
 
 def _divide_by_one_minus_t(coeffs: list[int]) -> list[int] | None:
@@ -161,6 +153,7 @@ def _divide_by_one_minus_t(coeffs: list[int]) -> list[int] | None:
     if sum(coeffs):
         return None
     quotient = list(accumulate(coeffs[:-1]))
+    # each turn pops one coefficient, so it turns len(quotient) times at most
     while quotient and quotient[-1] == 0:
         quotient.pop()
     return quotient
@@ -183,20 +176,16 @@ def random_ideal(rng: random.Random, max_vars: int = 4, max_generators: int = 3,
 def sweep_square_zero(trials: int = 10, seed: int = 20240, q_max: int = 4) -> Sweep:
     """delta compose delta vanishes on random small ideals, every (p, q) in range."""
     rng = random.Random(seed)
-    cases = 0
-    failures = []
     for _ in range(trials):
         ideal = random_ideal(rng)
         pieces = _Ring(ideal)
         for q in range(q_max + 1):
             for p in range(1, ideal.num_vars + 2):
-                cases += 1
+                yield
                 outer = koszul_differential(ideal, p, q, pieces)
                 inner = koszul_differential(ideal, p - 1, q + 1, pieces)
                 if not outer.compose(inner, ideal.char_p).is_zero():
-                    failures.append(f"ideal on {ideal.num_vars} vars: "
-                                    f"delta^2 != 0 at (p={p}, q={q})")
-    return cases, failures
+                    yield f"ideal on {ideal.num_vars} vars: delta^2 != 0 at (p={p}, q={q})"
 
 
 def sweep_row_zero_rank(trials: int = 40, seed: int = 53) -> Sweep:
@@ -207,8 +196,6 @@ def sweep_row_zero_rank(trials: int = 40, seed: int = 53) -> Sweep:
     rationals, GF(32003) and GF(2).
     """
     rng = random.Random(seed)
-    cases = 0
-    failures = []
     for _ in range(trials):
         ideal = random_ideal(rng, max_generators=4)
         for char_p in (None, 32003, 2):
@@ -216,12 +203,10 @@ def sweep_row_zero_rank(trials: int = 40, seed: int = 53) -> Sweep:
             ring = _Ring(field_ideal)
             n, linear = ideal.num_vars, ideal.num_vars - ring[1].dim
             for p in range(n + 1):
-                cases += 1
+                yield
                 got = koszul_differential(field_ideal, p, 0, ring).rank(char_p)
                 if got != comb(n, p) - comb(linear, p):
-                    failures.append(f"{field_ideal}: rank {got} at p={p}, "
-                                    f"not C({n},{p}) - C({linear},{p})")
-    return cases, failures
+                    yield f"{field_ideal}: rank {got} at p={p}, not C({n},{p}) - C({linear},{p})"
 
 
 def sweep_delta2_rank(trials: int = 40, seed: int = 59, q_max: int = 3) -> Sweep:
@@ -234,8 +219,6 @@ def sweep_delta2_rank(trials: int = 40, seed: int = 59, q_max: int = 3) -> Sweep
     rows 0..m - 1 it computes.
     """
     rng = random.Random(seed)
-    cases = 0
-    failures = []
     for _ in range(trials):
         ideal = random_ideal(rng, max_generators=4)
         for char_p in (None, 32003, 2):
@@ -243,13 +226,11 @@ def sweep_delta2_rank(trials: int = 40, seed: int = 59, q_max: int = 3) -> Sweep
             _, cut, m, _ = _cut_regular_variables(field_ideal, q_max)
             for name, ring, rows in (("uncut", _Ring(field_ideal), q_max + 1), ("cut", cut, m)):
                 for q in range(rows):
-                    cases += 1
+                    yield
                     read = _delta2_rank(ring, q)
                     built = koszul_differential(ring, 2, q, ring).rank(char_p)
                     if read != built:
-                        failures.append(f"{field_ideal}: {name} rank {read} read at q={q}, "
-                                        f"but {built} built")
-    return cases, failures
+                        yield f"{field_ideal}: {name} rank {read} read at q={q}, but {built} built"
 
 
 def uncut_table(ideal: Ideal, q_max: int) -> BettiTable:
@@ -264,23 +245,20 @@ def sweep_cut_agrees_with_uncut(trials: int = 100, seed: int = 31, q_max: int = 
     further must have no row past q_max.
     """
     rng = random.Random(seed)
-    cases = 0
-    failures = []
     for _ in range(trials):
         ideal = random_ideal(rng)
         for char_p in (None, 32003):
-            cases += 1
+            yield
             field_ideal = replace(ideal, char_p=char_p)
             table, certified = betti_table(field_ideal, q_max)
             expected = uncut_table(field_ideal, q_max)
             if table != expected:
-                failures.append(f"{field_ideal}: cut table {table} != uncut {expected}")
+                yield f"{field_ideal}: cut table {table} != uncut {expected}"
             elif certified:
                 row = uncut_table(field_ideal, q_max + 3).regularity()
                 if row > q_max:
-                    failures.append(f"{field_ideal}: certified at q_max {q_max}, "
-                                    f"but the uncut table has row {row}")
-    return cases, failures
+                    yield (f"{field_ideal}: certified at q_max {q_max}, "
+                           f"but the uncut table has row {row}")
 
 
 def random_chain_table(rng: random.Random, max_terms: int = 4, max_length: int = 5,
@@ -328,19 +306,16 @@ def random_chain_table(rng: random.Random, max_terms: int = 4, max_length: int =
 def sweep_cone_round_trip(trials: int = 50, seed: int = 77) -> Sweep:
     """Peeling recovers the generating terms of random chain combinations exactly."""
     rng = random.Random(seed)
-    cases = 0
-    failures = []
     for _ in range(trials):
-        cases += 1
+        yield
         table, terms = random_chain_table(rng)
         recovered = bs_decompose(table)
         expected = {d.degrees: c for c, d in terms}
         got = {d.degrees: c for c, d in recovered.terms}
         if expected != got:
-            failures.append(f"terms {sorted(expected)} came back as {sorted(got)}")
+            yield f"terms {sorted(expected)} came back as {sorted(got)}"
         elif recovered.reconstruct() != table:
-            failures.append(f"reconstruction mismatch for terms {sorted(expected)}")
-    return cases, failures
+            yield f"reconstruction mismatch for terms {sorted(expected)}"
 
 
 ALL_SWEEPS = [
@@ -359,4 +334,4 @@ ALL_SWEEPS = [
 
 
 def run_all() -> list[tuple[str, int, list[str]]]:
-    return [(name, *sweep()) for name, sweep in ALL_SWEEPS]
+    return [(name, *tally(sweep())) for name, sweep in ALL_SWEEPS]

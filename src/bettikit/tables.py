@@ -178,6 +178,7 @@ class BettiTable:
                 raise ValueError(f"non-integer entry {value} at (p={p}, q={q})")
             coeffs += [0] * (p + q + 1 - len(coeffs))
             coeffs[p + q] += -value.numerator if p % 2 else value.numerator
+        # each turn pops one coefficient, so it turns len(coeffs) times at most
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return coeffs

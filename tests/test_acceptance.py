@@ -17,7 +17,7 @@ from bettikit.koszul import _Ring, betti_table, hilbert_consistency, koszul_diff
 from bettikit.polyring import parse_ideal
 from bettikit.pure import family_deq, hk_diagram, kappa_max, multiplicity
 from bettikit.selftest import (random_chain_table, random_ideal,
-                               sweep_strand_bound_lemma)
+                               sweep_strand_bound_lemma, tally)
 from bettikit.tables import BettiTable, DegreeSequence
 from oracles import CUBIC_CONIC, PROJECTED_VERONESE
 
@@ -78,7 +78,7 @@ def test_criterion_4_next_to_maximal_family():
 
 
 def test_criterion_5_bound_lemma_exhaustive():
-    cases, failures = sweep_strand_bound_lemma(e_max=5, q_max=4, slack=3)
+    cases, failures = tally(sweep_strand_bound_lemma(e_max=5, q_max=4, slack=3))
     assert failures == []
     report(5, f"{cases} degree sequences, zero counterexamples")
 

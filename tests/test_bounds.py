@@ -336,7 +336,7 @@ def test_library_checks_refuse_an_unprintable_codimension_fast(call):
                             text=True, timeout=10)
     assert result.returncode == 1
     assert result.stderr.splitlines()[-1] == (
-        "ValueError: --codim 10000000000 is too large to report: the largest bound on row 1 "
+        "ValueError: codimension 10000000000 is too large to report: the largest bound on row 1 "
         "has more than 4300 digits, Python's limit for printing an integer")
 
 
@@ -349,5 +349,5 @@ def test_codimension_cap_starts_where_its_proof_does(monkeypatch, q, next_to_max
     n = next(n for n in range(3 * 4300, 5 * 4300) if n - (n + 1).bit_length() >= target)
     e = n if next_to_max else n - q
     assert bounds._reject_unprintable(e - 1, q, next_to_max) is None
-    with pytest.raises(ValueError, match=f"^--codim {e} is too large to report"):
+    with pytest.raises(ValueError, match=f"^codimension {e} is too large to report"):
         bounds._reject_unprintable(e, q, next_to_max)

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from bettikit import koszul
 from bettikit.decompose import bs_decompose
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import (_betti, _betti_entries, _cut_regular_variables, _delta2_rank,
-                             _hilbert_matches, _Ring, betti_table, graded_piece,
-                             hilbert_consistency, koszul_differential)
+from bettikit.koszul import (_betti, _betti_entries, _cut_regular_variables, _hilbert_matches,
+                             _Ring, betti_table, graded_piece, hilbert_consistency,
+                             koszul_differential)
 from bettikit.linalg import SparseMatrix
 from bettikit.polyring import Ideal, index_maps, mono_times_var, parse_ideal, parse_polynomial
 from bettikit.pure import family_deq, hk_diagram, kappa_max
-from bettikit.selftest import random_ideal, sweep_square_zero, uncut_table
+from bettikit.selftest import (random_ideal, sweep_delta2_rank, sweep_row_zero_rank,
+                               sweep_square_zero, tally, uncut_table)
 from bettikit.tables import BettiTable
 from oracles import (TWISTED_CUBIC_TABLE, hochster_table, ideal_from, minimal_generators,
                      normal_form)
@@ -166,7 +167,7 @@ def test_differential_matches_normal_form_oracle_on_random_ideals(seed, char_p, 
 
 
 def test_square_zero_random_sweep():
-    cases, failures = sweep_square_zero(trials=6, seed=7)
+    cases, failures = tally(sweep_square_zero(trials=6, seed=7))
     assert failures == []
     assert cases > 0
 
@@ -356,18 +357,14 @@ def test_delta_1_is_onto(seed, char_p):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(seed=st.integers(0, 10**6), char_p=st.sampled_from((None, 32003, 2)))
-@example(seed=35, char_p=2)        # 4 variables, dim I_1 = 3
-@example(seed=17, char_p=None)     # 4 variables, dim I_1 = 2
-def test_row_zero_ranks_are_read_off_dim_m1(seed, char_p):
+@given(seed=st.integers(0, 10**6))
+@example(seed=35)        # 4 variables, dim I_1 = 3 over GF(2)
+@example(seed=17)        # 4 variables, dim I_1 = 2 over the rationals
+def test_row_zero_ranks_are_read_off_dim_m1(seed):
     # the identity `_betti_entries` reads instead of building any delta_p at
-    # q = 0: its kernel is wedge^p I_1, so rank delta_p = C(n, p) - C(dim I_1, p)
-    ideal = replace(random_ideal(random.Random(seed), max_generators=4), char_p=char_p)
-    ring = koszul._Ring(ideal)
-    n = ideal.num_vars
-    for p in range(n + 1):
-        expected = comb(n, p) - comb(n - ring[1].dim, p)
-        assert koszul_differential(ideal, p, 0, ring).rank(char_p) == expected
+    # q = 0: its kernel is wedge^p I_1, so rank delta_p = C(n, p) - C(dim I_1, p);
+    # the sweep draws the seed's ideal and checks it over all three fields
+    assert tally(sweep_row_zero_rank(trials=1, seed=seed))[1] == []
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -377,13 +374,13 @@ def test_delta_2_ranks_are_read_off_the_generator_counts(seed, char_p, q_max):
     # the identity `_betti_entries` reads instead of building delta_2:
     # rank delta_{2,q} = n * dim M_{q+1} - dim M_{q+2} - beta_{1,q+2}, on the
     # ring of S/I in every row and on `betti_table`'s cut ring in its rows
-    # 0..m - 1, where the cut ring reads the counts of the ring of S/I
+    # 0..m - 1, where the cut ring reads the counts of the ring of S/I; the
+    # sweep draws the seed's ideal and checks it over all three fields
+    assert tally(sweep_delta2_rank(trials=1, seed=seed, q_max=q_max))[1] == []
     ideal = replace(random_ideal(random.Random(seed), max_generators=4), char_p=char_p)
     uncut = _Ring(ideal)
-    _, cut, m, _ = _cut_regular_variables(ideal, q_max)
-    for ring, rows in ((uncut, q_max + 1), (cut, m)):
-        for q in range(rows):
-            assert _delta2_rank(ring, q) == koszul_differential(ring, 2, q, ring).rank(char_p), q
+    uncut[q_max + 2]    # steps M_0..M_{q_max+2}, recording minimal[q] at each
+    _, cut, _, _ = _cut_regular_variables(ideal, q_max)
     root = cut
     while root.var is not None:
         root = root.source

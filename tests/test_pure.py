@@ -10,7 +10,7 @@ from bettikit.pure import (family_deq, family_tilde, hk_diagram, kappa_max, kapp
                            multiplicity)
 from bettikit.selftest import (sweep_deq_closed_forms, sweep_dual_multiplicity,
                                sweep_hilbert_divisibility, sweep_strand_bound_lemma,
-                               sweep_tilde_closed_forms)
+                               sweep_tilde_closed_forms, tally)
 from bettikit.tables import BettiTable, DegreeSequence
 
 
@@ -121,30 +121,30 @@ def test_multiplicity_function():
 
 
 def test_deq_closed_forms_sweep():
-    cases, failures = sweep_deq_closed_forms(e_max=10, q_max=10)
+    cases, failures = tally(sweep_deq_closed_forms(e_max=10, q_max=10))
     assert cases == 100
     assert failures == []
 
 
 def test_tilde_closed_forms_sweep():
-    cases, failures = sweep_tilde_closed_forms(e_max=10)
+    cases, failures = tally(sweep_tilde_closed_forms(e_max=10))
     assert cases == 9
     assert failures == []
 
 
 def test_strand_bound_lemma_sweep():
-    cases, failures = sweep_strand_bound_lemma(e_max=4, q_max=3, slack=4)
+    cases, failures = tally(sweep_strand_bound_lemma(e_max=4, q_max=3, slack=4))
     assert failures == []
     assert cases > 0
 
 
 def test_dual_multiplicity_sweep():
-    _, failures = sweep_dual_multiplicity(e_max=5, q_max=4)
+    _, failures = tally(sweep_dual_multiplicity(e_max=5, q_max=4))
     assert failures == []
 
 
 def test_hilbert_divisibility_sweep():
-    _, failures = sweep_hilbert_divisibility(e_max=5, q_max=3, slack=2)
+    _, failures = tally(sweep_hilbert_divisibility(e_max=5, q_max=3, slack=2))
     assert failures == []
 
 

@@ -4,7 +4,7 @@ Each case breaks the function a sweep checks, inside `bettikit.selftest`
 only, runs the sweep on a small range and reads its first failure, which must
 name the identity that was broken: it ends with the expected text, after
 the ideal it names where there is one.  A sweep whose failure line never
-runs proves nothing, so each `failures.append` has a case here.
+runs proves nothing, so each failure a sweep can yield has a case here.
 """
 
 from fractions import Fraction
@@ -151,9 +151,9 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_each_sweep_fails_on_the_identity_it_checks(case, monkeypatch):
     sweep, kwargs, patch, expected = CASES[case]
-    assert sweep(**kwargs)[1] == []
+    assert selftest.tally(sweep(**kwargs))[1] == []
     patch(monkeypatch)
-    failures = sweep(**kwargs)[1]
+    failures = selftest.tally(sweep(**kwargs))[1]
     assert failures and failures[0].endswith(expected), failures[:1]
 
 
