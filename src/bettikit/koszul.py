@@ -17,8 +17,13 @@ coordinates, as the elimination kernel leaves it: each row keyed by column
 indices into `monomials_of_degree(n, q)` and held in the field's own form (a
 primitive integer vector over the rationals, monic residues mod p), as the
 index-based Macaulay matrices of Faugere's F4 (J. Pure Appl. Algebra 139,
-1999) are.  Its monomials and Fractions, `standard` and `rewrite`, are read
-off those rows only when asked for.  A `_Ring` steps its pieces in
+1999) are.  Every row the engine builds is keyed the same way, by the
+monomial's column in S_q: the rules, the images of x_var, their echelons
+and the differentials, whose columns are the free columns of a piece.  Only
+`koszul_differential` reads a free column's place among them, the
+coordinate in M_q, to lay out its matrix.  The monomials and Fractions of
+a piece, `standard` and `rewrite`, are read off its kept rows only when
+asked for.  A `_Ring` steps its pieces in
 increasing degree from the pieces it already holds: for S/I by `_next_piece`,
 which shifts the kept rows of M_{q-1} by the index maps x_v: S_{q-1} -> S_q
 (`polyring.index_maps`, built once per number of variables and degree) and
@@ -85,8 +90,8 @@ class GradedPiece:
     monomials of `free`, a basis of M_q, and `rewrite`, which sends each
     pivot monomial, a lead of I_q, to its normal form (a combination of
     standard monomials).  Both are read off the rows when first asked for;
-    the engine reads the rows and `position` instead, and makes the rule of
-    a lead (`F.rule`) only where it reads it.
+    the engine reads the rows instead, and makes the rule of a lead
+    (`F.rule`), keyed by the free columns of `basis`, only where it reads it.
     """
 
     def __init__(self, q: int, num_vars: int, F: Rationals | PrimeField, rows: dict[int, dict]):
@@ -96,20 +101,15 @@ class GradedPiece:
         self.dim, self.ideal_dim = len(self.free), len(rows)
 
     @cached_property
-    def position(self) -> dict[int, int]:
-        """Each free column's place in `free`: its coordinate in M_q."""
-        return {col: i for i, col in enumerate(self.free)}
-
-    @cached_property
     def standard(self) -> tuple[Monomial, ...]:
         return tuple(self.basis[col] for col in self.free)
 
     @cached_property
     def rewrite(self) -> dict[Monomial, dict[Monomial, Fraction | int]]:
-        basis, standard, coeff, rewrite = self.basis, self.standard, self.F.coeff, {}
+        basis, coeff, rewrite = self.basis, self.F.coeff, {}
         for lead, row in self.rows.items():
-            den, nums = self.F.rule(row, lead, self.position)
-            rewrite[basis[lead]] = {standard[i]: coeff(Fraction(v, den)) for i, v in nums.items()}
+            den, nums = self.F.rule(row, lead)
+            rewrite[basis[lead]] = {basis[j]: coeff(Fraction(v, den)) for j, v in nums.items()}
         return rewrite
 
     def __eq__(self, other):
@@ -241,7 +241,7 @@ class _Ring:
         return self.images[var, q]
 
     def echelon(self, var: int, q: int) -> dict[int, dict]:
-        """The fully reduced echelon of x_var: M_{q-1} -> M_q; columns index M_q's standard monomials."""
+        """The fully reduced echelon of x_var: M_{q-1} -> M_q, keyed by the free columns of S_q."""
         if (var, q) not in self.echelons:
             rows = [self.F.combine(((0, 0),), (rule,)) for rule in self.image(var, q - 1)]
             self.echelons[var, q] = reduced_echelon(rows, self.F)
@@ -253,13 +253,14 @@ def _cut_piece(ring: _Ring, q: int) -> GradedPiece:
 
     M'_q = M_q / x_var * M_{q-1} is read off M_q and E = `M.echelon(var, q)`,
     the fully reduced echelon of the rows of x_var: M_{q-1} -> M_q
-    (`_multiplication`), whose columns are the standard monomials of M_q in
-    their order.  The standard monomials of M'_q are those of M_q that are not
+    (`_multiplication`), whose columns are the free columns of M_q, each
+    keyed by its index in S_q as the kept rows of M_q are, so E is read as
+    it is.  The standard monomials of M'_q are those of M_q that are not
     pivots of E.  Each kept row of M_q and each row of E whose lead has no
     x_var gives a kept row of M'_q, reduced against E by
     `linalg.substitute`, whose one pass suffices since E's tails avoid its
     pivots; a lead with x_var is dropped, and the columns kept are renamed
-    into the cut ring's basis.
+    into the cut ring's basis, the one renaming a row goes through.
 
     These are, value for value, the pieces of I + (x_var) / (x_var).  In
     degree q the cut ring's ideal, with x_var kept, is
@@ -278,10 +279,7 @@ def _cut_piece(ring: _Ring, q: int) -> GradedPiece:
     keeps each row in the field's form.
     """
     below, var, F = ring.source, ring.var, ring.F
-    target = below[q]
-    free = target.free
-    cuts = {free[lead]: {free[col]: value for col, value in row.items()}
-            for lead, row in below.echelon(var, q).items()}
+    target, cuts = below[q], below.echelon(var, q)
     rename = {col: k for k, col in enumerate(
         col for col, mono in enumerate(target.basis) if not mono[var])}
     rows = {}
@@ -302,41 +300,45 @@ def graded_piece(ideal: Ideal, q: int) -> GradedPiece:
 def _multiplication(source: GradedPiece, target: GradedPiece, var: int) -> list[Rule]:
     """The rows of x_var: M_q -> M_{q+1}, one per standard monomial m of M_q, in the field's form.
 
-    Row i is x_var * m in the coordinates of M_{q+1}: the rule of the column
-    x_var sends m to, made straight from its kept row (`F.rule`), or
-    (1, {that column: 1}) when it is free.  Only the leads the image reads
-    get a rule, as the index-based Macaulay rows of Faugere's F4 are made
-    on demand: x_var * standard(M_q) meets few of the leads of I_{q+1}.
+    The row of m, the k-th free column of M_q, is the k-th, and it is x_var * m
+    in M_{q+1}, keyed by the free columns of S_{q+1}: the rule of the column
+    t that x_var sends m to, made straight from its kept row (`F.rule`), or
+    (1, {t: 1}) when t is free.  Only the leads the image reads get a rule,
+    as the index-based Macaulay rows of Faugere's F4 are made on demand:
+    x_var * standard(M_q) meets few of the leads of I_{q+1}.
     """
     image = index_maps(source.num_vars, source.q)[var]
-    rows, rule, position = target.rows, target.F.rule, target.position
-    return [rule(rows[t], t, position) if (t := image[col]) in rows else (1, {position[t]: 1})
+    rows, rule = target.rows, target.F.rule
+    return [rule(rows[t], t) if (t := image[col]) in rows else (1, {t: 1})
             for col in source.free]
 
 
-def _wedge_rows(p: int, width: int, images: Sequence[list[Rule]], combine,
-                skip: Container[int] = ()) -> list[Row]:
+def _wedge_rows(p: int, source: GradedPiece, target: GradedPiece, images: Sequence[list[Rule]],
+                combine, skip: Container[int] = ()) -> list[Row]:
     """The rows of wedge^p V (x) M_q -> wedge^{p-1} V (x) M_{q+1}, p >= 1, but those in `skip`.
 
-    `images[v]` is x_v: M_q -> M_{q+1} (`_multiplication`) for each of the
-    n = len(images) variables, and `width` is dim M_{q+1}.  Rows are the
-    domain wedges in lex order, each with a row per standard monomial of
-    M_q, so the row of the i-th wedge and the k-th monomial has index
-    i * dim M_q + k; a row whose index is in `skip` is not built.  For a
-    fixed wedge the j-th terms land in distinct codomain wedges, so no two
-    terms of a row share a column and nothing cancels.
+    `source` is M_q, `target` is M_{q+1}, and `images[v]` is
+    x_v: M_q -> M_{q+1} (`_multiplication`) for each of the n = len(images)
+    variables.  Rows and columns are keyed by S_q and S_{q+1}, as the images
+    are: rows are the domain wedges in lex order, each with a row per free
+    column of M_q, so the row of the i-th wedge and the free column c has
+    index j = i * dim S_q + c, and the rules of the i-th codomain wedge land
+    at i * dim S_{q+1} + their columns.  A row whose index is in `skip` is not
+    built.  For a fixed wedge the j-th terms land in distinct codomain
+    wedges, so no two terms of a row share a column and nothing cancels.
     `combine(places, rules)` makes each row in one step from its terms, each
     rule placed at its codomain wedge's (base, odd), negated at odd j:
     `F.combine` for a row in the field's form, or a read of the entries'
     values.
     """
-    n, height = len(images), len(images[0])
+    n, height, width = len(images), len(source.basis), len(target.basis)
     codomain = {wedge: i * width for i, wedge in enumerate(combinations(range(n), p - 1))}
     rows = []
     for i, wedge in enumerate(combinations(range(n), p)):
         places = [(codomain[wedge[:j] + wedge[j + 1:]], j % 2) for j in range(p)]
-        rows += [combine(places, rules) for k, rules in
-                 enumerate(zip(*[images[var] for var in wedge]), i * height) if k not in skip]
+        base = i * height
+        rows += [combine(places, rules) for col, rules in
+                 zip(source.free, zip(*[images[var] for var in wedge])) if base + col not in skip]
     return rows
 
 
@@ -349,9 +351,14 @@ def koszul_differential(ideal: Ideal | _Ring, p: int, q: int,
     pieces by degree: a list, a dict or a `_Ring`, and the images of x_v are
     built from them by `_multiplication`, in the pieces' field, as the
     engine's are.  The entries are read out as values of the field:
-    Fractions over the rationals, residues mod p.  The engine builds its
-    differentials by `_differential` instead, in the field's form, from
-    images its ring holds.
+    Fractions over the rationals, residues mod p.  This is the one reader
+    of M's own coordinates: `_wedge_rows` keys the rules of the i-th
+    codomain wedge at i * dim S_{q+1} + their free columns, and each is
+    put at i * dim M_{q+1} + its place among the free columns of M_{q+1}.
+    The rows come in the order of the domain basis, so they need no
+    renaming.  The engine builds its differentials by `_differential`
+    instead, in the field's form, from images its ring holds, and keeps
+    the columns of S_{q+1}.
     """
     if p < 0 or q < 0:
         raise ValueError(f"need p >= 0 and q >= 0, got p={p}, q={q}")
@@ -361,14 +368,15 @@ def koszul_differential(ideal: Ideal | _Ring, p: int, q: int,
     ncols = comb(n, p - 1) * target.dim if p >= 1 else 0
     if nrows == 0 or ncols == 0:
         return SparseMatrix(nrows, ncols)
-    coeff = target.F.coeff
+    coeff, width, dim = target.F.coeff, len(target.basis), target.dim
+    place = {col: k for k, col in enumerate(target.free)}
 
     def entries(places, rules):
-        return {base + col: coeff(Fraction(-v if odd else v, den))
+        return {base // width * dim + place[col]: coeff(Fraction(-v if odd else v, den))
                 for (base, odd), (den, nums) in zip(places, rules) for col, v in nums.items()}
 
     images = [_multiplication(source, target, var) for var in range(n)]
-    return SparseMatrix(nrows, ncols, _wedge_rows(p, target.dim, images, entries))
+    return SparseMatrix(nrows, ncols, _wedge_rows(p, source, target, images, entries))
 
 
 def _differential(ring: _Ring, p: int, q: int, skip: Container[int]) -> list[Row]:
@@ -376,13 +384,15 @@ def _differential(ring: _Ring, p: int, q: int, skip: Container[int]) -> list[Row
 
     They are built from the ring's images of x_v, and each spans the line
     of that matrix's row as `F.combine` makes it: a primitive integer vector
-    over the rationals, residues mod p.  A row whose index is in `skip` is
-    not built, and no row is built when the matrix has no row or no column.
+    over the rationals, residues mod p, with its columns keyed by S_{q+1} as
+    `_wedge_rows` keys them.  A row whose index, j = i * dim S_q + c, is in
+    `skip` is not built, and no row is built when the matrix has no row or
+    no column.
     """
     if not (ring[q].dim and ring[q + 1].dim):
         return []
     images = [ring.image(var, q) for var in range(ring.num_vars)]
-    return _wedge_rows(p, ring[q + 1].dim, images, ring.F.combine, skip)
+    return _wedge_rows(p, ring[q], ring[q + 1], images, ring.F.combine, skip)
 
 
 def _delta2_rank(ring: _Ring, q: int) -> int:
@@ -456,9 +466,10 @@ def _betti_entries(ring: _Ring, q_max: int) -> BettiTable:
     and degree, in the field's form, and ranked in the ring's field.
 
     Each is built only on the rows that no boundary leads.  Let
-    W = wedge^p V (x) M_q, whose basis vector e_j, j = i * dim M_q + k for
-    the i-th wedge in lex order and the k-th standard monomial, is row j of
-    delta_p = delta_{p,q} and column j of delta_{p+1} = delta_{p+1,q-1}.  Let
+    W = wedge^p V (x) M_q, whose basis vector e_j, j = i * dim S_q + c for
+    the i-th wedge in lex order and the free column c of S_q, is row j of
+    delta_p = delta_{p,q} and column j of delta_{p+1} = delta_{p+1,q-1}: both
+    are keyed by S_q's columns (`_wedge_rows`), and j rises with (i, c).  Let
     B = im delta_{p+1} in W and in(B) the least columns of B's nonzero
     elements, which are the leads of any echelon of rows spanning B
     (`linalg.leads`).  Then W = B (+) U for U = span{e_j : j not in in(B)}:

@@ -27,9 +27,10 @@ cross-multiplication and divided by their gcd content.  Mod p, pivot rows
 are monic, and a row monic already is stored as it is.  `reduced_echelon`
 returns its rows in that form, which `koszul` keeps.  A kept row gives its
 rule, the normal form of its lead, as one denominator over integer
-numerators (`F.rule`), and `F.combine` lays such rules side by side, signed,
-as one normalized row; a Fraction appears only where a caller reads a value
-out.
+numerators in the row's own columns (`F.rule`), and `F.combine` lays such
+rules side by side, signed, as one normalized row; a Fraction appears only
+where a caller reads a value out.  No column is renamed here: a row keeps
+the columns its caller gave it.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class Rationals:
     def pivot(self, row: dict, lead) -> dict:
         return row
 
-    def rule(self, row: dict, lead, key) -> Rule:
-        """-tail / lead of a kept row as (|lead|, -+tail), its columns renamed by `key`."""
+    def rule(self, row: dict, lead) -> Rule:
+        """-tail / lead of a kept row as (|lead|, -+tail), in the row's own columns."""
         a = row[lead]
-        return abs(a), {key[j]: -v if a > 0 else v for j, v in row.items() if j != lead}
+        return abs(a), {j: -v if a > 0 else v for j, v in row.items() if j != lead}
 
     def combine(self, places, rules) -> dict:
         """The primitive integer row of the rules at their (base, odd), over one denominator.
@@ -131,10 +132,10 @@ class PrimeField:
         inv = pow(a, -1, p)
         return {j: v * inv % p for j, v in row.items()}
 
-    def rule(self, row: dict, lead, key) -> Rule:
-        """-tail of a kept (monic) row over denominator 1, its columns renamed by `key`."""
+    def rule(self, row: dict, lead) -> Rule:
+        """-tail of a kept (monic) row over denominator 1, in the row's own columns."""
         p = self.char_p
-        return 1, {key[j]: p - v for j, v in row.items() if j != lead}
+        return 1, {j: p - v for j, v in row.items() if j != lead}
 
     def combine(self, places, rules) -> dict:
         """The row of the rules at their (base, odd), shifted by base and negated where odd."""

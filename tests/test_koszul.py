@@ -226,16 +226,21 @@ def products(ring, var, q):
 @given(seed=st.integers(0, 10**6), char_p=st.sampled_from((None, 32003, 2)))
 def test_images_equal_the_rules_of_every_lead(seed, char_p):
     # each image row is the rule a read of every lead of M_{q+1} gives for
-    # its column, or the free column itself, on S/I and on the walk's cut ring
+    # its column, or the free column itself, on S/I and on the walk's cut
+    # ring; images and echelons are keyed by the free columns of S_q
     ideal = replace(random_ideal(random.Random(seed)), char_p=char_p)
     for ring in (_Ring(ideal), _cut_regular_variables(ideal, 3)[1]):
         for q in range(4):
             target = ring[q + 1]
-            position = target.position
-            rules = {lead: ring.F.rule(row, lead, position) for lead, row in target.rows.items()}
+            rules = {lead: ring.F.rule(row, lead) for lead, row in target.rows.items()}
+            free, below = set(target.free), set(ring[q].free)
             for var in range(ring.num_vars):
-                assert ring.image(var, q) == [rules[t] if t in rules else (1, {position[t]: 1})
-                                              for t in products(ring, var, q)], (var, q)
+                image = ring.image(var, q)
+                assert image == [rules[t] if t in rules else (1, {t: 1})
+                                 for t in products(ring, var, q)], (var, q)
+                assert all(col in free for _, nums in image for col in nums), (var, q)
+                assert all(lead in below and row.keys() <= below
+                           for lead, row in ring.echelon(var, q).items()), (var, q)
 
 
 @pytest.mark.parametrize("char_p", (None, 32003))
@@ -243,7 +248,7 @@ def test_an_image_makes_rules_only_for_the_leads_it_reads(char_p, monkeypatch):
     ring, made = _Ring(replace(TWISTED_CUBIC, char_p=char_p)), []
     rule = type(ring.F).rule
     monkeypatch.setattr(type(ring.F), "rule",
-                        lambda F, row, lead, key: made.append(lead) or rule(F, row, lead, key))
+                        lambda F, row, lead: made.append(lead) or rule(F, row, lead))
     fewer = False
     for q in range(4):
         ring[q + 1]

@@ -18,9 +18,13 @@ is that tree's `src`:
     plus one, complete and not;
 * `bettikit fixtures`, `bettikit selftest`, and each demo under `demos/`.
 
-The stdout and exit status of each are compared line by line.  The first
-difference is printed and the exit status is 1; otherwise the number of
-lines compared is printed and the exit status is 0.  Run from any directory
+The stdout and exit status of each are compared line by line, but for
+`bettikit selftest`, which is compared sweep by sweep, by name: each sweep
+REV prints must print the same line in the working tree, and a sweep only
+the working tree prints is listed as added, and is a difference only if it
+does not pass.  Its exit status is still compared.  The added sweeps are
+printed; then the first difference, and the exit status is 1, or else the
+number of lines compared, and the exit status is 0.  Run from any directory
 inside the repository; the working tree's files are read as they are, not
 as committed.
 """
@@ -31,6 +35,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tarfile
@@ -39,6 +44,8 @@ from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SELFTEST = "bettikit selftest"
+SWEEP = re.compile(r"(?:PASS|FAIL) (.+?) \(\d+ cases\)")
 
 
 def emit_corpus(tree: Path) -> None:
@@ -112,22 +119,45 @@ def outputs(tree: Path) -> dict[str, list[str]]:
     """Every compared output of one tree, by name."""
     found = {"corpus": run(tree, [__file__, "--emit", str(tree)]),
              "bettikit fixtures": run(tree, ["-m", "bettikit.cli", "fixtures"]),
-             "bettikit selftest": run(tree, ["-m", "bettikit.cli", "selftest"])}
+             SELFTEST: run(tree, ["-m", "bettikit.cli", "selftest"])}
     for demo in sorted((tree / "demos").glob("*.py")):
         found[f"demos/{demo.name}"] = run(tree, [str(demo)])
     return found
 
 
-def first_difference(old: dict[str, list[str]], new: dict[str, list[str]]) -> str | None:
+def keyed(name: str, lines: list[str]) -> dict[str, str]:
+    """The lines of one output by what they are compared as.
+
+    `bettikit selftest`'s sweep lines are keyed by the sweep's name and its
+    exit status as such; any other line is keyed by its number.
+    """
+    if name != SELFTEST:
+        return {f"line {k}": line for k, line in enumerate(lines, 1)}
+    *sweeps, status = lines
+    out = {f"sweep {m[1]}" if (m := SWEEP.match(line)) else f"line {k}": line
+           for k, line in enumerate(sweeps, 1)}
+    return {**out, "exit status": status}
+
+
+def first_difference(old: dict[str, list[str]],
+                     new: dict[str, list[str]]) -> tuple[str | None, list[str]]:
+    """Where `new` first differs from `old`, or None, and the selftest sweeps only `new` prints.
+
+    A line of `old` must be the same in `new`.  A line only `new` prints is
+    a difference, unless it is a selftest sweep that passes: that is added.
+    """
     if sorted(old) != sorted(new):
-        return f"outputs differ: {sorted(old)} against {sorted(new)}"
+        return f"outputs differ: {sorted(old)} against {sorted(new)}", []
+    added = []
     for name in old:
-        for k in range(max(len(old[name]), len(new[name]))):
-            a = old[name][k] if k < len(old[name]) else "<end of output>"
-            b = new[name][k] if k < len(new[name]) else "<end of output>"
-            if a != b:
-                return f"{name}, line {k + 1}:\n  revision:     {a}\n  working tree: {b}"
-    return None
+        a, b = keyed(name, old[name]), keyed(name, new[name])
+        for key in {**a, **b}:
+            was, now = a.get(key, "<not printed>"), b.get(key, "<not printed>")
+            if key not in a and key.startswith("sweep ") and now.startswith("PASS "):
+                added.append(now)
+            elif was != now:
+                return f"{name}, {key}:\n  revision:     {was}\n  working tree: {now}", added
+    return None, added
 
 
 def main(argv: list[str]) -> int:
@@ -151,7 +181,9 @@ def main(argv: list[str]) -> int:
                 tar.extractall(tmp)
         old = outputs(Path(tmp))
     new = outputs(ROOT)
-    difference = first_difference(old, new)
+    difference, added = first_difference(old, new)
+    for line in added:
+        print(f"added in the working tree: {line}")
     if difference:
         print(f"{rev} and the working tree differ at {difference}")
         return 1
