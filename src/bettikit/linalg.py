@@ -18,19 +18,26 @@ also continue from the forward echelon of other rows, as `koszul` does to
 count the pivots a second batch of rows adds to the span of a first.  One
 substitution pass (`substitute`) eliminates from a row every other column
 that leads a pivot row: `reduced_echelon` back-substitutes the echelon with
-it, and `koszul` reduces rows against a kept echelon with it.  Rows enter
-normalized, each once: `SparseMatrix.rank` normalizes its rows, and `leads`
-and `reduced_echelon` take rows already in the field's form, which `koszul`
-builds in that form from the start.  Over the rationals elimination is
-fraction-free: rows are primitive integer vectors, eliminated by
-cross-multiplication and divided by their gcd content.  Mod p, pivot rows
-are monic, and a row monic already is stored as it is.  `reduced_echelon`
-returns its rows in that form, which `koszul` keeps.  A kept row gives its
-rule, the normal form of its lead, as one denominator over integer
-numerators in the row's own columns (`F.rule`), and `F.combine` lays such
-rules side by side, signed, as one normalized row; a Fraction appears only
-where a caller reads a value out.  No column is renamed here: a row keeps
-the columns its caller gave it.
+it, and `koszul` reduces rows against a kept echelon with it.  The two are
+the only callers of the field's elimination step,
+`F.eliminate(row, pivots, cols)`, which clears each column c of `cols` from
+`row` in place by pivots[c]: `substitute` clears all of a row's pivot
+columns in one call, and `_echelon` the lead of its row, one call per step.
+Each copies a row once, the first time it eliminates from it, so no row
+either is given, and no row of the pivots it is given, ever changes.  Rows
+enter normalized, each once: `SparseMatrix.rank` normalizes its rows, and
+`leads` and `reduced_echelon` take rows already in the field's form, which
+`koszul` builds in that form from the start.  Over the rationals
+elimination is fraction-free: rows are primitive integer vectors, and one
+call scales the row once, by the one factor that makes each entry it clears
+a multiple of its pivot's lead, subtracts the multiples and divides out the
+gcd content once.  Mod p, pivot rows are monic, and a row monic already is
+stored as it is.  `reduced_echelon` returns its rows in that form, which
+`koszul` keeps.  A kept row gives its rule, the normal form of its lead, as
+one denominator over integer numerators in the row's own columns
+(`F.rule`), and `F.combine` lays such rules side by side, signed, as one
+normalized row; a Fraction appears only where a caller reads a value out.
+No column is renamed here: a row keeps the columns its caller gave it.
 """
 
 from __future__ import annotations
@@ -57,18 +64,39 @@ class Rationals:
         scale = lcm(*[v.denominator for v in row.values()])
         return _primitive({j: v.numerator * (scale // v.denominator) for j, v in row.items() if v})
 
-    def eliminate(self, row: dict, pivot: dict, col) -> dict:
-        """The primitive multiple of pivot[col] * row - row[col] * pivot."""
-        g = gcd(pivot[col], row[col])
-        ra, rb = pivot[col] // g, row[col] // g
-        out = {j: ra * v for j, v in row.items()} if ra != 1 else dict(row)
-        for j, v in pivot.items():
-            w = out.get(j, 0) - rb * v
-            if w:
-                out[j] = w
-            else:
-                del out[j]
-        return _primitive(out)
+    def eliminate(self, row: dict, pivots: dict, cols) -> None:
+        """Clear each column c of `cols` from `row` by pivots[c], in place, and make it primitive.
+
+        The tails of these pivots avoid `cols`, so row[c] is the same when c
+        is reached as at the start.  One scale s makes each s * row[c] a
+        multiple of its pivot's lead a: the lcm of the a / gcd(a, row[c]),
+        with the sign of the product of the leads.  The row is scaled once,
+        only if s != 1, each (s * row[c] / a) * pivots[c] is subtracted, and
+        the gcd content is divided out once.  The result is what clearing the
+        columns one at a time would give, each step the primitive multiple of
+        a * row - row[c] * pivots[c], sign included.
+        """
+        s = 1
+        for c in cols:
+            a = pivots[c][c]
+            r = a // gcd(a, row[c])
+            s = s * r // gcd(s, r)
+        if s != 1:
+            for j in row:
+                row[j] *= s
+        for c in cols:
+            pivot = pivots[c]
+            factor = row[c] // pivot[c]
+            for j, v in pivot.items():
+                w = row.get(j, 0) - factor * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+        content = gcd(*row.values())
+        if content > 1:
+            for j in row:
+                row[j] //= content
 
     def pivot(self, row: dict, lead) -> dict:
         return row
@@ -109,22 +137,27 @@ class PrimeField:
         coeff = self.coeff
         return {j: c for j, v in row.items() if (c := coeff(v))}
 
-    def eliminate(self, row: dict, pivot: dict, col) -> dict:
-        """row - row[col] * pivot, for a monic pivot."""
-        p, factor = self.char_p, row[col]
-        out = dict(row)
-        for j, v in pivot.items():
-            w = (out.get(j, 0) - factor * v) % p
-            if w:
-                out[j] = w
-            else:
-                del out[j]
-        return out
+    def eliminate(self, row: dict, pivots: dict, cols) -> None:
+        """row - row[c] * pivots[c] for each column c of `cols`, in place, for monic pivots.
+
+        The tails of these pivots avoid `cols`, so each factor row[c] is read
+        when c is reached.  Each entry is reduced mod p as it changes, and a
+        zero is deleted at once.
+        """
+        p = self.char_p
+        for c in cols:
+            factor = row[c]
+            for j, v in pivots[c].items():
+                w = (row.get(j, 0) - factor * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
 
     def pivot(self, row: dict, lead) -> dict:
         """The row made monic; a row already monic is kept as it is.
 
-        No caller changes a stored row: each elimination step builds a new one.
+        No caller changes a stored row: a row is copied before it is eliminated in place.
         """
         p, a = self.char_p, row[lead]
         if a == 1:
@@ -217,19 +250,24 @@ def _echelon(rows: Iterable[dict], F: Rationals | PrimeField,
     spans together.  Each turn of the inner loop ends the row or cancels its
     lead, and a pivot row has no column below its lead, so the lead strictly
     rises: a row turns at most once per distinct column of it and of the
-    pivot rows.  A step that leaves the lead in the row, which a faulty
-    `F.pivot` or `F.eliminate` would, raises RuntimeError naming the column,
-    so the bound is checked rather than trusted.
+    pivot rows.  A row is copied the first time it meets a pivot, and each
+    step then clears its lead in place (`F.eliminate(row, pivots, (lead,))`),
+    so the rows given, and those of `pivots`, keep their values.  A step
+    that leaves the lead in the row, which a faulty `F.pivot` or
+    `F.eliminate` would, raises RuntimeError naming the column, so the bound
+    is checked rather than trusted.
     """
     pivots = {} if pivots is None else pivots
     for row in sorted(rows, key=len):
+        copied = False
         while row:
             lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
+            if lead not in pivots:
                 pivots[lead] = F.pivot(row, lead)
                 break
-            row = F.eliminate(row, pivot, lead)
+            if not copied:
+                row, copied = dict(row), True
+            F.eliminate(row, pivots, (lead,))
             if lead in row:
                 raise RuntimeError(f"elimination left column {lead} in the row")
     return pivots
@@ -257,12 +295,17 @@ def reduced_echelon(rows: Iterable[dict], F: Rationals | PrimeField,
 def substitute(row: dict, lead, pivots: dict[int, dict], F: Rationals | PrimeField) -> dict:
     """`row` with each column but `lead` that leads a row of `pivots` eliminated, in one pass.
 
-    The columns are read off `row` as it comes in and eliminated in that
-    order.  One pass suffices when the tails of the pivot rows it uses avoid
-    the leads of `pivots`: every row of a fully reduced echelon does, and in
+    The columns are read off `row` as it comes in; a row that has none is
+    returned as it is, and any other is copied once and cleared of all of
+    them by one `F.eliminate` call, so `row` itself never changes.  One pass
+    suffices when the tails of the pivot rows it uses avoid the leads of
+    `pivots`, since then clearing a column changes no other column the pass
+    clears: every row of a fully reduced echelon does, and in
     `reduced_echelon`'s back-substitution, highest pivot first, every row a
     pass uses has been reduced already.
     """
-    for col in [j for j in row if j != lead and j in pivots]:
-        row = F.eliminate(row, pivots[col], col)
+    cols = [j for j in row if j != lead and j in pivots]
+    if cols:
+        row = dict(row)
+        F.eliminate(row, pivots, cols)
     return row

@@ -5,6 +5,7 @@ pytest collects only `test_*.py`, so nothing here runs as a test by itself.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from bettikit.linalg import field, reduced_echelon
 from bettikit.polyring import Ideal, monomials_of_degree, parse_polynomial, poly_to_str
@@ -57,6 +58,49 @@ def dense_rref(rows, ncols, char_p):
                     matrix[i] = [v % char_p for v in matrix[i]]
         leads.append(col)
     return {col: {j: v for j, v in enumerate(matrix[k]) if v} for k, col in enumerate(leads)}
+
+
+def eliminate_columns(row, pivots, cols, char_p):
+    """A new `row` with each column c of `cols` cleared by pivots[c], one column at a time.
+
+    The step the kernel's one-pass `F.eliminate` must equal, value and sign,
+    written in plain dict arithmetic: over the rationals the primitive
+    multiple of a * row - row[c] * pivot, for the pivot's lead a (so the sign
+    of a carries over), mod p the residues of row - row[c] * pivot.
+    """
+    for c in cols:
+        pivot, out = pivots[c], {}
+        if char_p is None:
+            g = gcd(pivot[c], row[c])
+            ra, rb = pivot[c] // g, row[c] // g
+            for j in {*row, *pivot}:
+                out[j] = ra * row.get(j, 0) - rb * pivot.get(j, 0)
+            content = gcd(*out.values())
+            row = {j: v // content for j, v in out.items() if v}
+        else:
+            for j in {*row, *pivot}:
+                out[j] = (row.get(j, 0) - row[c] * pivot.get(j, 0)) % char_p
+            row = {j: v for j, v in out.items() if v}
+    return row
+
+
+def forward_echelon(rows, char_p, pivots=None):
+    """`linalg._echelon` step by `eliminate_columns`: {lead: its row}, in place on `pivots`.
+
+    Rows are taken shortest first and each pivot row is stored in the
+    field's form: as it is over the rationals, monic mod p.
+    """
+    pivots = {} if pivots is None else pivots
+    for row in sorted(rows, key=len):
+        while row and min(row) in pivots:
+            row = eliminate_columns(row, pivots, [min(row)], char_p)
+        if row:
+            lead = min(row)
+            if char_p is not None:
+                inv = pow(row[lead], -1, char_p)
+                row = {j: v * inv % char_p for j, v in row.items()}
+            pivots[lead] = row
+    return pivots
 
 
 def normal_form(piece, poly, char_p):

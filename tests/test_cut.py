@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bettikit import koszul, linalg
 from bettikit.fixtures import FIXTURES, load_text
-from bettikit.koszul import (_cut_regular_variables, _Ring, betti_table,
+from bettikit.koszul import (_betti_entries, _cut_regular_variables, _Ring, betti_table,
                              graded_piece, hilbert_consistency)
 from bettikit.linalg import PrimeField, Rationals, SparseMatrix, field
 from bettikit.polyring import Ideal, mono_times_var, monomials_of_degree, parse_ideal
@@ -151,6 +151,22 @@ def test_cut_ring_pieces_match_the_cut_ideal(char_p):
                 assert all(twice[q] == graded_piece(cut_ideal(ideal, var, 0), q)
                            for q in range(4)), (entry.name, var)
     assert positions == {"first", "middle", "last"}
+
+
+@pytest.mark.parametrize("char_p", FIELDS)
+def test_reading_s_mod_i_leaves_its_kept_rows_as_they_were(char_p):
+    # a cut ring's pieces reduce the kept rows of S/I against E in place on
+    # a copy (`linalg.substitute`), and `_betti_entries` makes images from
+    # them; neither changes a kept row of S/I
+    for entry, ideal in fixture_ideals():
+        ring = _Ring(replace(ideal, char_p=char_p))
+        pieces = [ring[q] for q in range(6)]
+        snapshot = [{lead: dict(row) for lead, row in piece.rows.items()} for piece in pieces]
+        for var in range(ideal.num_vars):
+            cut = _Ring(ring, var)
+            _betti_entries(cut, 3)
+        _betti_entries(ring, 3)
+        assert [piece.rows for piece in pieces] == snapshot, entry.name
 
 
 @pytest.mark.parametrize("char_p", FIELDS)

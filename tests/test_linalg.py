@@ -3,14 +3,15 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bettikit.linalg import SparseMatrix
-from oracles import dense_rref, rref
+from bettikit.linalg import SparseMatrix, _echelon, field, leads, reduced_echelon, substitute
+from oracles import dense_rref, eliminate_columns, forward_echelon, rref
 
 
 @st.composite
@@ -177,6 +178,88 @@ def test_rational_entries_are_mapped_into_gf():
     assert SparseMatrix(2, 2, [{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}]).rank(5) == 1
     with pytest.raises(ValueError, match="denominator divisible by the characteristic 5"):
         rref([{0: Fraction(1, 5)}], 5)
+
+
+def random_entry(rng, char_p):
+    """A nonzero entry: an integer in [-9, 9] over the rationals, a residue mod p."""
+    return rng.choice((-1, 1)) * rng.randint(1, 9) if char_p is None else rng.randrange(1, char_p)
+
+
+def random_echelon(rng, char_p, ncols, leads):
+    """A fully reduced echelon in the field's form with these leads: {lead: row}.
+
+    Each tail lies on columns above its lead that lead no row.  Over the
+    rationals a row is a primitive integer vector whose lead may be
+    negative; mod p it is monic.
+    """
+    free = [j for j in range(ncols) if j not in leads]
+    pivots = {}
+    for lead in leads:
+        row = {j: random_entry(rng, char_p) for j in free if j > lead and rng.random() < 0.4}
+        row[lead] = 1 if char_p is not None else random_entry(rng, None) * rng.randint(1, 3)
+        content = gcd(*row.values()) if char_p is None else 1
+        pivots[lead] = {j: v // content for j, v in row.items()}
+    return pivots
+
+
+def random_row(rng, char_p, pivots, hits, ncols):
+    """A row in the field's form on `hits` leads of `pivots` and one to three other columns."""
+    free = [j for j in range(ncols) if j not in pivots]
+    row = {j: random_entry(rng, char_p)
+           for j in rng.sample(sorted(pivots), hits) + rng.sample(free, rng.randint(1, 3))}
+    content = gcd(*row.values()) if char_p is None else 1
+    return {j: v // content for j, v in row.items()}
+
+
+KERNEL_FIELDS = (None, 32003, 2)
+
+
+@pytest.mark.parametrize("char_p", KERNEL_FIELDS)
+def test_one_pass_elimination_equals_column_at_a_time(char_p):
+    # `substitute` clears all of a row's pivot columns in one `F.eliminate`
+    # call, and `_echelon` each lead in turn, in place; both must give,
+    # value and sign, what clearing one column at a time does
+    # (`oracles.eliminate_columns`), for rows that meet 0, 1 or many pivots
+    rng, F = random.Random(37), field(char_p)
+    for hits in (0, 1, 5, 7):
+        for _ in range(25):
+            # leads anywhere: `substitute` meets every other lead in the row
+            pivots = random_echelon(rng, char_p, 16, sorted(rng.sample(range(16), 8)))
+            row = random_row(rng, char_p, pivots, hits, 16)
+            lead = rng.choice([j for j in row if j not in pivots])
+            cols = [j for j in row if j != lead and j in pivots]
+            assert len(cols) == hits
+            assert substitute(row, lead, pivots, F) == eliminate_columns(row, pivots, cols, char_p)
+            # leads first: the forward pass meets each lead in the row in turn
+            pivots = random_echelon(rng, char_p, 16, range(8))
+            row = random_row(rng, char_p, pivots, hits, 16)
+            assert (_echelon([row], F, dict(pivots))
+                    == forward_echelon([row], char_p, dict(pivots)))
+    for _ in range(40):
+        rows = list(map(F.row, random_rows(rng, 8, 8, rational=char_p is None)))
+        assert _echelon(rows, F) == forward_echelon(rows, char_p)
+
+
+@pytest.mark.parametrize("char_p", KERNEL_FIELDS)
+def test_no_kernel_entry_point_changes_a_row_it_is_given(char_p):
+    # elimination is in place on a copy: each entry point copies a row once
+    # before it eliminates, so every row it is given, and every row of the
+    # pivots it is given, keeps its value
+    rng, F = random.Random(38), field(char_p)
+    for _ in range(20):
+        pivots = random_echelon(rng, char_p, 12, range(6))
+        rows = [random_row(rng, char_p, pivots, rng.randint(0, 4), 12) for _ in range(6)]
+        given = [*rows, *pivots.values()]
+        snapshot = [dict(row) for row in given]
+        SparseMatrix(len(rows), 12, rows).rank(char_p)
+        leads(rows, F)
+        _echelon(rows, F)
+        _echelon(rows, F, dict(pivots))
+        reduced_echelon(rows, F)
+        reduced_echelon(rows, F, dict(pivots))
+        for row in rows:
+            substitute(row, max(row), pivots, F)
+        assert given == snapshot
 
 
 NON_MONIC_PIVOT = """

@@ -40,6 +40,20 @@ def test_runtime_has_no_assert():
             assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} uses assert"
 
 
+def test_rows_are_eliminated_only_in_the_kernel():
+    # `F.eliminate` clears columns in place, so only the two functions that
+    # copy a row first may call it
+    kernel = {("linalg.py", "_echelon"), ("linalg.py", "substitute")}
+    for path in sorted(Path(bettikit.__file__).parent.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if (path.name, getattr(top, "name", None)) in kernel:
+                continue
+            for node in ast.walk(top):
+                assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "eliminate"), \
+                    f"{path.name}:{node.lineno} calls eliminate"
+
+
 RELOAD_THREE_TIMES = """
 import gc, importlib, sys
 sys.path.insert(0, sys.argv[1])
